@@ -34,11 +34,11 @@ from .functionals import lyapunov_terms
 from .measure import Quadrature, UltraParams, build_quadrature, refined_quadrature
 from .spectral import (
     GridFn,
-    OrthoBasis,
     eigenvalue,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
+    resample,
 )
 
 _KINDS = ("heat", "nonlinear", "regularized")
@@ -115,7 +115,6 @@ class FlowTrace:
     u_min: np.ndarray
     u_max: np.ndarray
     grad_max: np.ndarray
-    grad_signed_max: np.ndarray
     dF_closed: np.ndarray
     bound_events: tuple[tuple[float, str], ...]
     terminal_gap: float
@@ -123,7 +122,7 @@ class FlowTrace:
 
     def __post_init__(self):
         for name in ("times", "mass", "fisher_beta", "F_values", "u_min", "u_max",
-                     "grad_max", "grad_signed_max", "dF_closed"):
+                     "grad_max", "dF_closed"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -184,14 +183,7 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("dF_dt_closed_form requires a strictly positive state")
-    kind = "regularized" if params.eps > 0 else "plain"
-    q = build_quadrature(params, len(u), kind=kind)
-    fine = refined_quadrature(params, len(u), kind=kind)
-    basis = interpolation_basis(q)
-    c = basis.analyze(u)
-    uu = basis.synthesize(c, fine.nodes)
-    up = basis.derivative_values(c, fine.nodes)
-    upp = basis.second_derivative_values(c, fine.nodes)
+    fine, _, _, uu, up, upp = resample(u, params, len(u))
     if np.any(uu <= 0):
         raise DomainError("resampled state loses positivity; refine the grid")
     lam = cfg.lam if cfg.lam is not None else params.n
@@ -201,11 +193,10 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
 class _Recorder:
     """Accumulates per-time diagnostics from the v-state on the fine rule."""
 
-    def __init__(self, cfg: FlowConfig, fine: Quadrature, lam: float, sign: float):
+    def __init__(self, cfg: FlowConfig, fine: Quadrature, lam: float):
         self.cfg = cfg
         self.fine = fine
         self.lam = lam
-        self.sign = sign
         self.rows: list[tuple] = []
         self.events: list[tuple[float, str]] = []
         self.last_vv: np.ndarray | None = None
@@ -219,9 +210,8 @@ class _Recorder:
         upp = r * (r - 1.0) * vv ** (r - 2.0) * vp**2 + r * vv ** (r - 1.0) * vpp
         F, mass, fb = lyapunov_terms(uu, up, self.fine, params, self.lam)
         gmax = float(np.max(np.abs(up)))
-        gsigned = float(np.max(self.sign * up))
         umin, umax = float(np.min(uu)), float(np.max(uu))
-        self.rows.append((t, mass, fb, F, umin, umax, gmax, gsigned,
+        self.rows.append((t, mass, fb, F, umin, umax, gmax,
                           _dF_value(uu, up, upp, self.fine, params, self.lam)))
         if cfg.h0 is not None:
             if umin < cfg.h0 - _BOUND_TOL:
@@ -245,8 +235,7 @@ class _Recorder:
             u_min=np.array(cols[4]),
             u_max=np.array(cols[5]),
             grad_max=np.array(cols[6]),
-            grad_signed_max=np.array(cols[7]),
-            dF_closed=np.array(cols[8]),
+            dF_closed=np.array(cols[7]),
             bound_events=tuple(self.events),
             terminal_gap=gap,
             params_echo=self.cfg,
@@ -301,11 +290,6 @@ def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig
     return dataclasses.replace(cfg, h0=h0, h1=h1, lam=lam)
 
 
-def _bound_sign(params: UltraParams) -> float:
-    s = params.n + 2.0 - params.beta * (params.n + 2.0 - params.p)
-    return 1.0 if s >= 0 else -1.0
-
-
 def _attach_partial(err: PositivityError, rec: _Recorder) -> None:
     """Hang the trace-so-far on a positivity failure, if anything was recorded."""
     if rec.rows and rec.last_vv is not None:
@@ -321,7 +305,7 @@ def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     lams = np.array([eigenvalue(params.n, k) for k in range(c0.size)])
     D = basis.D
-    rec = _Recorder(cfg, fine, cfg.lam, _bound_sign(params))
+    rec = _Recorder(cfg, fine, cfg.lam)
 
     def state_at(t: float):
         c = c0 * np.exp(-lams * t)
@@ -359,7 +343,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     # top eigenvalue of the Dirichlet stiffness matrix, for step control
     S = V1.T @ (rho2w[:, None] * V1)
     lam_top = float(np.linalg.eigvalsh(S)[-1])
-    rec = _Recorder(cfg, fine, cfg.lam, _bound_sign(params))
+    rec = _Recorder(cfg, fine, cfg.lam)
 
     t_now = 0.0
 

@@ -25,20 +25,13 @@ All integrals run on the internally refined rule of the relevant measure
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .measure import (
-    DEFAULT_NODES,
-    Quadrature,
-    UltraParams,
-    build_quadrature,
-    refined_quadrature,
-)
-from .spectral import GridFn, OrthoBasis, interpolation_basis
+from .measure import DEFAULT_NODES, Quadrature, UltraParams
+from .spectral import GridFn, resample
 
 
 @dataclass(frozen=True)
@@ -62,30 +55,23 @@ class LyapunovValue:
     lambda_used: float
 
 
-def _resampled(f: GridFn, q: Quadrature, fine: Quadrature) -> tuple[np.ndarray, np.ndarray, OrthoBasis, np.ndarray]:
-    """f and f' evaluated on the refined rule, plus the basis and coefficients."""
-    basis = interpolation_basis(q)
-    c = basis.analyze(np.asarray(f, dtype=float))
-    ff = basis.synthesize(c, fine.nodes)
-    fp = basis.derivative_values(c, fine.nodes)
-    return ff, fp, basis, c
+def _resampled(f: GridFn, q: Quadrature):
+    """``resample`` of f given on ``q``; the measure is q's own."""
+    eps = q.eps if q.kind == "regularized" else 0.0
+    return resample(f, UltraParams(n=q.n, eps=eps), q.order)
 
 
 def lp_norm(f: GridFn, q: Quadrature, p: float) -> float:
     """(int |f|^p dnu)^(1/p) on the refined companion rule of ``q``."""
     if p < 1:
         raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    params = UltraParams(n=q.n, eps=q.eps)
-    fine = refined_quadrature(params, q.order, kind=q.kind)
-    ff, _, _, _ = _resampled(f, q, fine)
+    fine, _, _, ff, _, _ = _resampled(f, q)
     return float(fine.integrate(np.abs(ff) ** p) ** (1.0 / p))
 
 
 def fisher(f: GridFn, q: Quadrature) -> float:
     """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu."""
-    params = UltraParams(n=q.n, eps=q.eps)
-    fine = refined_quadrature(params, q.order, kind=q.kind)
-    _, fp, _, _ = _resampled(f, q, fine)
+    fine, _, _, _, fp, _ = _resampled(f, q)
     return float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
 
 
@@ -119,9 +105,7 @@ def deficit(
         lam = n
     if N is None:
         N = DEFAULT_NODES
-    q = build_quadrature(UltraParams(n=n), N, kind="plain")
-    fine = refined_quadrature(UltraParams(n=n), N, kind="plain")
-    ff, fp, _, _ = _resampled(f, q, fine)
+    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
     fisher_val = float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
     l2 = fine.integrate(ff**2)
     if p == 1:
@@ -155,9 +139,7 @@ def logsob_deficit(
         lam = n / 2.0
     if N is None:
         N = DEFAULT_NODES
-    q = build_quadrature(UltraParams(n=n), N, kind="plain")
-    fine = refined_quadrature(UltraParams(n=n), N, kind="plain")
-    ff, fp, _, _ = _resampled(f, q, fine)
+    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
     fisher_val = float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
     g = ff**2
     l2 = fine.integrate(g)
@@ -234,10 +216,7 @@ def lyapunov_F(
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("lyapunov_F requires a strictly positive function")
-    kind = "regularized" if params.eps > 0 else "plain"
-    q = build_quadrature(params, N, kind=kind)
-    fine = refined_quadrature(params, N, kind=kind)
-    uu, up, _, _ = _resampled(u, q, fine)
+    fine, _, _, uu, up, _ = resample(u, params, N)
     if np.any(uu <= 0):
         raise DomainError("resampled function loses positivity; refine the grid")
     F, mass, _ = lyapunov_terms(uu, up, fine, params, lam)

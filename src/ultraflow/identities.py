@@ -36,9 +36,9 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import DomainError
-from .measure import DEFAULT_NODES, UltraParams, build_quadrature, refined_quadrature
+from .measure import DEFAULT_NODES, UltraParams, build_quadrature
 from .operators import drift
-from .spectral import GridFn, interpolation_basis
+from .spectral import GridFn, resample
 
 # Degree of the random exponent polynomial; amplitude is capped at 1 about
 # the constant term, so test functions satisfy e^-2 <= u <= e^2.
@@ -87,27 +87,18 @@ def make_test_function(
     scale = np.max(np.abs(P1(zz)))
     if scale > 0:
         P1 = P1 / scale
-    kind = "regularized" if params.eps > 0 else "plain"
-    q = build_quadrature(params, N, kind=kind)
-    return np.exp(c0 + P1(q.nodes))
+    return np.exp(c0 + P1(build_quadrature(params, N).nodes))
 
 
 def _sampled_derivatives(u: GridFn, params: UltraParams):
-    """(fine rule, u, u', u'' on it) for the measure selected by params."""
+    """``resample`` of a strictly positive u: (fine, basis, c, u, u', u'')."""
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("identity checks require a strictly positive function")
-    kind = "regularized" if params.eps > 0 else "plain"
-    q = build_quadrature(params, len(u), kind=kind)
-    fine = refined_quadrature(params, len(u), kind=kind)
-    basis = interpolation_basis(q)
-    c = basis.analyze(u)
-    uu = basis.synthesize(c, fine.nodes)
-    up = basis.derivative_values(c, fine.nodes)
-    upp = basis.second_derivative_values(c, fine.nodes)
+    fine, basis, c, uu, up, upp = resample(u, params, len(u))
     if np.any(uu <= 0):
         raise DomainError("resampled function loses positivity; refine the grid")
-    return fine, uu, up, upp, basis, c
+    return fine, basis, c, uu, up, upp
 
 
 def _require_neumann(basis, c) -> None:
@@ -130,7 +121,7 @@ def check_gamma2(
     """Second-order identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_gamma2 is the plain-measure check; use check_gamma2_eps")
-    fine, uu, up, upp, basis, c = _sampled_derivatives(u, params)
+    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
     if enforce_neumann:
         _require_neumann(basis, c)
     n, z = params.n, fine.nodes
@@ -150,7 +141,7 @@ def check_lgamma(
     """Mixed gradient identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_lgamma is the plain-measure check; use check_lgamma_eps")
-    fine, uu, up, upp, basis, c = _sampled_derivatives(u, params)
+    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
     if enforce_neumann:
         _require_neumann(basis, c)
     n, z = params.n, fine.nodes
@@ -171,7 +162,7 @@ def _check_eps_params(params: UltraParams) -> None:
 def check_gamma2_eps(u: GridFn, params: UltraParams, seed: int = -1) -> IdentityReport:
     """Second-order identity for the regularized operator; no boundary condition."""
     _check_eps_params(params)
-    fine, uu, up, upp, _, _ = _sampled_derivatives(u, params)
+    fine, _, _, uu, up, upp = _sampled_derivatives(u, params)
     n, eps, d, z = params.n, params.eps, params.d, fine.nodes
     rho2 = 1.0 - z**2
     Lu = rho2 * upp - drift(z, params) * up
@@ -186,7 +177,7 @@ def check_gamma2_eps(u: GridFn, params: UltraParams, seed: int = -1) -> Identity
 def check_lgamma_eps(u: GridFn, params: UltraParams, seed: int = -1) -> IdentityReport:
     """Mixed gradient identity for the regularized operator; no boundary condition."""
     _check_eps_params(params)
-    fine, uu, up, upp, _, _ = _sampled_derivatives(u, params)
+    fine, _, _, uu, up, upp = _sampled_derivatives(u, params)
     n, eps, d, z = params.n, params.eps, params.d, fine.nodes
     rho2 = 1.0 - z**2
     Lu = rho2 * upp - drift(z, params) * up

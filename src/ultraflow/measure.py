@@ -19,11 +19,19 @@ bounded factor (1+eps-z^2)^{(n-d)/2} into the weights.  That factor is
 analytic except at +-sqrt(1+eps), so its polynomial order grows like
 1/sqrt(eps); ``refined_quadrature`` scales the node count accordingly and is
 what every functional in this package integrates on.
+
+Rules are memoized.  ``build_quadrature`` validates its arguments on every
+call and then returns the shared, read-only rule for the key
+(kind, n, eps, N), which is everything a rule echoes; p and beta do not
+enter it.  Up to 128 rules are kept (16 N bytes each, at most 8 MB at the
+4096-node cap), so the refined rules, which go through the same function,
+are built once per key as well.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -167,28 +175,25 @@ def build_quadrature(
         raise DomainError(f"unknown quadrature kind {kind!r}")
     if N < 2:
         raise DomainError(f"need at least 2 nodes, got N={N}")
+    if kind == "regularized" and params.eps == 0 and params.n < params.d:
+        raise DomainError(
+            "regularized quadrature with eps=0 is only defined at integer n=d"
+        )
+    return _rule(kind, float(params.n), float(params.eps), N)
 
+
+@lru_cache(maxsize=128)
+def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
     if kind == "plain":
-        a = (params.n - 2.0) / 2.0
+        a = (n - 2.0) / 2.0
         nodes, w = roots_jacobi(N, a, a)
     else:
-        d = params.d
-        if params.eps == 0 and params.n < d:
-            raise DomainError(
-                "regularized quadrature with eps=0 is only defined at integer n=d"
-            )
+        d = math.ceil(n)
         ad = (d - 2.0) / 2.0
         nodes, w = roots_jacobi(N, ad, ad)
-        w = w * (1.0 + params.eps - nodes**2) ** ((params.n - d) / 2.0)
+        w = w * (1.0 + eps - nodes**2) ** ((n - d) / 2.0)
     w = w / w.sum()
-    return Quadrature(
-        nodes=nodes, weights=w, kind=kind, order=N, n=params.n, eps=params.eps
-    )
-
-
-def integrate(q: Quadrature, values: np.ndarray) -> float:
-    """Functional form of :meth:`Quadrature.integrate`."""
-    return q.integrate(values)
+    return Quadrature(nodes=nodes, weights=w, kind=kind, order=N, n=n, eps=eps)
 
 
 def refined_node_count(params: UltraParams, N: int) -> int:

@@ -383,7 +383,7 @@ class TestPartialTraceAttachment:
         params = UltraParams(n=3.0, p=4.0, beta=2.0)
         cfg = FlowConfig(kind="nonlinear", params=params, lam=3.0)
         fine = refined_quadrature(params, 32, kind="plain")
-        return cfg, fine, _Recorder(cfg, fine, lam=3.0, sign=1.0)
+        return cfg, fine, _Recorder(cfg, fine, lam=3.0)
 
     def test_attaches_the_recorded_prefix(self):
         cfg, fine, rec = self.make_recorder()

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from ultraflow import (
     DomainError,
@@ -136,6 +137,26 @@ class TestPlainQuadrature:
         q = build_quadrature(UltraParams(n=3.0), 16)
         with pytest.raises(ValueError):
             q.weights[0] = 0.5
+
+
+class TestRuleCache:
+    @pytest.mark.parametrize("n, eps, kind", [(2.5, 0.0, "plain"), (2.5, 0.01, "regularized"),
+                                              (3.0, 0.0, "regularized")])
+    def test_repeat_equals_fresh_build(self, n, eps, kind):
+        first = build_quadrature(UltraParams(n=n, eps=eps), 24, kind=kind)
+        again = build_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), 24, kind=kind)
+        assert again is first  # p and beta are not part of the key
+        d = math.ceil(n) if kind == "regularized" else n
+        nodes, w = roots_jacobi(24, (d - 2.0) / 2.0, (d - 2.0) / 2.0)
+        w = w * (1.0 + eps - nodes**2) ** ((n - d) / 2.0)
+        np.testing.assert_array_equal(again.nodes, nodes)
+        np.testing.assert_array_equal(again.weights, w / w.sum())
+        assert not again.nodes.flags.writeable and not again.weights.flags.writeable
+
+    def test_eps_zero_noninteger_rejected_after_plain_is_cached(self):
+        build_quadrature(UltraParams(n=2.7), 20, kind="plain")
+        with pytest.raises(DomainError):
+            build_quadrature(UltraParams(n=2.7), 20, kind="regularized")
 
 
 class TestRegularizedQuadrature:

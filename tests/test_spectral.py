@@ -22,9 +22,12 @@ from ultraflow import (
     get_basis,
     get_regularized_basis,
     interpolation_basis,
+    refined_quadrature,
+    resample,
     spectral_derivative,
     to_spectral,
 )
+from ultraflow.spectral import _discretization
 
 
 def recurrence_oracle(n: float, kmax: int) -> np.ndarray:
@@ -157,6 +160,31 @@ class TestDerivatives:
         q = build_quadrature(UltraParams(n=3.0), 16)
         with pytest.raises(DomainError):
             spectral_derivative(np.ones(16), q, order=3)
+
+
+class TestResample:
+    # a plain key, an eps key, and an n = d key (regularized rule equal to the plain one)
+    KEYS = [(1.7, 0.0), (2.5, 1e-2), (3.0, 1e-2)]
+
+    @pytest.mark.parametrize("n, eps", KEYS)
+    def test_matches_basis_methods_bit_for_bit(self, n, eps):
+        params = UltraParams(n=n, eps=eps)
+        q = build_quadrature(params, 48)
+        for f in (np.exp(np.sin(2.0 * q.nodes)), 1.0 + q.nodes**3):  # a miss, then a hit
+            fine, basis, c, uu, up, upp = resample(f, params, 48)
+            assert fine is refined_quadrature(params, 48)
+            assert basis is interpolation_basis(q)
+            np.testing.assert_array_equal(c, basis.analyze(f))
+            np.testing.assert_array_equal(uu, basis.synthesize(c, fine.nodes))
+            np.testing.assert_array_equal(up, basis.derivative_values(c, fine.nodes))
+            np.testing.assert_array_equal(upp, basis.second_derivative_values(c, fine.nodes))
+
+    def test_cached_tables_are_read_only(self):
+        resample(np.ones(32), UltraParams(n=2.5, eps=1e-2), 32)
+        fine, basis, V, V1 = _discretization(2.5, 1e-2, 32)
+        for table in (V, V1, basis.V, basis.V1, basis.D, fine.nodes, fine.weights):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestEigenvalue:
