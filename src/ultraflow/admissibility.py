@@ -253,8 +253,7 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("qform_value requires a strictly positive function")
-    kind = "regularized" if params.eps > 0 else "plain"
-    q = build_quadrature(params, len(u), kind=kind)
+    q = build_quadrature(params, len(u))
     basis = interpolation_basis(q)
     c_coef = basis.analyze(u)
     up = basis.derivative_values(c_coef)

@@ -265,8 +265,7 @@ def cmd_flow(args) -> int:
             raise DomainError(f"--beta is required for the {args.kind} flow")
         beta = args.beta
     params = UltraParams(n=args.n, eps=args.eps, p=args.p, beta=beta)
-    kind = "regularized" if args.kind == "regularized" else "plain"
-    q = build_quadrature(params, N, kind=kind)
+    q = build_quadrature(params, N)
     u0 = parse_function(args.u0)(q.nodes, args.n)
     cfg = FlowConfig(
         kind=args.kind,
@@ -417,7 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--beta", type=float, default=None)
     sp.add_argument("--eps", type=float, default=0.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--dt", type=float, default=1e-3, help="largest time step; the "
+                    "nonlinear and regularized flows shorten it where their remainder is stiff")
     sp.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     sp.add_argument("--record-every", type=int, default=8, dest="record_every")
     sp.add_argument("--lambda", type=float, default=None, dest="lam")

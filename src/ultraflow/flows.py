@@ -6,7 +6,7 @@ of v = u^(beta p) in the orthonormal basis of the working measure:
 * heat: beta = 1, v = u^p solves dv/dt = L v and is integrated exactly,
   mode by mode, through the eigenvalue decay e^(-k(k+n-1) t);
 * nonlinear: v solves dv/dt = (1/m) L v^m with m = 1 + (2/p)(1/beta - 1),
-  stepped by an explicit fourth-order method on the weak (Galerkin) form;
+  stepped by exponential time differencing on the weak (Galerkin) form;
 * regularized: the same v-equation for the eps-operator and eps-measure,
   for non-integer n with d = ceil(n).
 
@@ -14,6 +14,13 @@ The weak form d/dt c_j = -int Q_j' (v^m)' rho^2 dnu / m has an exactly
 zero right-hand side in row 0, so the mass int v dnu = c_0 never moves:
 conservation is structural, not a property of the stepper.  All moment
 integrals run on the refined companion rule of the measure.
+
+Stepping: the weak form is -a S c + N(c), with S the stiffness matrix
+int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
+(Cox & Matthews 2002) solves the linear part exactly in the eigenbasis of
+S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
+max|v^(m-1) - a| max(1, |m|) with lam_top the top eigenvalue of S, needs
+dt <= 2 / that; the last step lands on t_end.
 
 A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
@@ -31,30 +38,27 @@ import numpy as np
 from .admissibility import lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
-from .measure import Quadrature, UltraParams, build_quadrature, refined_quadrature
-from .spectral import (
-    GridFn,
-    eigenvalue,
-    get_basis,
-    get_regularized_basis,
-    interpolation_basis,
-    resample,
-)
+from .measure import Quadrature, UltraParams, build_quadrature
+from .spectral import GridFn, _discretization, eigenvalue, get_regularized_basis, resample
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
 _BOUND_TOL = 1e-8
+_SNAP = 1e-6  # a remainder to t_end below this fraction of dt joins the last step
+_CONTOUR = np.exp(1j * np.pi * (np.arange(1, 33) - 0.5) / 32)
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Parameters of one flow run.
 
-    ``lam`` is the constant in F; None selects n for the heat and
-    nonlinear kinds and the adjusted eps-constant for the regularized
-    kind.  ``h0``/``h1`` enter the bound monitor (h0 < u < 1/h0,
-    |u'| <= h1); for the regularized kind they are required implicitly
-    and are derived from the initial datum when not given.
+    ``dt`` is the largest time step (see the module docstring).  The heat
+    and nonlinear kinds run on the plain measure and need eps = 0.  ``lam``
+    is the constant in F; None selects n for the heat and nonlinear kinds
+    and the adjusted eps-constant for the regularized kind.  ``h0``/``h1``
+    enter the bound monitor (h0 < u < 1/h0, |u'| <= h1); for the
+    regularized kind they are required implicitly and are derived from the
+    initial datum when not given.
     """
 
     kind: str
@@ -87,6 +91,8 @@ class FlowConfig:
                 raise DomainError(
                     "beta sits on the excluded value (n+2)m = n of the exponent relation"
                 )
+        if self.kind != "regularized" and p.eps != 0:
+            raise DomainError(f"the {self.kind} flow runs on the plain measure; eps must be 0")
         if self.kind == "regularized":
             if p.eps <= 0:
                 raise DomainError("the regularized flow needs eps > 0")
@@ -248,30 +254,17 @@ def _initial_state(u0: GridFn, cfg: FlowConfig):
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 <= 0):
         raise DomainError("initial datum must be strictly positive")
-    kind = "regularized" if cfg.kind == "regularized" else "plain"
-    q = build_quadrature(params, len(u0), kind=kind)
+    fine, basis, _, u0_fine, up0, _ = resample(u0, params, len(u0))
     if cfg.kind == "regularized":
-        # the working basis lives directly on the eps-refined rule
         basis = get_regularized_basis(params.n, params.eps, len(u0))
-        fine = basis.quad
         V0, V1 = basis.V, basis.V1
     else:
-        basis = get_basis(params.n, len(u0))
-        fine = refined_quadrature(params, len(u0), kind="plain")
-        V0 = basis.evaluate(fine.nodes, order=0)
-        V1 = basis.evaluate(fine.nodes, order=1)
-    sample_basis = interpolation_basis(q)
-    c_u = sample_basis.analyze(u0)
-    u0_fine = sample_basis.synthesize(c_u, fine.nodes)
+        V0, V1 = _discretization(float(params.n), float(params.eps), len(u0))[2:]
     if np.any(u0_fine <= 0):
         raise DomainError("initial datum loses positivity under resampling")
     v0_fine = u0_fine ** (params.beta * params.p)
-    if cfg.kind == "regularized":
-        c0 = basis.analyze(v0_fine)
-    else:
-        c0 = V0.T @ (fine.weights * v0_fine)
-    up0 = sample_basis.derivative_values(c_u, fine.nodes)
-    return q, fine, basis, V0, V1, c0, u0_fine, up0
+    c0 = V0.T @ (fine.weights * v0_fine)
+    return fine, basis, V0, V1, c0, u0_fine, up0
 
 
 def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig:
@@ -301,92 +294,92 @@ def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     if cfg.kind != "heat":
         raise DomainError(f"run_heat_flow needs kind='heat', got {cfg.kind!r}")
     params = cfg.params
-    q, fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
+    fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     lams = np.array([eigenvalue(params.n, k) for k in range(c0.size)])
-    D = basis.D
+    D = basis.D[: c0.size, : c0.size]
     rec = _Recorder(cfg, fine, cfg.lam)
-
-    def state_at(t: float):
-        c = c0 * np.exp(-lams * t)
-        vv = V0 @ c
-        if np.min(vv) <= _POSITIVITY_FLOOR:
-            raise PositivityError(t, "v reached the positivity floor")
-        vp = V1 @ c
-        vpp = V1 @ (D[: c.size, : c.size] @ c)
-        return vv, vp, vpp
-
     n_steps = max(1, math.ceil(cfg.t_end / cfg.dt))
-    times = [j * cfg.dt for j in range(0, n_steps + 1, cfg.record_every)]
-    if times[-1] < cfg.t_end:
-        times.append(cfg.t_end)
-    else:
-        times[-1] = cfg.t_end
-    vv = None
     try:
-        for t in times:
-            vv, vp, vpp = state_at(t)
-            rec.record(t, vv, vp, vpp)
+        for t in [j * cfg.dt for j in range(0, n_steps, cfg.record_every)] + [cfg.t_end]:
+            c = c0 * np.exp(-lams * t)
+            vv = V0 @ c
+            if np.min(vv) <= _POSITIVITY_FLOOR:
+                raise PositivityError(t, "v reached the positivity floor")
+            rec.record(t, vv, V1 @ c, V1 @ (D @ c))
     except PositivityError as err:
         _attach_partial(err, rec)
         raise
     return rec.finish(vv)
 
 
+def _etdrk4_weights(hL: np.ndarray, h: float):
+    """e^(hL), e^(hL/2) and the ETDRK4 weights Q, f1, f2, f3 for the diagonal hL.
+
+    Each phi-function is its mean on the unit circle about hL (Kassam &
+    Trefethen 2005), which avoids the cancellation of the closed forms near
+    hL = 0; the points are the upper half circle, real parts the lower.
+    """
+    r = hL[:, None] + _CONTOUR
+    er = np.exp(r)
+    Q = h * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1).real
+    f1 = h * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1).real
+    f2 = h * np.mean((2.0 + r + er * (r - 2.0)) / r**3, axis=1).real
+    f3 = h * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1).real
+    return np.exp(hL), np.exp(hL / 2.0), Q, f1, f2, f3
+
+
 def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     params = cfg.params
-    q, fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
+    fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     m = params.m
     rho2w = fine.weights * (1.0 - fine.nodes**2)
-    D = basis.D[: c0.size, : c0.size]
-    # top eigenvalue of the Dirichlet stiffness matrix, for step control
+    # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh
+    # leaves y[0] = c[0], the mass, exactly fixed.
     S = V1.T @ (rho2w[:, None] * V1)
-    lam_top = float(np.linalg.eigvalsh(S)[-1])
+    mu, U = np.zeros(c0.size), np.eye(c0.size)
+    mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
+    lam_top = float(mu[-1])
+    a = (c0[0] * V0[0, 0]) ** (m - 1.0)
+    W0, W1, DU = V0 @ U, V1 @ U, basis.D[: c0.size, : c0.size] @ U
     rec = _Recorder(cfg, fine, cfg.lam)
+    t_now, h, step, y = 0.0, None, 0, U.T @ c0
 
-    t_now = 0.0
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        # d/dt c_j = -(1/m) int Q_j' (v^m)' rho^2 dnu; the chain rule's
-        # factor m cancels the 1/m, and row 0 vanishes identically.
-        vv = V0 @ c
+    def state(y: np.ndarray):
+        vv = W0 @ y
         if np.min(vv) <= _POSITIVITY_FLOOR:
             raise PositivityError(t_now, "v reached the positivity floor")
-        vp = V1 @ c
-        return -(V1.T @ (rho2w * vv ** (m - 1.0) * vp))
+        return vv, vv ** (m - 1.0) - a
 
-    def record_state(t: float, c: np.ndarray) -> np.ndarray:
-        vv = V0 @ c
-        if np.min(vv) <= _POSITIVITY_FLOOR:
-            raise PositivityError(t, "v reached the positivity floor")
-        rec.record(t, vv, V1 @ c, V1 @ (D @ c))
-        return vv
+    def remainder(y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+        # the weak form's -V1^T(rho^2 w v^(m-1) v') (the chain rule's m
+        # cancels the 1/m) less its linear part -a S c, in the eigenbasis
+        g = state(y)[1] if g is None else g
+        return -(W1.T @ (rho2w * g * (W1 @ y)))
 
-    c = c0.copy()
     try:
-        vv = record_state(0.0, c)
-        step = 0
-        while t_now < cfg.t_end - 1e-15 * cfg.t_end:
-            vpow = float(np.max(vv ** (m - 1.0))) if m != 1.0 else 1.0
-            dt = min(
-                cfg.dt,
-                0.5 / lam_top,
-                2.0 / (lam_top * vpow * max(1.0, abs(m))),
-                cfg.t_end - t_now,
-            )
-            k1 = rhs(c)
-            k2 = rhs(c + 0.5 * dt * k1)
-            k3 = rhs(c + 0.5 * dt * k2)
-            k4 = rhs(c + dt * k3)
-            c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_now += dt
+        vv, g = state(y)
+        rec.record(0.0, vv, W1 @ y, V1 @ (DU @ y))
+        while t_now < cfg.t_end:
+            stiff = lam_top * float(np.max(np.abs(g))) * max(1.0, abs(m))
+            dt = min(cfg.dt, 2.0 / stiff) if stiff > 0 else cfg.dt
+            last = cfg.t_end - t_now <= dt * (1.0 + _SNAP)
+            dt = cfg.t_end - t_now if last else dt
+            if dt != h:
+                h, (E, E2, Q, f1, f2, f3) = dt, _etdrk4_weights(-a * dt * mu, dt)
+            Nu = remainder(y, g)
+            ya = E2 * y + Q * Nu
+            Na = remainder(ya)
+            yb = E2 * y + Q * Na
+            Nb = remainder(yb)
+            yc = E2 * ya + Q * (2.0 * Nb - Nu)
+            y = E * y + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * remainder(yc)
+            t_now = cfg.t_end if last else t_now + dt
             step += 1
-            vv = V0 @ c
-            if np.min(vv) <= _POSITIVITY_FLOOR:
-                raise PositivityError(t_now, "v reached the positivity floor")
-            if step % cfg.record_every == 0 or t_now >= cfg.t_end - 1e-15 * cfg.t_end:
-                vv = record_state(t_now, c)
+            vv, g = state(y)
+            if step % cfg.record_every == 0 or last:
+                rec.record(t_now, vv, W1 @ y, V1 @ (DU @ y))
     except PositivityError as err:
         _attach_partial(err, rec)
         raise

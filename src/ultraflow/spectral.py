@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,6 +139,13 @@ class OrthoBasis:
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
         return self._tables(nodes, order)[order]
+
+    @cached_property
+    def end_slopes(self) -> np.ndarray:
+        """Read-only rows Q_k'(-1) and Q_k'(+1), shape (2, K+1), built once per basis."""
+        T = self._tables(np.array([-1.0, 1.0]), 1)[1]
+        T.setflags(write=False)
+        return T
 
     def _tables(self, nodes: np.ndarray, order: int, q0: float = 1.0) -> list[np.ndarray]:
         """[Q_k, Q_k', ...] up to derivative ``order`` at ``nodes``, in one recurrence pass.

@@ -12,6 +12,9 @@ Oracle notes
 * The t = 0 positivity failure is forced by beta = -3 at (n, p) = (3, 4)
   with u0 = 1 + 0.9 z: v = u^(-12) spikes at z = -1 and its truncated
   projection dips negative before the first step.
+* The Galerkin flows step with ETDRK4; ``rk4_reference`` integrates the
+  same weak form with classical RK4 at the step bound of the explicit
+  method, 0.5/lam_top, and lands on the trace's record times.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from ultraflow.flows import (
     FlowConfig,
     FlowTrace,
     _attach_partial,
+    _initial_state,
     _Recorder,
     dF_dt_closed_form,
     find_heat_counterexample,
@@ -38,6 +42,41 @@ from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
     return build_quadrature(UltraParams(n=n), N, kind="plain").nodes
+
+
+def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
+    """Explicit RK4 on the weak form of ``tr``'s flow, recorded at ``tr.times``.
+
+    Between records it takes equal steps no longer than
+    min(dt, 0.5/lam_top, 2/(lam_top max v^(m-1) max(1, |m|))), the
+    explicit method's stability bound.
+    """
+    cfg = tr.params_echo
+    fine, basis, V0, V1, c0, _, _ = _initial_state(u0, cfg)
+    m = cfg.params.m
+    rho2w = fine.weights * (1.0 - fine.nodes**2)
+    lam_top = np.linalg.eigvalsh(V1.T @ (rho2w[:, None] * V1))[-1]
+    D = basis.D[: c0.size, : c0.size]
+
+    def rhs(c):
+        return -(V1.T @ (rho2w * (V0 @ c) ** (m - 1.0) * (V1 @ c)))
+
+    rec = _Recorder(cfg, fine, cfg.lam)
+    c, t = c0.copy(), 0.0
+    for t_next in tr.times:
+        vpow = float(np.max((V0 @ c) ** (m - 1.0)))
+        h_max = min(cfg.dt, 0.5 / lam_top, 2.0 / (lam_top * vpow * max(1.0, abs(m))))
+        k = math.ceil((t_next - t) / h_max)
+        for _ in range(k):
+            h = (t_next - t) / k
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * h * k1)
+            k3 = rhs(c + 0.5 * h * k2)
+            k4 = rhs(c + h * k3)
+            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t_next
+        rec.record(t, V0 @ c, V1 @ c, V1 @ (D @ c))
+    return rec.finish(V0 @ c)
 
 
 class TestFlowConfig:
@@ -86,6 +125,11 @@ class TestFlowConfig:
     def test_regularized_needs_fractional_dimension(self):
         with pytest.raises(DomainError, match="non-integer"):
             FlowConfig(kind="regularized", params=self.params(eps=1e-3))
+
+    @pytest.mark.parametrize("kind", ["heat", "nonlinear"])
+    def test_plain_kinds_reject_eps(self, kind):
+        with pytest.raises(DomainError, match="plain measure"):
+            FlowConfig(kind=kind, params=self.params(beta=1.0, eps=1e-3))
 
     def test_bound_parameters_validated(self):
         with pytest.raises(DomainError, match="h0"):
@@ -284,6 +328,50 @@ class TestNonlinearFlow:
             run_nonlinear_flow(1.0 + 0.9 * z, cfg)
         assert excinfo.value.t == 0.0
         assert excinfo.value.partial is None
+
+
+class TestGalerkinStepper:
+    NONLINEAR = UltraParams(n=4.0, p=3.8, beta=1.9048)
+
+    def test_nonlinear_flow_matches_rk4(self):
+        params = UltraParams(n=3.0, p=4.0, beta=2.0)
+        cfg = FlowConfig(kind="nonlinear", params=params, dt=1e-3, t_end=0.5,
+                         record_every=25)
+        u0 = 1.0 + 0.3 * plain_nodes(3.0, 48)
+        tr = run_nonlinear_flow(u0, cfg)
+        ref = rk4_reference(u0, tr)
+        np.testing.assert_allclose(tr.F_values, ref.F_values, rtol=1e-10, atol=0)
+
+    def test_regularized_flow_matches_rk4(self):
+        params = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)
+        cfg = FlowConfig(kind="regularized", params=params, dt=1e-3, t_end=0.05,
+                         record_every=5)
+        u0 = 1.0 + 0.1 * build_quadrature(params, 64).nodes
+        tr = run_regularized_flow(u0, cfg)
+        ref = rk4_reference(u0, tr)
+        np.testing.assert_allclose(tr.F_values, ref.F_values, rtol=1e-10, atol=0)
+
+    def test_run_ends_on_t_end_without_a_sliver_step(self):
+        # 218 additions of 0.01 fall short of 2.18 by more than 1e-15 relative;
+        # at N = 6 the step bound exceeds dt, so dt binds on every step
+        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=0.01,
+                         t_end=2.18, record_every=1)
+        tr = run_nonlinear_flow(1.0 + 0.1 * plain_nodes(4.0, 6), cfg)
+        assert tr.times.size == 219
+        assert tr.times[-1] == 2.18
+        np.testing.assert_allclose(np.diff(tr.times), 0.01, rtol=1e-9, atol=0)
+
+    def test_large_perturbation_shortens_the_step(self):
+        # max|v^(m-1) - a| is large enough that the remainder bound, not
+        # cfg.dt, sets the step
+        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3,
+                         t_end=0.2, record_every=1)
+        tr = run_nonlinear_flow(1.0 + 0.4 * plain_nodes(4.0, 48), cfg)
+        assert np.min(np.diff(tr.times)) < 0.9 * cfg.dt
+        assert tr.times[-1] == 0.2
+        gate = 1e-9 * abs(tr.F_values[0])
+        assert np.all(np.diff(tr.F_values) <= gate)
+        assert np.max(np.abs(tr.mass - tr.mass[0])) < 1e-12
 
 
 class TestRegularizedFlow:

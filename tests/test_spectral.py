@@ -121,6 +121,13 @@ class TestTransforms:
     def test_caching_returns_same_object(self):
         assert get_basis(3.0, 32) is get_basis(3.0, 32)
 
+    @pytest.mark.parametrize("n", [1.7, 3.0])
+    def test_end_slopes_are_built_once_and_match_evaluate(self, n):
+        basis = get_basis(n, 48)
+        rows = basis.end_slopes
+        assert basis.end_slopes is rows
+        np.testing.assert_array_equal(rows, basis.evaluate(np.array([-1.0, 1.0]), order=1))
+
 
 class TestDerivatives:
     def test_polynomial_derivatives_exact(self):
@@ -182,7 +189,7 @@ class TestResample:
     def test_cached_tables_are_read_only(self):
         resample(np.ones(32), UltraParams(n=2.5, eps=1e-2), 32)
         fine, basis, V, V1 = _discretization(2.5, 1e-2, 32)
-        for table in (V, V1, basis.V, basis.V1, basis.D, fine.nodes, fine.weights):
+        for table in (V, V1, basis.V, basis.V1, basis.D, basis.end_slopes, fine.nodes, fine.weights):
             with pytest.raises(ValueError):
                 table[0] = 0.0
 
