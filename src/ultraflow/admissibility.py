@@ -185,10 +185,8 @@ def _beta_intervals(n: float, p: float) -> tuple[tuple[float, float], ...]:
         return ((b0, b0),)
     r = math.sqrt(disc)
     s_lo, s_hi = B - r, B + r
-    if s_lo > 0.0:
+    if s_lo > 0.0 or s_hi < 0.0:  # 1/s decreases on either side of the pole
         return ((1.0 / s_hi, 1.0 / s_lo),)
-    if s_hi < 0.0:
-        return ((1.0 / s_lo, 1.0 / s_hi),)
     if s_lo == 0.0:
         return ((1.0 / s_hi, math.inf),)
     if s_hi == 0.0:

@@ -20,23 +20,26 @@ analytic except at +-sqrt(1+eps), so its polynomial order grows like
 1/sqrt(eps); ``refined_quadrature`` scales the node count accordingly and is
 what every functional in this package integrates on.
 
-Rules are memoized.  ``build_quadrature`` validates its arguments on every
-call and then returns the shared, read-only rule for the key
-(kind, n, eps, N), which is everything a rule echoes; p and beta do not
-enter it.  Up to 128 rules are kept (16 N bytes each, at most 8 MB at the
-4096-node cap), so the refined rules, which go through the same function,
-are built once per key as well.
+Rules are memoized in two layers.  A Gauss-Jacobi base rule depends only on
+(N, a), a = (d-2)/2 for regularized and (n-2)/2 for plain rules, and is
+built once and shared read-only.  ``build_quadrature`` validates every call,
+then returns the read-only rule for (kind, n, eps, N), which folds its
+factor into new weights over the base nodes; p and beta do not enter it.
+Each layer keeps 128 entries, at most 16 MiB together at the 4096-node cap.
+Where that cap clips a refined rule the 1e-12 claim fails, and
+``refined_quadrature`` and ``spectral.resample`` warn on every such call.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import DomainError, ShapeError
+from .errors import AccuracyWarning, DomainError, ShapeError
 
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
@@ -183,17 +186,23 @@ def build_quadrature(
 
 
 @lru_cache(maxsize=128)
+def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and raw weights of the N-point Gauss-Jacobi rule (a, a)."""
+    nodes, w = roots_jacobi(N, a, a)
+    nodes.setflags(write=False)
+    w.setflags(write=False)
+    return nodes, w
+
+
+@lru_cache(maxsize=128)
 def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
     if kind == "plain":
-        a = (n - 2.0) / 2.0
-        nodes, w = roots_jacobi(N, a, a)
+        nodes, w = _base_rule(N, (n - 2.0) / 2.0)
     else:
         d = math.ceil(n)
-        ad = (d - 2.0) / 2.0
-        nodes, w = roots_jacobi(N, ad, ad)
+        nodes, w = _base_rule(N, (d - 2.0) / 2.0)
         w = w * (1.0 + eps - nodes**2) ** ((n - d) / 2.0)
-    w = w / w.sum()
-    return Quadrature(nodes=nodes, weights=w, kind=kind, order=N, n=n, eps=eps)
+    return Quadrature(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps)
 
 
 def refined_node_count(params: UltraParams, N: int) -> int:
@@ -203,14 +212,24 @@ def refined_node_count(params: UltraParams, N: int) -> int:
     measures additionally scale like 1/sqrt(eps) so the folded weight is
     integrated to full precision.
     """
-    nf = 2 * N
-    if params.eps > 0 and params.n < params.d:
-        nf = max(nf, math.ceil(_EPS_REFINE / math.sqrt(params.eps)))
-    return min(nf, _MAX_REFINE)
+    return min(_wanted_node_count(params, N), _MAX_REFINE)
+
+
+def _wanted_node_count(params: UltraParams, N: int) -> int:
+    folded = params.eps > 0 and params.n < params.d
+    return max(2 * N, math.ceil(_EPS_REFINE / math.sqrt(params.eps)) if folded else 0)
+
+
+def _warn_if_capped(params: UltraParams, N: int) -> None:
+    """AccuracyWarning, at the caller's caller, when the refined rule of (params, N) is clipped."""
+    if (wanted := _wanted_node_count(params, N)) > _MAX_REFINE:
+        msg = f"refined rule for n={params.n}, eps={params.eps} needs {wanted} nodes, capped at {_MAX_REFINE}"
+        warnings.warn(msg + "; the advertised 1e-12 accuracy is not guaranteed", AccuracyWarning, stacklevel=3)
 
 
 def refined_quadrature(
     params: UltraParams, N: int = DEFAULT_NODES, kind: str | None = None
 ) -> Quadrature:
-    """The refined companion of ``build_quadrature(params, N, kind)``."""
+    """The refined companion of ``build_quadrature(params, N, kind)``; warns if the cap clips it."""
+    _warn_if_capped(params, N)
     return build_quadrature(params, refined_node_count(params, N), kind)

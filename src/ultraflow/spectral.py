@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, AliasingError, DomainError, ShapeError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature, refined_quadrature
+from .measure import _warn_if_capped, refined_node_count
 
 #: A function represented by its values at quadrature nodes.
 GridFn = np.ndarray
@@ -238,7 +239,7 @@ def interpolation_basis(q: Quadrature) -> OrthoBasis:
 def _discretization(n: float, eps: float, N: int) -> tuple:
     params = UltraParams(n=n, eps=eps)
     basis = interpolation_basis(build_quadrature(params, N))
-    fine = refined_quadrature(params, N)
+    fine = build_quadrature(params, refined_node_count(params, N))  # resample warns
     V, V1 = basis._tables(fine.nodes, 1)
     V.setflags(write=False)
     V1.setflags(write=False)
@@ -254,7 +255,9 @@ def resample(u: GridFn, params: UltraParams, N: int):
     interpolant with its first two derivatives at ``fine.nodes``.  The
     values equal ``basis.synthesize``, ``basis.derivative_values`` and
     ``basis.second_derivative_values`` at those nodes, bit for bit.
+    Warns on every call whose refined rule is clipped to the 4096-node cap.
     """
+    _warn_if_capped(params, N)
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), N)
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from ultraflow import (
     regularity_coeffs,
     thresholds,
 )
+from ultraflow.admissibility import _radicand
 
 
 class TestThresholds:
@@ -241,6 +243,13 @@ class TestMembership:
         inside = any(lo <= beta <= hi for lo, hi in ivs)
         assert inside == (d < 0)
 
+    def test_interval_ordered_when_both_reciprocal_roots_are_negative(self):
+        # p > n + 3 makes B < 0; here both roots in s = 1/beta are negative
+        (lo, hi), = beta_range(2.625, 8.0)
+        assert lo < -2.0 < hi < 0.0
+        assert delta_of_beta(-2.0, 2.625, 8.0) < 0
+        assert abs(delta_of_beta(lo, 2.625, 8.0)) < 1e-9 and abs(delta_of_beta(hi, 2.625, 8.0)) < 1e-9
+
     def test_is_admissible_consistency(self):
         assert is_admissible(1.0, 3.0, 4.0)
         assert is_admissible(2.0, 4.0, 4.0)  # double root counts
@@ -356,3 +365,31 @@ class TestLambdaEps:
             lambda_eps(params, 1.5, 1.0)
         with pytest.raises(DomainError):
             lambda_eps(params, 0.5, 0.0)
+
+
+class TestSympyAlgebra:
+    """The closed forms, evaluated on sympy symbols, against each other and the paper."""
+
+    n, p, beta = sp.symbols("n p beta", positive=True)
+
+    @staticmethod
+    def exact(expr):
+        # the code's float literals (1.0, 2.0, ...) are exact binary values
+        return sp.cancel(sp.nsimplify(expr, rational=True))
+
+    def test_qform_discriminant_is_delta(self):
+        n, p, beta = self.n, self.p, self.beta
+        b, c = qform_coeffs(beta, n, p)
+        A, B, C = abc(n, p)
+        assert self.exact(b**2 - c - (A * beta**2 - 2 * B * beta + C)) == 0
+        # delta_of_beta evaluates that same quadratic
+        for b0, n0, p0 in [(-2.0, 2.625, 8.0), (0.7, 3.0, 4.0), (5.0, 1.5, 2.5)]:
+            exact = (A * beta**2 - 2 * B * beta + C).subs({beta: b0, n: n0, p: p0})
+            assert delta_of_beta(b0, n0, p0) == pytest.approx(float(exact), rel=1e-13, abs=1e-14)
+
+    def test_discriminant_closed_form_and_radicand(self):
+        n, p = self.n, self.p
+        A, B, C = abc(n, p)
+        paper = n * (p - 1) * (2 * n - (n - 2) * p) / (n + 2) ** 2
+        assert self.exact(B**2 - A * C - paper) == 0
+        assert self.exact((n + 2) ** 2 * (B**2 - A * C) - _radicand(n, p)) == 0

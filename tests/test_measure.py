@@ -5,17 +5,21 @@ constants with adaptive quadrature of the density (scipy.integrate.quad),
 regularized-measure integrals the same way at tight tolerance.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+import ultraflow.measure as measure
 from ultraflow import (
+    AccuracyWarning,
     DomainError,
     Quadrature,
     ShapeError,
     UltraParams,
     build_quadrature,
+    lyapunov_F,
     normalization_constant,
     refined_node_count,
     refined_quadrature,
@@ -158,6 +162,42 @@ class TestRuleCache:
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=2.7), 20, kind="regularized")
 
+    def test_base_rule_built_once_per_exponent(self, monkeypatch):
+        calls = []
+
+        def counting(N, a, b):
+            calls.append((N, a, b))
+            return roots_jacobi(N, a, b)
+
+        measure._rule.cache_clear()
+        measure._base_rule.cache_clear()
+        monkeypatch.setattr(measure, "roots_jacobi", counting)
+        # both keys have d = 3 and are clipped to the 4096-node cap
+        with pytest.warns(AccuracyWarning):
+            first = refined_quadrature(UltraParams(n=2.5, eps=1e-6), 64)
+        with pytest.warns(AccuracyWarning):
+            second = refined_quadrature(UltraParams(n=2.2, eps=4e-6), 64)
+        assert first.order == second.order == 4096
+        assert calls == [(4096, 0.5, 0.5)]
+        assert second.nodes is first.nodes
+        assert not np.array_equal(second.weights, first.weights)
+
+    def test_regularized_rule_shares_nodes_with_plain_rule_of_d(self):
+        reg = build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized")
+        plain = build_quadrature(UltraParams(n=3.0), 64, kind="plain")
+        assert reg.nodes is plain.nodes
+
+    def test_cap_bound_rule_equals_fresh_build_and_fold(self):
+        n, eps = 2.5, 1e-6
+        with pytest.warns(AccuracyWarning):
+            q = refined_quadrature(UltraParams(n=n, eps=eps), 64)
+        nodes, w = roots_jacobi(4096, 0.5, 0.5)
+        w = w * (1.0 + eps - nodes**2) ** ((n - 3) / 2.0)
+        np.testing.assert_array_equal(q.nodes, nodes)
+        np.testing.assert_array_equal(q.weights, w / w.sum())
+        assert not q.nodes.flags.writeable and not q.weights.flags.writeable
+        assert not any(a.flags.writeable for a in measure._base_rule(4096, 0.5))
+
 
 class TestRegularizedQuadrature:
     def test_against_dense_oracles(self):
@@ -227,3 +267,29 @@ class TestRefinedQuadrature:
         p = UltraParams(n=2.5, eps=0.1)
         q = refined_quadrature(p, 32, kind="regularized")
         assert q.integrate(np.exp(q.nodes)) == pytest.approx(EPS_EXP_ORACLE, abs=1e-10)
+
+
+class TestCapWarning:
+    """Rules clipped to the 4096-node cap miss the advertised 1e-12 accuracy."""
+
+    def test_refined_quadrature_warns_on_every_call(self):
+        p = UltraParams(n=2.5, eps=1e-6)
+        for _ in range(2):  # the second call is a cache hit
+            with pytest.warns(AccuracyWarning, match="1e-12 accuracy is not guaranteed"):
+                refined_quadrature(p, 64)
+
+    def test_lyapunov_F_warns_on_every_call(self):
+        p = UltraParams(n=2.5, eps=1e-6, p=3.0, beta=1.0 / 3.0)
+        u = 1.0 + build_quadrature(p, 64).nodes ** 2
+        for _ in range(2):  # the second call reuses the cached discretization
+            with pytest.warns(AccuracyWarning, match="capped at 4096"):
+                lyapunov_F(u, p)
+
+    @pytest.mark.parametrize("n, eps", [(2.5, 1e-3), (3.0, 1e-6), (3.0, 0.0)])
+    def test_uncapped_rules_are_silent(self, n, eps):
+        p = UltraParams(n=n, eps=eps, p=3.0, beta=1.0 / 3.0)
+        u = 1.0 + build_quadrature(p, 64).nodes ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            refined_quadrature(p, 64)
+            lyapunov_F(u, p)
