@@ -40,7 +40,7 @@ from .measure import DEFAULT_NODES, UltraParams, build_quadrature
 from .operators import drift
 from .spectral import GridFn, resample
 
-# Degree of the random exponent polynomial; amplitude is capped at 1 about
+# Degree of the random exponent polynomial; amplitude is at most 1 about
 # the constant term, so test functions satisfy e^-2 <= u <= e^2.
 DEFAULT_DEGREE = 6
 _NEUMANN_TOL = 1e-8

@@ -15,31 +15,35 @@ which is smooth on [-1, 1] for eps > 0 and collapses to dnu_n as eps -> 0.
 Quadrature policy.  Plain measures use the N-point Gauss-Jacobi rule with
 both exponents (n-2)/2, exact for polynomials of degree 2N-1.  Regularized
 measures use the Gauss-Jacobi rule for the (d-2)/2 weight and fold the
-bounded factor (1+eps-z^2)^{(n-d)/2} into the weights.  That factor is
-analytic except at +-sqrt(1+eps), so its polynomial order grows like
-1/sqrt(eps); ``refined_quadrature`` scales the node count accordingly and is
-what every functional in this package integrates on.
+bounded factor (1+eps-z^2)^{(n-d)/2} into the weights.  Functionals
+integrate on ``refined_quadrature``, good to degree 4N-1 like the 2N-node
+plain rule that it is for plain measures and at n = d.  For eps > 0 and
+n < d the folded factor has branch points about eps/2 outside [-1, 1], so
+global nodes would grow like 1/sqrt(eps).  In theta = arccos z the measure
+reads sin^{d-1}(theta) (sin^2 theta + eps)^{(n-d)/2} d theta, near-singular
+only at theta = +-i sqrt(eps), and the refined rule is composite
+Gauss-Legendre in theta, with panels halved from pi/2 toward 0 (mirrored
+toward pi) until an edge is at most sqrt(eps)/2 (Schwab, Computing 53,
+1994): O(N + log(1/eps)) nodes.
 
-Rules are memoized in two layers.  A Gauss-Jacobi base rule depends only on
-(N, a), a = (d-2)/2 for regularized and (n-2)/2 for plain rules, and is
-built once and shared read-only.  ``build_quadrature`` validates every call,
-then returns the read-only rule for (kind, n, eps, N), which folds its
-factor into new weights over the base nodes; p and beta do not enter it.
-Each layer keeps 128 entries, at most 16 MiB together at the 4096-node cap.
-Where that cap clips a refined rule the 1e-12 claim fails, and
-``refined_quadrature`` and ``spectral.resample`` warn on every such call.
+Rules are memoized, 128 keys per layer, and shared read-only: the
+Gauss-Jacobi base rule per (N, a), a = (d-2)/2 for regularized and (n-2)/2
+for plain rules; the rule per (kind, n, eps, N) that ``build_quadrature``
+returns after validation, folding its factor into new weights over the
+base nodes (p and beta do not enter it); the Gauss-Legendre panel rule per
+size, few per N since the panel edges pi/2^j do not depend on eps; and the
+graded rule per (n, eps, N).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import AccuracyWarning, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
@@ -47,13 +51,6 @@ DEFAULT_NODES = 64
 #: Smallest admissible positive regularization; below this the drift
 #: coefficient is too close to its pole for double precision.
 EPS_MIN = 1e-8
-
-#: Node-count multiplier for the eps-adapted refined rule (empirically,
-#: 24/sqrt(eps) nodes push the folded-weight quadrature error below 1e-12).
-_EPS_REFINE = 24.0
-
-#: Hard cap on refined-rule sizes, to keep worst-case calls bounded.
-_MAX_REFINE = 4096
 
 
 @dataclass(frozen=True)
@@ -205,31 +202,46 @@ def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
     return Quadrature(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps)
 
 
+@lru_cache(maxsize=128)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(m)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=128)
+def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
+    """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta."""
+    d = math.ceil(n)
+    edges = [math.pi / 2]
+    while edges[-1] > 0.5 * math.sqrt(eps):
+        edges.append(edges[-1] / 2)
+    edges = [0.0, *edges[::-1]]
+    theta, w = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        # 2N (hi - lo) nodes resolve cos(k theta), k < 4N; 10 more resolve the
+        # weight, whose branch points lie about a panel width away
+        x, wx = _legendre_rule(10 + math.ceil(2 * N * (hi - lo)))
+        theta.append(lo + (hi - lo) * (x + 1) / 2)
+        w.append(wx * (hi - lo) / 2)
+    theta, w = np.concatenate(theta), np.concatenate(w)
+    w = w * np.sin(theta) ** (d - 1) * (np.sin(theta) ** 2 + eps) ** ((n - d) / 2)
+    z = np.cos(theta)  # descending on (0, 1); the mirror image about pi/2 gives z < 0
+    nodes, w = np.concatenate((-z, z[::-1])), np.concatenate((w, w[::-1]))
+    return Quadrature(nodes=nodes, weights=w / w.sum(), kind="regularized", order=nodes.size, n=n, eps=eps)
+
+
 def refined_node_count(params: UltraParams, N: int) -> int:
-    """Node count of the internally refined rule for non-polynomial integrands.
-
-    Plain measures double the rule (suppresses |u|^p aliasing); regularized
-    measures additionally scale like 1/sqrt(eps) so the folded weight is
-    integrated to full precision.
-    """
-    return min(_wanted_node_count(params, N), _MAX_REFINE)
-
-
-def _wanted_node_count(params: UltraParams, N: int) -> int:
-    folded = params.eps > 0 and params.n < params.d
-    return max(2 * N, math.ceil(_EPS_REFINE / math.sqrt(params.eps)) if folded else 0)
-
-
-def _warn_if_capped(params: UltraParams, N: int) -> None:
-    """AccuracyWarning, at the caller's caller, when the refined rule of (params, N) is clipped."""
-    if (wanted := _wanted_node_count(params, N)) > _MAX_REFINE:
-        msg = f"refined rule for n={params.n}, eps={params.eps} needs {wanted} nodes, capped at {_MAX_REFINE}"
-        warnings.warn(msg + "; the advertised 1e-12 accuracy is not guaranteed", AccuracyWarning, stacklevel=3)
+    """Node count of ``refined_quadrature(params, N)``."""
+    return refined_quadrature(params, N).order
 
 
 def refined_quadrature(
     params: UltraParams, N: int = DEFAULT_NODES, kind: str | None = None
 ) -> Quadrature:
-    """The refined companion of ``build_quadrature(params, N, kind)``; warns if the cap clips it."""
-    _warn_if_capped(params, N)
-    return build_quadrature(params, refined_node_count(params, N), kind)
+    """The companion of ``build_quadrature(params, N, kind)`` good to degree 4N-1 (module docstring)."""
+    if kind not in (None, "regularized") or params.eps == 0 or params.n == params.d:
+        return build_quadrature(params, 2 * N, kind)
+    return _graded_rule(float(params.n), float(params.eps), N)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.metadata
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -340,9 +341,13 @@ class TestEntryPoints:
         assert excinfo.value.code == 2
 
     def test_module_execution(self):
+        # the child does not inherit pytest's pythonpath setting, so hand it
+        # the directory that holds the imported package
+        root = os.path.dirname(os.path.dirname(ultraflow.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "ultraflow.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "ultraflow" in proc.stdout

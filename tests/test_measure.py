@@ -2,23 +2,30 @@
 
 Oracle values were computed independently of the package: normalization
 constants with adaptive quadrature of the density (scipy.integrate.quad),
-regularized-measure integrals the same way at tight tolerance.
+regularized-measure integrals the same way at tight tolerance.  The refined
+regularized rules are checked against ``theta_oracle``, mpmath.quad at 30
+digits of the measure written in theta = arccos z.
 """
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import ultraflow.measure as measure
 from ultraflow import (
-    AccuracyWarning,
+    EPS_MIN,
     DomainError,
     Quadrature,
     ShapeError,
     UltraParams,
     build_quadrature,
+    get_regularized_basis,
     lyapunov_F,
     normalization_constant,
     refined_node_count,
@@ -41,6 +48,34 @@ Z_ORACLE = {
 EPS_Z2_ORACLE = 0.27653735914158756
 EPS_EXP_ORACLE = 1.1445254639865854
 EPS_COS3_ORACLE = 0.16492951808528897
+
+
+def theta_oracle(n, eps, ks):
+    """E[T_k(z)] for each k in ``ks`` under the regularized measure of (n, eps).
+
+    With z = cos(theta) the density is sin^(d-1) theta (sin^2 theta + eps)^((n-d)/2)
+    on [0, pi] and T_k(z) = cos(k theta).  The density is symmetric about
+    pi/2, so odd moments vanish and even ones are integrals over [0, pi/2].
+    There it varies on the scale sqrt(eps) near 0, so the breakpoints
+    sqrt(eps) 2^j grade toward 0 (their mirror images grade toward pi).
+    mpmath.quad at 30 digits, by Gauss-Legendre, which is faster than
+    tanh-sinh on the oscillating cos(k theta).
+    """
+    with mpmath.workdps(30):
+        d, e = math.ceil(n), mpmath.mpf(eps)
+        a = (mpmath.mpf(n) - d) / 2
+
+        @functools.lru_cache(maxsize=None)  # every moment samples the same nodes
+        def density(t):
+            s = mpmath.sin(t)
+            return s ** (d - 1) * (s * s + e) ** a
+
+        def integral(f):
+            return mpmath.quad(f, pts, method="gauss-legendre")
+
+        pts = [0, *(mpmath.sqrt(e) * 2**j for j in range(40) if mpmath.sqrt(e) * 2**j < 1), mpmath.pi / 2]
+        mass = integral(density)
+        return [0.0 if k % 2 else float(integral(lambda t: density(t) * mpmath.cos(k * t)) / mass) for k in ks]
 
 
 class TestParams:
@@ -162,41 +197,34 @@ class TestRuleCache:
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=2.7), 20, kind="regularized")
 
-    def test_base_rule_built_once_per_exponent(self, monkeypatch):
+    def test_graded_rule_makes_no_roots_jacobi_call(self, monkeypatch):
         calls = []
 
         def counting(N, a, b):
             calls.append((N, a, b))
             return roots_jacobi(N, a, b)
 
-        measure._rule.cache_clear()
-        measure._base_rule.cache_clear()
+        measure._graded_rule.cache_clear()
         monkeypatch.setattr(measure, "roots_jacobi", counting)
-        # both keys have d = 3 and are clipped to the 4096-node cap
-        with pytest.warns(AccuracyWarning):
-            first = refined_quadrature(UltraParams(n=2.5, eps=1e-6), 64)
-        with pytest.warns(AccuracyWarning):
-            second = refined_quadrature(UltraParams(n=2.2, eps=4e-6), 64)
-        assert first.order == second.order == 4096
-        assert calls == [(4096, 0.5, 0.5)]
-        assert second.nodes is first.nodes
-        assert not np.array_equal(second.weights, first.weights)
+        for n, eps in [(2.5, 1e-6), (2.2, 4e-6), (0.300001, 1e-8)]:
+            refined_quadrature(UltraParams(n=n, eps=eps), 64)
+        assert calls == []
 
     def test_regularized_rule_shares_nodes_with_plain_rule_of_d(self):
         reg = build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized")
         plain = build_quadrature(UltraParams(n=3.0), 64, kind="plain")
         assert reg.nodes is plain.nodes
 
-    def test_cap_bound_rule_equals_fresh_build_and_fold(self):
-        n, eps = 2.5, 1e-6
-        with pytest.warns(AccuracyWarning):
-            q = refined_quadrature(UltraParams(n=n, eps=eps), 64)
-        nodes, w = roots_jacobi(4096, 0.5, 0.5)
-        w = w * (1.0 + eps - nodes**2) ** ((n - 3) / 2.0)
-        np.testing.assert_array_equal(q.nodes, nodes)
-        np.testing.assert_array_equal(q.weights, w / w.sum())
+    @pytest.mark.parametrize("n, eps, N", [(2.5, 1e-6, 64), (0.300001, 1e-8, 32)])
+    def test_graded_rule_repeat_is_same_read_only_object(self, n, eps, N):
+        q = refined_quadrature(UltraParams(n=n, eps=eps), N)
+        assert refined_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), N) is q
+        assert get_regularized_basis(n, eps, N).quad is q
+        assert q.kind == "regularized" and q.order == q.nodes.size
         assert not q.nodes.flags.writeable and not q.weights.flags.writeable
-        assert not any(a.flags.writeable for a in measure._base_rule(4096, 0.5))
+        assert not any(a.flags.writeable for a in measure._legendre_rule(11))  # shared panel rule
+        assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
+        np.testing.assert_array_equal(q.nodes, -q.nodes[::-1])
 
 
 class TestRegularizedQuadrature:
@@ -256,12 +284,14 @@ class TestRefinedQuadrature:
         q = refined_quadrature(p, 64, kind="plain")
         assert q.order == 128
 
-    def test_regularized_scales_with_eps(self):
-        p = UltraParams(n=2.5, eps=1e-3)
-        count = refined_node_count(p, 64)
-        assert count >= 24 / math.sqrt(1e-3)
-        q = refined_quadrature(p, 64, kind="regularized")
-        assert q.order == count
+    def test_regularized_size_grows_like_log_inverse_eps(self):
+        counts = [refined_node_count(UltraParams(n=2.5, eps=10.0**-j), 64) for j in range(2, 9)]
+        steps = np.diff(counts)
+        # each decade of eps splits one or two small panels (about 11 nodes each)
+        # off each end: a bounded step, where 1/sqrt(eps) nodes would grow 3.2-fold
+        assert np.all(steps > 0) and np.all(steps <= 50)
+        assert counts[-1] < 1000
+        assert refined_quadrature(UltraParams(n=2.5, eps=1e-8), 64).order == counts[-1]
 
     def test_refined_agrees_with_oracle(self):
         p = UltraParams(n=2.5, eps=0.1)
@@ -270,20 +300,27 @@ class TestRefinedQuadrature:
 
 
 class TestCapWarning:
-    """Rules clipped to the 4096-node cap miss the advertised 1e-12 accuracy."""
+    """No refined rule is capped, so none warns, and small eps keeps full accuracy."""
 
-    def test_refined_quadrature_warns_on_every_call(self):
-        p = UltraParams(n=2.5, eps=1e-6)
-        for _ in range(2):  # the second call is a cache hit
-            with pytest.warns(AccuracyWarning, match="1e-12 accuracy is not guaranteed"):
-                refined_quadrature(p, 64)
+    SMALL_EPS = [(2.5, 1e-6), (0.300001, 1e-8)]
 
-    def test_lyapunov_F_warns_on_every_call(self):
-        p = UltraParams(n=2.5, eps=1e-6, p=3.0, beta=1.0 / 3.0)
+    @pytest.mark.parametrize("n, eps", SMALL_EPS)
+    def test_refined_quadrature_is_silent_and_exact(self, n, eps):
+        p = UltraParams(n=n, eps=eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = refined_quadrature(p, 64)
+        ez2 = (1.0 + theta_oracle(n, eps, [2])[0]) / 2.0  # z^2 = (1 + T_2) / 2
+        assert abs(q.integrate(q.nodes**2) - ez2) < 1e-13
+
+    @pytest.mark.parametrize("n, eps", SMALL_EPS)
+    def test_lyapunov_F_is_silent_and_exact(self, n, eps):
+        p = UltraParams(n=n, eps=eps, p=3.0, beta=1.0 / 3.0)
         u = 1.0 + build_quadrature(p, 64).nodes ** 2
-        for _ in range(2):  # the second call reuses the cached discretization
-            with pytest.warns(AccuracyWarning, match="capped at 4096"):
-                lyapunov_F(u, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mass = lyapunov_F(u, p).mass  # beta p = 1: the mass is 1 + E[z^2]
+        assert abs(mass - 1.0 - (1.0 + theta_oracle(n, eps, [2])[0]) / 2.0) < 1e-13
 
     @pytest.mark.parametrize("n, eps", [(2.5, 1e-3), (3.0, 1e-6), (3.0, 0.0)])
     def test_uncapped_rules_are_silent(self, n, eps):
@@ -293,3 +330,24 @@ class TestCapWarning:
             warnings.simplefilter("error")
             refined_quadrature(p, 64)
             lyapunov_F(u, p)
+
+
+class TestGradedRuleOracle:
+    """The refined regularized rule against mpmath over the accepted range of (n, eps)."""
+
+    @given(
+        n=st.floats(min_value=0.0, max_value=6.0, exclude_min=True),
+        log_eps=st.floats(min_value=math.log10(EPS_MIN), max_value=0.0, exclude_max=True),
+        N=st.sampled_from([16, 32, 64]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_chebyshev_moments_and_lyapunov_mass(self, n, log_eps, N):
+        eps = max(10.0**log_eps, EPS_MIN)
+        ks = [1, 2, N // 2 + 1, 2 * N]
+        oracle = theta_oracle(n, eps, ks)
+        q = refined_quadrature(UltraParams(n=n, eps=eps), N)
+        for k, expect in zip(ks, oracle):
+            assert abs(q.integrate(np.polynomial.Chebyshev.basis(k)(q.nodes)) - expect) < 1e-13, k
+        p = UltraParams(n=n, eps=eps, p=3.0, beta=1.0 / 3.0)
+        mass = lyapunov_F(1.0 + build_quadrature(p, N).nodes ** 2, p, N=N).mass
+        assert abs(mass - 1.0 - (1.0 + oracle[1]) / 2.0) < 1e-13
