@@ -38,14 +38,7 @@ from .spectral import (
     spectral_derivative,
     to_spectral,
 )
-from .operators import (
-    OperatorCoeffs,
-    apply_L,
-    apply_L_eps,
-    drift,
-    drift_prime,
-    operator_coeffs,
-)
+from .operators import apply_L, apply_L_eps, drift, drift_prime
 from .functionals import (
     DeficitReport,
     LyapunovValue,
@@ -109,7 +102,6 @@ __all__ = [
     "IdentityReport",
     "LyapunovValue",
     "NumericalError",
-    "OperatorCoeffs",
     "OrthoBasis",
     "PositivityError",
     "Quadrature",
@@ -149,7 +141,6 @@ __all__ = [
     "m_range",
     "make_test_function",
     "normalization_constant",
-    "operator_coeffs",
     "parse_function",
     "qform_coeffs",
     "qform_value",

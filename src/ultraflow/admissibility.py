@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import UltraParams, build_quadrature
 from .operators import drift_prime
-from .spectral import interpolation_basis
+from .spectral import _nodal_derivatives
 
 # Relative tolerance declaring the discriminant a double root.
 _DEGENERATE_TOL = 1e-13
@@ -251,11 +251,7 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("qform_value requires a strictly positive function")
-    q = build_quadrature(params, len(u))
-    basis = interpolation_basis(q)
-    c_coef = basis.analyze(u)
-    up = basis.derivative_values(c_coef)
-    upp = basis.second_derivative_values(c_coef)
+    _, up, upp = _nodal_derivatives(u, build_quadrature(params, len(u)))
     b, c = qform_coeffs(beta, params.n, params.p)
     return upp**2 - 2.0 * b * upp * up**2 / u + c * up**4 / u**2
 

@@ -3,8 +3,9 @@
 Three evolutions share one state representation, the coefficient vector
 of v = u^(beta p) in the orthonormal basis of the working measure:
 
-* heat: beta = 1, v = u^p solves dv/dt = L v and is integrated exactly,
-  mode by mode, through the eigenvalue decay e^(-k(k+n-1) t);
+* heat: beta = 1, v = u^p solves dv/dt = L v; the m = 1 case of the
+  same stepper; the remainder vanishes, so each step is the exact
+  exponential;
 * nonlinear: v solves dv/dt = (1/m) L v^m with m = 1 + (2/p)(1/beta - 1),
   stepped by exponential time differencing on the weak (Galerkin) form;
 * regularized: the same v-equation for the eps-operator and eps-measure,
@@ -20,7 +21,8 @@ int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
 (Cox & Matthews 2002) solves the linear part exactly in the eigenbasis of
 S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
 max|v^(m-1) - a| max(1, |m|) with lam_top the top eigenvalue of S, needs
-dt <= 2 / that; the last step lands on t_end.
+dt <= 2 / that; the last step lands on t_end.  Where that stiffness is 0
+(at m = 1 always) the remainder vanishes and the step is y = e^(-a h S) y.
 
 A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
@@ -39,7 +41,7 @@ from .admissibility import lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .measure import Quadrature, UltraParams, build_quadrature
-from .spectral import GridFn, _discretization, eigenvalue, get_regularized_basis, resample
+from .spectral import GridFn, _discretization, get_regularized_basis, resample
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
@@ -290,27 +292,10 @@ def _attach_partial(err: PositivityError, rec: _Recorder) -> None:
 
 
 def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
-    """Exact spectral integration of the heat flow (v = u^p linear)."""
+    """The heat flow (v = u^p linear): the m = 1 case of the Galerkin stepper."""
     if cfg.kind != "heat":
         raise DomainError(f"run_heat_flow needs kind='heat', got {cfg.kind!r}")
-    params = cfg.params
-    fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
-    cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
-    lams = np.array([eigenvalue(params.n, k) for k in range(c0.size)])
-    D = basis.D[: c0.size, : c0.size]
-    rec = _Recorder(cfg, fine, cfg.lam)
-    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt))
-    try:
-        for t in [j * cfg.dt for j in range(0, n_steps, cfg.record_every)] + [cfg.t_end]:
-            c = c0 * np.exp(-lams * t)
-            vv = V0 @ c
-            if np.min(vv) <= _POSITIVITY_FLOOR:
-                raise PositivityError(t, "v reached the positivity floor")
-            rec.record(t, vv, V1 @ c, V1 @ (D @ c))
-    except PositivityError as err:
-        _attach_partial(err, rec)
-        raise
-    return rec.finish(vv)
+    return _run_galerkin(u0, cfg)
 
 
 def _etdrk4_weights(hL: np.ndarray, h: float):
@@ -368,13 +353,16 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
             dt = cfg.t_end - t_now if last else dt
             if dt != h:
                 h, (E, E2, Q, f1, f2, f3) = dt, _etdrk4_weights(-a * dt * mu, dt)
-            Nu = remainder(y, g)
-            ya = E2 * y + Q * Nu
-            Na = remainder(ya)
-            yb = E2 * y + Q * Na
-            Nb = remainder(yb)
-            yc = E2 * ya + Q * (2.0 * Nb - Nu)
-            y = E * y + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * remainder(yc)
+            if stiff == 0:  # v^(m-1) = a on the nodes (m = 1: the heat flow)
+                y = E * y
+            else:
+                Nu = remainder(y, g)
+                ya = E2 * y + Q * Nu
+                Na = remainder(ya)
+                yb = E2 * y + Q * Na
+                Nb = remainder(yb)
+                yc = E2 * ya + Q * (2.0 * Nb - Nu)
+                y = E * y + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * remainder(yc)
             t_now = cfg.t_end if last else t_now + dt
             step += 1
             vv, g = state(y)

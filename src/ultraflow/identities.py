@@ -15,8 +15,10 @@ the same identities acquire one correction term each:
     (L-Gamma-eps) rhs += 2 eps(n-d)/(n+2) int (u')^3 rho^2 z / ((1+eps-z^2) u)
 
 with rho^2 = 1 - z^2 and all integrals against the measure of the
-operator in play.  Each check resamples the function spectrally onto the
-refined companion rule, evaluates both sides, and reports the residual
+operator in play.  One body computes each identity; the plain check is
+its eps = 0 case, where the drift is n z and the correction vanishes.
+Each check resamples the function spectrally onto the refined companion
+rule, evaluates both sides, and reports the residual
 |lhs - rhs| / (1 + |lhs| + |rhs|): relative in the large, with an
 absolute floor so that zero-valued identities (constant u) do not divide
 by zero.
@@ -111,6 +113,38 @@ def _require_neumann(basis, c) -> None:
         )
 
 
+def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
+    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
+    if enforce_neumann:
+        _require_neumann(basis, c)
+    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    rho2 = 1.0 - z**2
+    Lu = rho2 * upp - drift(z, params) * up
+    lhs = fine.integrate(Lu**2)
+    rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
+    if eps > 0 and n != d:
+        zeta = 1.0 + eps - z**2
+        rhs -= eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * rho2 * up**2)
+    return _report(lhs, rhs, tag, seed)
+
+
+def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
+    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
+    if enforce_neumann:
+        _require_neumann(basis, c)
+    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    rho2 = 1.0 - z**2
+    Lu = rho2 * upp - drift(z, params) * up
+    lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
+    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
+        n - 1.0
+    ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
+    if eps > 0 and n != d:
+        zeta = 1.0 + eps - z**2
+        rhs += 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * rho2 * z / (zeta * uu))
+    return _report(lhs, rhs, tag, seed)
+
+
 def check_gamma2(
     u: GridFn,
     params: UltraParams,
@@ -120,15 +154,7 @@ def check_gamma2(
     """Second-order identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_gamma2 is the plain-measure check; use check_gamma2_eps")
-    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
-    if enforce_neumann:
-        _require_neumann(basis, c)
-    n, z = params.n, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - n * z * up
-    lhs = fine.integrate(Lu**2)
-    rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
-    return _report(lhs, rhs, "Gamma2", seed)
+    return _gamma2(u, params, "Gamma2", seed, enforce_neumann)
 
 
 def check_lgamma(
@@ -140,17 +166,7 @@ def check_lgamma(
     """Mixed gradient identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_lgamma is the plain-measure check; use check_lgamma_eps")
-    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
-    if enforce_neumann:
-        _require_neumann(basis, c)
-    n, z = params.n, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - n * z * up
-    lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
-    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
-        n - 1.0
-    ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
-    return _report(lhs, rhs, "L-Gamma", seed)
+    return _lgamma(u, params, "L-Gamma", seed, enforce_neumann)
 
 
 def _check_eps_params(params: UltraParams) -> None:
@@ -161,30 +177,10 @@ def _check_eps_params(params: UltraParams) -> None:
 def check_gamma2_eps(u: GridFn, params: UltraParams, seed: int = -1) -> IdentityReport:
     """Second-order identity for the regularized operator; no boundary condition."""
     _check_eps_params(params)
-    fine, _, _, uu, up, upp = _sampled_derivatives(u, params)
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - drift(z, params) * up
-    lhs = fine.integrate(Lu**2)
-    rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
-    if eps > 0 and n != d:
-        zeta = 1.0 + eps - z**2
-        rhs -= eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * rho2 * up**2)
-    return _report(lhs, rhs, "Gamma2-eps", seed)
+    return _gamma2(u, params, "Gamma2-eps", seed, False)
 
 
 def check_lgamma_eps(u: GridFn, params: UltraParams, seed: int = -1) -> IdentityReport:
     """Mixed gradient identity for the regularized operator; no boundary condition."""
     _check_eps_params(params)
-    fine, _, _, uu, up, upp = _sampled_derivatives(u, params)
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - drift(z, params) * up
-    lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
-    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
-        n - 1.0
-    ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
-    if eps > 0 and n != d:
-        zeta = 1.0 + eps - z**2
-        rhs += 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * rho2 * z / (zeta * uu))
-    return _report(lhs, rhs, "L-Gamma-eps", seed)
+    return _lgamma(u, params, "L-Gamma-eps", seed, False)

@@ -17,14 +17,11 @@ checks against k (k + n - 1) are a genuine cross-validation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError
 from .measure import Quadrature, UltraParams, build_quadrature
-from .spectral import GridFn, interpolation_basis
+from .spectral import GridFn, _nodal_derivatives
 
 
 def drift(z: np.ndarray, params: UltraParams) -> np.ndarray:
@@ -48,21 +45,10 @@ def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
     return n - eps * (n - d) * (1.0 + eps + z**2) / (1.0 + eps - z**2) ** 2
 
 
-@dataclass(frozen=True)
-class OperatorCoeffs:
-    """Callable bundle (ell, ell') for a fixed parameter set."""
-
-    params: UltraParams
-    ell: Callable[[np.ndarray], np.ndarray]
-    ell_prime: Callable[[np.ndarray], np.ndarray]
-
-
-def operator_coeffs(params: UltraParams) -> OperatorCoeffs:
-    return OperatorCoeffs(
-        params=params,
-        ell=lambda z: drift(z, params),
-        ell_prime=lambda z: drift_prime(z, params),
-    )
+def _apply(f: GridFn, q: Quadrature, params: UltraParams) -> GridFn:
+    _, fp, fpp = _nodal_derivatives(f, q)
+    z = q.nodes
+    return (1.0 - z**2) * fpp - drift(z, params) * fp
 
 
 def apply_L(f: GridFn, q: Quadrature) -> GridFn:
@@ -71,12 +57,7 @@ def apply_L(f: GridFn, q: Quadrature) -> GridFn:
     n is taken from the rule; f must be sampled on ``q``.  Exact for
     polynomials of degree <= K up to differentiation rounding.
     """
-    basis = interpolation_basis(q)
-    c = basis.analyze(np.asarray(f, dtype=float))
-    fp = basis.derivative_values(c)
-    fpp = basis.derivative_values(basis.D @ c)
-    z = q.nodes
-    return (1.0 - z**2) * fpp - q.n * z * fp
+    return _apply(f, q, UltraParams(n=q.n))
 
 
 def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> GridFn:
@@ -89,9 +70,4 @@ def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> 
         raise DomainError("apply_L_eps with eps=0 is only defined at integer n=d")
     if q is None:
         q = build_quadrature(params, kind="regularized")
-    basis = interpolation_basis(q)
-    c = basis.analyze(np.asarray(f, dtype=float))
-    fp = basis.derivative_values(c)
-    fpp = basis.derivative_values(basis.D @ c)
-    z = q.nodes
-    return (1.0 - z**2) * fpp - drift(z, params) * fp
+    return _apply(f, q, params)

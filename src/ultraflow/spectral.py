@@ -259,6 +259,18 @@ def resample(u: GridFn, params: UltraParams, N: int):
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
 
 
+def _nodal_derivatives(f: GridFn, q: Quadrature):
+    """The N-node counterpart of ``resample``: ``(c, f', f'')`` at the nodes of ``q``.
+
+    ``c`` holds the coefficients of the interpolant of f in
+    ``interpolation_basis(q)``; f' and f'' equal ``derivative_values`` and
+    ``second_derivative_values`` of c, bit for bit.
+    """
+    basis = interpolation_basis(q)
+    c = basis.analyze(np.asarray(f, dtype=float))
+    return c, basis.V1 @ c, basis.V1 @ (basis.D @ c)
+
+
 def to_spectral(f: GridFn, q: Quadrature, K: int | None = None) -> SpectralFn:
     """Forward transform of node values to basis coefficients.
 
@@ -290,8 +302,7 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    basis = interpolation_basis(q)
-    c = basis.analyze(np.asarray(f, dtype=float))
+    c, fp, fpp = _nodal_derivatives(f, q)
     total = float(np.dot(c, c))
     if total > 0:
         tail = float(np.dot(c[-2:], c[-2:])) / total
@@ -302,6 +313,4 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
                 AccuracyWarning,
                 stacklevel=2,
             )
-    if order == 1:
-        return basis.derivative_values(c)
-    return basis.second_derivative_values(c)
+    return fp if order == 1 else fpp

@@ -12,6 +12,9 @@ Oracle notes
 * The t = 0 positivity failure is forced by beta = -3 at (n, p) = (3, 4)
   with u0 = 1 + 0.9 z: v = u^(-12) spikes at z = -1 and its truncated
   projection dips negative before the first step.
+* The heat flow is linear in v, so its exact solution is the modal decay
+  c_k(t) = c_k(0) e^(-k(k+n-1) t), rebuilt in the test from the basis and
+  the eigenvalues; the stepper must match it to rounding.
 * The Galerkin flows step with ETDRK4; ``rk4_reference`` integrates the
   same weak form with classical RK4 at the step bound of the explicit
   method, 0.5/lam_top, and lands on the trace's record times.
@@ -38,6 +41,7 @@ from ultraflow.flows import (
     run_regularized_flow,
 )
 from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
+from ultraflow.spectral import eigenvalue, get_basis
 
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
@@ -271,6 +275,29 @@ class TestHeatFlow:
         z = plain_nodes(3.0, 32)
         with pytest.raises(DomainError, match="positive"):
             run_heat_flow(z, cfg)  # changes sign
+
+    @pytest.mark.parametrize("n,p", [(3.0, 3.0), (4.5, 1.0)])
+    def test_matches_the_exact_modal_solution(self, n, p):
+        # the heat flow is linear in v, so c_k(t) = c_k(0) e^(-k(k+n-1) t)
+        # solves it exactly; record that solution on the step grid
+        params = UltraParams(n=n, p=p, beta=1.0)
+        cfg = FlowConfig(kind="heat", params=params, dt=1e-2, t_end=2.0)
+        z = plain_nodes(n, 48)
+        u0 = 1.0 + 0.3 * z + 0.1 * z**2
+        tr = run_heat_flow(u0, cfg)
+        fine, _, V0, V1, c0, _, _ = _initial_state(u0, tr.params_echo)
+        lams = np.array([eigenvalue(n, k) for k in range(c0.size)])
+        D = get_basis(n, 48).D
+        rec = _Recorder(tr.params_echo, fine, tr.params_echo.lam)
+        for t in [j * cfg.dt for j in range(0, 200, cfg.record_every)] + [cfg.t_end]:
+            c = c0 * np.exp(-lams * t)
+            rec.record(t, V0 @ c, V1 @ c, V1 @ (D @ c))
+        exact = rec.finish(V0 @ c)
+        for name in ("times", "mass", "fisher_beta", "F_values", "u_min", "u_max",
+                     "grad_max", "dF_closed"):
+            got, want = getattr(tr, name), getattr(exact, name)
+            assert got.shape == want.shape, name
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), name
 
     def test_trace_arrays_are_read_only(self):
         params = UltraParams(n=3.0, p=3.0, beta=1.0)

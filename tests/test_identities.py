@@ -156,6 +156,10 @@ class TestRegularizedIdentities:
         p = UltraParams(n=3.0)
         u = make_test_function(1, p, neumann=False)
         assert check_gamma2_eps(u, p).residual < 1e-10
+        # and the plain check is its eps = 0 case, bit for bit
+        for eps_check, plain_check in ((check_gamma2_eps, check_gamma2), (check_lgamma_eps, check_lgamma)):
+            rep, plain = eps_check(u, p), plain_check(u, p, enforce_neumann=False)
+            assert (rep.lhs, rep.rhs) == (plain.lhs, plain.rhs)
 
     def test_noninteger_n_eps_zero_rejected(self):
         p = UltraParams(n=2.5)

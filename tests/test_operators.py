@@ -18,7 +18,6 @@ from ultraflow import (
     drift_prime,
     eigenvalue,
     get_basis,
-    operator_coeffs,
 )
 
 
@@ -119,6 +118,10 @@ class TestRegularizedOperator:
         z = q.nodes
         basis_vals = apply_L(f, q)
         np.testing.assert_allclose(got, basis_vals, atol=1e-10)
+        # on the plain rule apply_L is the eps = 0 case, bit for bit
+        q = build_quadrature(UltraParams(n=3.0), 32, kind="plain")
+        f = np.exp(q.nodes)
+        np.testing.assert_array_equal(apply_L_eps(f, UltraParams(n=3.0), q), apply_L(f, q))
 
 
 class TestDrift:
@@ -176,10 +179,3 @@ class TestDrift:
             p = UltraParams(n=n, eps=eps)
             dev = abs(float(drift(z, p)[0]) - n)
             assert dev == pytest.approx(0.5, rel=1e-10)
-
-    def test_coeffs_bundle(self):
-        p = UltraParams(n=2.5, eps=0.05)
-        oc = operator_coeffs(p)
-        z = np.linspace(-1, 1, 5)
-        np.testing.assert_allclose(oc.ell(z), drift(z, p), atol=0)
-        np.testing.assert_allclose(oc.ell_prime(z), drift_prime(z, p), atol=0)
