@@ -24,19 +24,16 @@ from .measure import (
     UltraParams,
     build_quadrature,
     normalization_constant,
-    refined_node_count,
     refined_quadrature,
 )
 from .spectral import (
     OrthoBasis,
     eigenvalue,
-    from_spectral,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
     resample,
     spectral_derivative,
-    to_spectral,
 )
 from .operators import apply_L, apply_L_eps, drift, drift_prime
 from .functionals import (
@@ -128,7 +125,6 @@ __all__ = [
     "extremal_profile",
     "find_heat_counterexample",
     "fisher",
-    "from_spectral",
     "get_basis",
     "get_regularized_basis",
     "interpolation_basis",
@@ -144,7 +140,6 @@ __all__ = [
     "parse_function",
     "qform_coeffs",
     "qform_value",
-    "refined_node_count",
     "refined_quadrature",
     "regularity_coeffs",
     "resample",
@@ -153,5 +148,4 @@ __all__ = [
     "run_regularized_flow",
     "spectral_derivative",
     "thresholds",
-    "to_spectral",
 ]

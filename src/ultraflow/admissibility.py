@@ -252,6 +252,11 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
     if np.any(u <= 0):
         raise DomainError("qform_value requires a strictly positive function")
     _, up, upp = _nodal_derivatives(u, build_quadrature(params, len(u)))
+    return _qform(u, up, upp, beta, params)
+
+
+def _qform(u, up, upp, beta: float, params: UltraParams) -> np.ndarray:
+    """q[u] = u''^2 - 2b u''u'^2/u + c u'^4/u^2 from pointwise (u, u', u'')."""
     b, c = qform_coeffs(beta, params.n, params.p)
     return upp**2 - 2.0 * b * upp * up**2 / u + c * up**4 / u**2
 

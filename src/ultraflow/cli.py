@@ -10,9 +10,11 @@ Subcommands:
 
 Every command honors ``--json`` and ``--nodes N`` (the environment
 variable ULTRAFLOW_NODES supplies the node-count default).  Numeric text
-output carries 17 significant digits; CSV files use a header row, comma
-separators and '.' decimals; manifests are JSON files listing every
-emitted path.  Exit codes: 0 success, 2 usage or parameter error,
+and CSV output carries 17 significant digits; CSV files use a header row,
+comma separators and '.' decimals.  JSON output and the manifests, JSON
+files listing every emitted path, come from ``json.dumps``: numbers in
+Python's shortest round-trip form, non-finite floats as "inf", "-inf" or
+"nan".  Exit codes: 0 success, 2 usage or parameter error,
 3 numerical failure (positivity loss), 4 property violation (an
 identity residual above the gate).  ``identities --no-neumann`` only
 changes the plain test functions; the same residual gate applies.
@@ -20,6 +22,7 @@ changes the plain test functions; the same residual gate applies.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -61,34 +64,17 @@ def _g17(x) -> str:
     return format(x, ".17g")
 
 
-def _to_json(obj, indent: int = 0) -> str:
-    """Small JSON writer so floats keep the 17-digit formatting."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_to_json(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{pad}  {_to_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return f'"{_g17(obj)}"'
-        return _g17(obj)
-    text = str(obj)
-    text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-    return f'"{text}"'
+def _to_json(obj) -> str:
+    """JSON text of ``obj``; non-finite floats become "inf", "-inf" or "nan"."""
+
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return _g17(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+    return json.dumps(finite(obj), indent=2)
 
 
 def _resolve_nodes(args) -> int:
@@ -441,16 +427,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FunctionSpecError as err:
+    except (FunctionSpecError, DomainError, ShapeError, AliasingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, ShapeError, AliasingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PositivityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except NumericalError as err:
+    except NumericalError as err:  # PositivityError included
         print(f"error: {err}", file=sys.stderr)
         return 3
 

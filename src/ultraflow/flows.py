@@ -37,9 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import lambda_eps
+from .admissibility import _qform, lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
+from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams, build_quadrature
 from .spectral import GridFn, _discretization, get_regularized_basis, resample
 
@@ -152,32 +153,22 @@ def _dF_value(
 ) -> float:
     """Closed form of (dF/dt) / (2 beta^2) as a functional of the state.
 
-    With kappa = beta(p-2)+1 and gamma = (kappa+beta-1)/(n+2):
+    With kappa = beta(p-2)+1 it reads
 
-        (lam - n) int rho^2 u'^2
-        - int [u''^2 - 2 (n-1) gamma u'' u'^2/u + c u'^4/u^2] rho^4
-        - eps(n-d) (2 gamma int u'^3 rho^2 z / ((1+eps-z^2) u)
-                    - int u'^2 (1+eps+z^2) rho^2 / (1+eps-z^2)^2)
+        (lam - n) int rho^2 u'^2 - int q[u] rho^4 - C_Gamma2 - (kappa+beta-1) C_LGamma,
 
-    where c = kappa(beta-1) + n(kappa+beta-1)/(n+2); the bracket is the
-    admissibility quadratic form, so the middle term has a sign whenever
-    delta(beta) <= 0.  Valid as a time derivative along the matching flow.
+    where q[u] is the admissibility quadratic form at this beta, so the
+    middle term has a sign whenever delta(beta) <= 0, and C_Gamma2 and
+    C_LGamma are the eps corrections that the Gamma2 and L-Gamma
+    identities add to their right-hand sides (0 on the plain measure).
+    Valid as a time derivative along the matching flow.
     """
-    n, eps, d = params.n, params.eps, params.d
-    beta, kappa = params.beta, params.kappa
     z = fine.nodes
     rho2 = 1.0 - z**2
-    s = kappa + beta - 1.0
-    gamma = s / (n + 2.0)
-    c = kappa * (beta - 1.0) + n * gamma
-    val = (lam - n) * fine.integrate(rho2 * up**2)
-    val -= fine.integrate((upp**2 - 2.0 * (n - 1.0) * gamma * upp * up**2 / uu + c * up**4 / uu**2) * rho2**2)
-    if eps > 0 and n != d:
-        zeta = 1.0 + eps - z**2
-        val -= eps * (n - d) * (
-            2.0 * gamma * fine.integrate(up**3 * rho2 * z / (zeta * uu))
-            - fine.integrate(up**2 * (1.0 + eps + z**2) * rho2 / zeta**2)
-        )
+    val = (lam - params.n) * fine.integrate(rho2 * up**2)
+    val -= fine.integrate(_qform(uu, up, upp, params.beta, params) * rho2**2)
+    val -= _gamma2_correction(fine, up, params)
+    val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params)
     return float(val)
 
 

@@ -13,7 +13,7 @@ Grammar (whitespace-insensitive):
 
 Exponents are literal numbers, not expressions; that keeps evaluation a
 plain composition of numpy operations with no symbolic machinery.
-``fab(a, b)`` is the profile family
+``fab(a, b)`` is the profile family of ``functionals.extremal_profile``,
 
     f_{a,b}(z) = a |1 - b z|^(-(n-2)/2),     |b| < 1,
 
@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FunctionSpecError
+from .functionals import extremal_profile
 
 _TOKEN = re.compile(
     r"\s*(?:"
@@ -182,7 +183,7 @@ class _Parser:
                 self.expect(")")
                 if abs(b) >= 1:
                     raise FunctionSpecError(f"fab needs |b| < 1, got b={b}", pos)
-                return lambda z, n: a * np.abs(1.0 - b * z) ** (-(n - 2.0) / 2.0)
+                return lambda z, n: extremal_profile(n, b, z, a)
             raise FunctionSpecError(f"unknown function {val!r}", pos)
         raise FunctionSpecError(f"unexpected {val or 'end of input'!r}", pos)
 

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import DomainError
-from .measure import DEFAULT_NODES, UltraParams, build_quadrature
+from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
 from .operators import drift
 from .spectral import GridFn, resample
 
@@ -113,36 +113,48 @@ def _require_neumann(basis, c) -> None:
         )
 
 
+def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams) -> float:
+    """The Gamma2-eps term of the right-hand side on ``fine``; 0.0 in the plain case."""
+    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    if eps == 0 or n == d:
+        return 0.0
+    zeta = 1.0 + eps - z**2
+    return -eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * (1.0 - z**2) * up**2)
+
+
+def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params: UltraParams) -> float:
+    """The L-Gamma-eps term of the right-hand side on ``fine``; 0.0 in the plain case."""
+    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    if eps == 0 or n == d:
+        return 0.0
+    zeta = 1.0 + eps - z**2
+    return 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * (1.0 - z**2) * z / (zeta * uu))
+
+
 def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
     fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
     if enforce_neumann:
         _require_neumann(basis, c)
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    n, z = params.n, fine.nodes
     rho2 = 1.0 - z**2
     Lu = rho2 * upp - drift(z, params) * up
     lhs = fine.integrate(Lu**2)
     rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
-    if eps > 0 and n != d:
-        zeta = 1.0 + eps - z**2
-        rhs -= eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * rho2 * up**2)
-    return _report(lhs, rhs, tag, seed)
+    return _report(lhs, rhs + _gamma2_correction(fine, up, params), tag, seed)
 
 
 def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
     fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
     if enforce_neumann:
         _require_neumann(basis, c)
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    n, z = params.n, fine.nodes
     rho2 = 1.0 - z**2
     Lu = rho2 * upp - drift(z, params) * up
     lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
     rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
         n - 1.0
     ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
-    if eps > 0 and n != d:
-        zeta = 1.0 + eps - z**2
-        rhs += 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * rho2 * z / (zeta * uu))
-    return _report(lhs, rhs, tag, seed)
+    return _report(lhs, rhs + _lgamma_correction(fine, uu, up, params), tag, seed)
 
 
 def check_gamma2(

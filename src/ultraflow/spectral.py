@@ -12,10 +12,11 @@ recurrence to rounding for every real n > 0 and extends verbatim to the
 regularized measures, whose orthonormal families have no classical closed
 form.
 
-A function on [-1, 1] is carried either as a ``GridFn`` (values at the
-nodes of a quadrature rule) or as a ``SpectralFn`` (coefficients in the
-orthonormal basis).  Transforms are exact for polynomials of degree <= K
-because the Gauss rules integrate products of basis elements exactly.
+A function on [-1, 1] is carried as a ``GridFn``, its values at the nodes
+of a quadrature rule; ``OrthoBasis.analyze`` and ``synthesize`` map it to
+and from coefficients in the orthonormal basis.  Transforms are exact for
+polynomials of degree <= K because the Gauss rules integrate products of
+basis elements exactly.
 Derivatives are computed in spectral space; second derivatives apply the
 first-derivative operator twice, so the top two modes carry no accuracy
 guarantee.
@@ -34,7 +35,6 @@ nodes at eps = 1e-8).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -54,29 +54,6 @@ def eigenvalue(n: float, k: int) -> float:
     if k < 0 or k != int(k):
         raise DomainError(f"mode index must be a nonnegative integer, got {k}")
     return float(k) * (float(k) + n - 1.0)
-
-
-@dataclass(frozen=True)
-class SpectralFn:
-    """Coefficients of a function in the orthonormal basis of dnu_n.
-
-    ``coeffs[k]`` multiplies the degree-k orthonormal element; ``n`` names
-    the measure (the ceiling dimension d when the sample grid belongs to a
-    regularized rule).
-    """
-
-    coeffs: np.ndarray = field(repr=False)
-    n: float
-
-    def __post_init__(self):
-        self.coeffs.setflags(write=False)
-
-    @property
-    def K(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def __repr__(self):
-        return f"SpectralFn(n={self.n}, K={self.K})"
 
 
 class OrthoBasis:
@@ -212,11 +189,12 @@ def get_regularized_basis(n: float, eps: float, N: int = DEFAULT_NODES) -> Ortho
 
     Truncation is K = N - 2 as for plain bases, but the discrete inner
     product uses the eps-adapted refined rule so that the folded weight is
-    integrated to full precision.
+    integrated to full precision.  eps = 0 is accepted only at integer n.
     """
     params = UltraParams(n=n, eps=eps)
-    fine = refined_quadrature(params, N, kind="regularized")
-    return OrthoBasis(fine, K=N - 2)
+    if eps == 0 and n != params.d:
+        raise DomainError("the regularized basis needs eps > 0 when n is not an integer")
+    return OrthoBasis(refined_quadrature(params, N), K=N - 2)
 
 
 def interpolation_basis(q: Quadrature) -> OrthoBasis:
@@ -269,28 +247,6 @@ def _nodal_derivatives(f: GridFn, q: Quadrature):
     basis = interpolation_basis(q)
     c = basis.analyze(np.asarray(f, dtype=float))
     return c, basis.V1 @ c, basis.V1 @ (basis.D @ c)
-
-
-def to_spectral(f: GridFn, q: Quadrature, K: int | None = None) -> SpectralFn:
-    """Forward transform of node values to basis coefficients.
-
-    Exact (to rounding) whenever f is a polynomial of degree <= K sampled
-    on its own rule; the default truncation is K = N - 2.
-    """
-    basis = interpolation_basis(q)
-    if K is None:
-        K = basis.K
-    if K >= q.order:
-        raise AliasingError(f"K={K} modes cannot be resolved on an N={q.order} rule")
-    coeffs = basis.analyze(np.asarray(f, dtype=float), K=min(K, basis.K))
-    return SpectralFn(coeffs=coeffs, n=basis.quad.n)
-
-
-def from_spectral(s: SpectralFn, nodes: np.ndarray) -> GridFn:
-    """Evaluate a SpectralFn at arbitrary points of [-1, 1]."""
-    N = max(DEFAULT_NODES, s.K + 2)
-    basis = get_basis(s.n, N)
-    return basis.synthesize(s.coeffs, np.asarray(nodes, dtype=float))
 
 
 def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:

@@ -12,14 +12,14 @@ PUBLIC_NAMES = [
     "build_quadrature", "check_gamma2", "check_gamma2_eps", "check_lgamma",
     "check_lgamma_eps", "dF_dt_closed_form", "deficit", "delta_of_beta",
     "drift", "drift_prime", "eigenvalue", "extremal_profile",
-    "find_heat_counterexample", "fisher", "from_spectral", "get_basis",
+    "find_heat_counterexample", "fisher", "get_basis",
     "get_regularized_basis", "interpolation_basis", "is_admissible",
     "lambda_eps", "logsob_deficit", "lp_norm", "lyapunov_F", "m_of_beta",
     "m_range", "make_test_function", "normalization_constant",
-    "parse_function", "qform_coeffs", "qform_value", "refined_node_count",
+    "parse_function", "qform_coeffs", "qform_value",
     "refined_quadrature", "regularity_coeffs", "resample", "run_heat_flow",
     "run_nonlinear_flow", "run_regularized_flow", "spectral_derivative",
-    "thresholds", "to_spectral",
+    "thresholds",
 ]
 
 

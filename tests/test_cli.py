@@ -237,6 +237,23 @@ class TestFlow:
         assert "positivity lost at t=0" in capsys.readouterr().err
         assert not out.exists()  # failure at t = 0 leaves nothing to flush
 
+    def test_positivity_failure_flushes_the_partial_trace(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["flow", "--kind", "nonlinear", "--n", "3", "--p", "4", "--beta", "0.5",
+             "--nodes", "8", "--u0", "0.05+0.9*((1+z)/2)^5", "--t-end", "0.5",
+             "--record-every", "1", "--out", str(out)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "positivity lost at t=0.019" in err
+        assert f"partial trace flushed to {out}" in err
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,mass,F,fisher_beta,u_min,u_max,grad_max"
+        assert len(lines) == 1 + 20
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(out) + ".manifest.json"]
+
     def test_regularized_run(self, capsys, tmp_path):
         out = tmp_path / "reg.csv"
         code, data = run_json(

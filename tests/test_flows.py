@@ -499,7 +499,7 @@ class TestPartialTraceAttachment:
     def make_recorder(self):
         params = UltraParams(n=3.0, p=4.0, beta=2.0)
         cfg = FlowConfig(kind="nonlinear", params=params, lam=3.0)
-        fine = refined_quadrature(params, 32, kind="plain")
+        fine = refined_quadrature(params, 32)
         return cfg, fine, _Recorder(cfg, fine, lam=3.0)
 
     def test_attaches_the_recorded_prefix(self):

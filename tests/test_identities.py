@@ -189,7 +189,7 @@ class TestRegularizedIdentities:
         from ultraflow import build_quadrature, refined_quadrature, interpolation_basis
 
         q = build_quadrature(p, 64, kind="regularized")
-        fine = refined_quadrature(p, 64, kind="regularized")
+        fine = refined_quadrature(p, 64)
         basis = interpolation_basis(q)
         c = basis.analyze(u)
         uu = basis.synthesize(c, fine.nodes)

@@ -28,7 +28,6 @@ from ultraflow import (
     get_regularized_basis,
     lyapunov_F,
     normalization_constant,
-    refined_node_count,
     refined_quadrature,
 )
 
@@ -280,12 +279,10 @@ class TestRegularizedQuadrature:
 class TestRefinedQuadrature:
     def test_plain_doubles(self):
         p = UltraParams(n=3.0)
-        assert refined_node_count(p, 64) == 128
-        q = refined_quadrature(p, 64, kind="plain")
-        assert q.order == 128
+        assert refined_quadrature(p, 64).order == 128
 
     def test_regularized_size_grows_like_log_inverse_eps(self):
-        counts = [refined_node_count(UltraParams(n=2.5, eps=10.0**-j), 64) for j in range(2, 9)]
+        counts = [refined_quadrature(UltraParams(n=2.5, eps=10.0**-j), 64).order for j in range(2, 9)]
         steps = np.diff(counts)
         # each decade of eps splits one or two small panels (about 11 nodes each)
         # off each end: a bounded step, where 1/sqrt(eps) nodes would grow 3.2-fold
@@ -295,7 +292,7 @@ class TestRefinedQuadrature:
 
     def test_refined_agrees_with_oracle(self):
         p = UltraParams(n=2.5, eps=0.1)
-        q = refined_quadrature(p, 32, kind="regularized")
+        q = refined_quadrature(p, 32)
         assert q.integrate(np.exp(q.nodes)) == pytest.approx(EPS_EXP_ORACLE, abs=1e-10)
 
 

@@ -18,14 +18,12 @@ from ultraflow import (
     UltraParams,
     build_quadrature,
     eigenvalue,
-    from_spectral,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
     refined_quadrature,
     resample,
     spectral_derivative,
-    to_spectral,
 )
 from ultraflow.spectral import _discretization
 
@@ -72,6 +70,10 @@ class TestBasisConstruction:
         G = basis.V.T @ (basis.quad.weights[:, None] * basis.V)
         np.testing.assert_allclose(G, np.eye(G.shape[1]), atol=1e-11)
 
+    def test_regularized_basis_needs_eps_at_non_integer_n(self):
+        with pytest.raises(DomainError):
+            get_regularized_basis(2.5, 0.0, 16)
+
 
 class TestTransforms:
     def test_round_trip_polynomial(self):
@@ -99,14 +101,6 @@ class TestTransforms:
         c = basis.analyze(z**4)
         pts = np.linspace(-0.9, 0.9, 11)
         np.testing.assert_allclose(basis.synthesize(c, pts), pts**4, atol=1e-12)
-
-    def test_to_from_spectral(self):
-        p = UltraParams(n=3.0)
-        q = build_quadrature(p, 32)
-        f = np.cos(q.nodes)
-        s = to_spectral(f, q)
-        back = from_spectral(s, q.nodes)
-        np.testing.assert_allclose(back, f, atol=1e-12)
 
     def test_interpolation_basis_on_regularized_rule(self):
         # regularized rules share nodes with the plain ceiling-dimension
