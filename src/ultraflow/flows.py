@@ -28,6 +28,9 @@ A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
 and u', the closed-form instantaneous dF/dt, and any violation of the
 entered h0/h1 bounds; positivity loss aborts with the failure time.
+Recording only buffers the state: the diagnostics are evaluated a block
+of records at a time, as (records, nodes) arrays, and bound violations
+are reported in record order.
 """
 from __future__ import annotations
 
@@ -150,7 +153,7 @@ def _dF_value(
     fine: Quadrature,
     params: UltraParams,
     lam: float,
-) -> float:
+) -> float | np.ndarray:
     """Closed form of (dF/dt) / (2 beta^2) as a functional of the state.
 
     With kappa = beta(p-2)+1 it reads
@@ -161,7 +164,8 @@ def _dF_value(
     middle term has a sign whenever delta(beta) <= 0, and C_Gamma2 and
     C_LGamma are the eps corrections that the Gamma2 and L-Gamma
     identities add to their right-hand sides (0 on the plain measure).
-    Valid as a time derivative along the matching flow.
+    Valid as a time derivative along the matching flow.  Leading axes of
+    (uu, up, upp) are records, with one value per row.
     """
     z = fine.nodes
     rho2 = 1.0 - z**2
@@ -169,7 +173,7 @@ def _dF_value(
     val -= fine.integrate(_qform(uu, up, upp, params.beta, params) * rho2**2)
     val -= _gamma2_correction(fine, up, params)
     val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params)
-    return float(val)
+    return val
 
 
 def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
@@ -186,59 +190,68 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     if np.any(uu <= 0):
         raise DomainError("resampled state loses positivity; refine the grid")
     lam = cfg.lam if cfg.lam is not None else params.n
-    return _dF_value(uu, up, upp, fine, params, lam)
+    return float(_dF_value(uu, up, upp, fine, params, lam))
 
 
 class _Recorder:
-    """Accumulates per-time diagnostics from the v-state on the fine rule."""
+    """Accumulates per-time diagnostics from the v-state on the fine rule.
+
+    ``record`` buffers (t, v, v', v''); ``flush`` evaluates the buffer as one
+    (records, nodes) block every ``block`` records and in ``finish``.
+    """
 
     def __init__(self, cfg: FlowConfig, fine: Quadrature, lam: float):
         self.cfg = cfg
         self.fine = fine
         self.lam = lam
-        self.rows: list[tuple] = []
+        self.block = max(1, 8192 // fine.nodes.size)
+        self.pending: list[tuple] = []
+        self.columns: list[np.ndarray] = []  # per block, FlowTrace's 8 arrays as rows
         self.events: list[tuple[float, str]] = []
         self.last_vv: np.ndarray | None = None
 
     def record(self, t: float, vv: np.ndarray, vp: np.ndarray, vpp: np.ndarray) -> None:
-        cfg, params = self.cfg, self.cfg.params
         self.last_vv = vv
+        self.pending.append((t, vv, vp, vpp))
+        if len(self.pending) == self.block:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.pending:
+            return
+        cfg, params = self.cfg, self.cfg.params
+        t, vv, vp, vpp = (np.array(col) for col in zip(*self.pending))
+        self.pending = []
         r = 1.0 / (params.beta * params.p)
         uu = vv**r
         up = r * vv ** (r - 1.0) * vp
         upp = r * (r - 1.0) * vv ** (r - 2.0) * vp**2 + r * vv ** (r - 1.0) * vpp
-        F, mass, fb = lyapunov_terms(uu, up, self.fine, params, self.lam)
-        gmax = float(np.max(np.abs(up)))
-        umin, umax = float(np.min(uu)), float(np.max(uu))
-        self.rows.append((t, mass, fb, F, umin, umax, gmax,
-                          _dF_value(uu, up, upp, self.fine, params, self.lam)))
+        F, mass, fb = np.array([lyapunov_terms(u, g, self.fine, params, self.lam)
+                                for u, g in zip(uu, up)]).T
+        umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
+        dF = _dF_value(uu, up, upp, self.fine, params, self.lam)
+        self.columns.append(np.array([t, mass, fb, F, umin, umax, gmax, dF]))
+        low = high = steep = np.zeros(t.size, dtype=bool)
         if cfg.h0 is not None:
-            if umin < cfg.h0 - _BOUND_TOL:
-                self.events.append((t, f"u_min {umin:.6g} fell below h0 {cfg.h0:g}"))
-            if umax > 1.0 / cfg.h0 + _BOUND_TOL:
-                self.events.append((t, f"u_max {umax:.6g} exceeded 1/h0 {1.0 / cfg.h0:.6g}"))
-        if cfg.h1 is not None and gmax > cfg.h1 + _BOUND_TOL:
-            self.events.append((t, f"max |u'| {gmax:.6g} exceeded h1 {cfg.h1:g}"))
+            low, high = umin < cfg.h0 - _BOUND_TOL, umax > 1.0 / cfg.h0 + _BOUND_TOL
+        if cfg.h1 is not None:
+            steep = gmax > cfg.h1 + _BOUND_TOL
+        for i in np.flatnonzero(low | high | steep):
+            ti = float(t[i])
+            if low[i]:
+                self.events.append((ti, f"u_min {umin[i]:.6g} fell below h0 {cfg.h0:g}"))
+            if high[i]:
+                self.events.append((ti, f"u_max {umax[i]:.6g} exceeded 1/h0 {1.0 / cfg.h0:.6g}"))
+            if steep[i]:
+                self.events.append((ti, f"max |u'| {gmax[i]:.6g} exceeded h1 {cfg.h1:g}"))
 
     def finish(self, vv_end: np.ndarray) -> FlowTrace:
-        params = self.cfg.params
-        cols = list(zip(*self.rows))
-        mass_end = self.rows[-1][1]
-        const = mass_end ** (1.0 / (params.beta * params.p))
-        gap = float(np.max(np.abs(vv_end ** (1.0 / (params.beta * params.p)) - const)))
-        return FlowTrace(
-            times=np.array(cols[0]),
-            mass=np.array(cols[1]),
-            fisher_beta=np.array(cols[2]),
-            F_values=np.array(cols[3]),
-            u_min=np.array(cols[4]),
-            u_max=np.array(cols[5]),
-            grad_max=np.array(cols[6]),
-            dF_closed=np.array(cols[7]),
-            bound_events=tuple(self.events),
-            terminal_gap=gap,
-            params_echo=self.cfg,
-        )
+        self.flush()
+        r = 1.0 / (self.cfg.params.beta * self.cfg.params.p)
+        cols = np.concatenate(self.columns, axis=1)
+        gap = float(np.max(np.abs(vv_end**r - float(cols[1, -1]) ** r)))
+        return FlowTrace(*cols, bound_events=tuple(self.events), terminal_gap=gap,
+                         params_echo=self.cfg)
 
 
 def _initial_state(u0: GridFn, cfg: FlowConfig):
@@ -278,7 +291,7 @@ def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig
 
 def _attach_partial(err: PositivityError, rec: _Recorder) -> None:
     """Hang the trace-so-far on a positivity failure, if anything was recorded."""
-    if rec.rows and rec.last_vv is not None:
+    if rec.last_vv is not None:
         err.partial = rec.finish(rec.last_vv)
 
 
@@ -307,6 +320,8 @@ def _etdrk4_weights(hL: np.ndarray, h: float):
 
 def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     params = cfg.params
+    if params.p == 2:  # lyapunov_terms would raise it only at the first flush
+        raise DomainError("the Lyapunov functional needs p != 2")
     fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     m = params.m
@@ -318,13 +333,13 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
     lam_top = float(mu[-1])
     a = (c0[0] * V0[0, 0]) ** (m - 1.0)
-    W0, W1, DU = V0 @ U, V1 @ U, basis.D[: c0.size, : c0.size] @ U
+    W0, W1, W2 = V0 @ U, V1 @ U, V1 @ (basis.D[: c0.size, : c0.size] @ U)
     rec = _Recorder(cfg, fine, cfg.lam)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 
     def state(y: np.ndarray):
         vv = W0 @ y
-        if np.min(vv) <= _POSITIVITY_FLOOR:
+        if vv.min() <= _POSITIVITY_FLOOR:
             raise PositivityError(t_now, "v reached the positivity floor")
         return vv, vv ** (m - 1.0) - a
 
@@ -336,9 +351,9 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
 
     try:
         vv, g = state(y)
-        rec.record(0.0, vv, W1 @ y, V1 @ (DU @ y))
+        rec.record(0.0, vv, W1 @ y, W2 @ y)
         while t_now < cfg.t_end:
-            stiff = lam_top * float(np.max(np.abs(g))) * max(1.0, abs(m))
+            stiff = lam_top * float(np.abs(g).max()) * max(1.0, abs(m))
             dt = min(cfg.dt, 2.0 / stiff) if stiff > 0 else cfg.dt
             last = cfg.t_end - t_now <= dt * (1.0 + _SNAP)
             dt = cfg.t_end - t_now if last else dt
@@ -358,7 +373,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
             step += 1
             vv, g = state(y)
             if step % cfg.record_every == 0 or last:
-                rec.record(t_now, vv, W1 @ y, V1 @ (DU @ y))
+                rec.record(t_now, vv, W1 @ y, W2 @ y)
     except PositivityError as err:
         _attach_partial(err, rec)
         raise

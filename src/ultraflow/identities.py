@@ -113,8 +113,8 @@ def _require_neumann(basis, c) -> None:
         )
 
 
-def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams) -> float:
-    """The Gamma2-eps term of the right-hand side on ``fine``; 0.0 in the plain case."""
+def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams):
+    """The Gamma2-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
     n, eps, d, z = params.n, params.eps, params.d, fine.nodes
     if eps == 0 or n == d:
         return 0.0
@@ -122,8 +122,8 @@ def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams) ->
     return -eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * (1.0 - z**2) * up**2)
 
 
-def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params: UltraParams) -> float:
-    """The L-Gamma-eps term of the right-hand side on ``fine``; 0.0 in the plain case."""
+def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params: UltraParams):
+    """The L-Gamma-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
     n, eps, d, z = params.n, params.eps, params.d, fine.nodes
     if eps == 0 or n == d:
         return 0.0

@@ -136,14 +136,20 @@ class Quadrature:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate a function given by its values at ``nodes``."""
+    def integrate(self, values: np.ndarray) -> float | np.ndarray:
+        """Integrate a function given by its values at ``nodes``.
+
+        The last axis runs over the nodes.  A 1-D array gives a float; an
+        (..., N) block gives the (...) array of its rows' integrals.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != self.nodes.shape:
+        if values.shape[-1:] != self.nodes.shape:
             raise ShapeError(
                 f"expected {self.nodes.shape[0]} node values, got shape {values.shape}"
             )
-        return float(np.dot(self.weights, values))
+        if values.ndim == 1:
+            return float(np.dot(self.weights, values))
+        return values @ self.weights
 
     def __repr__(self):  # keep array dumps out of error messages
         return (

@@ -26,12 +26,15 @@ import math
 import numpy as np
 import pytest
 
+import ultraflow.flows as flows
 from ultraflow.admissibility import lambda_eps
 from ultraflow.errors import DomainError, PositivityError
 from ultraflow.flows import (
+    _BOUND_TOL,
     FlowConfig,
     FlowTrace,
     _attach_partial,
+    _dF_value,
     _initial_state,
     _Recorder,
     dF_dt_closed_form,
@@ -40,6 +43,7 @@ from ultraflow.flows import (
     run_nonlinear_flow,
     run_regularized_flow,
 )
+from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
 from ultraflow.spectral import eigenvalue, get_basis
 
@@ -249,6 +253,16 @@ class TestHeatFlow:
         with pytest.raises(DomainError, match="p != 2"):
             run_heat_flow(np.ones(32), cfg)
 
+    def test_quadratic_entropy_is_rejected_before_the_first_step(self, monkeypatch):
+        def stepped(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flows, "_etdrk4_weights", stepped)
+        params = UltraParams(n=3.0, p=2.0, beta=2.0)
+        cfg = FlowConfig(kind="nonlinear", params=params, t_end=1e6)
+        with pytest.raises(DomainError, match="p != 2"):
+            run_nonlinear_flow(1.0 + 0.1 * plain_nodes(3.0, 32), cfg)
+
     def test_bound_monitor_reports_violations(self):
         params = UltraParams(n=3.0, p=3.0, beta=1.0)
         cfg = FlowConfig(kind="heat", params=params, dt=1e-2, t_end=0.2,
@@ -260,6 +274,28 @@ class TestHeatFlow:
         assert "exceeded 1/h0" in messages
         assert "exceeded h1" in messages
         assert tr.bound_events[0][0] == 0.0
+
+    def test_bound_events_follow_record_order_across_blocks(self):
+        # 96 fine nodes make blocks of 85 records; the h1 violations last
+        # to t ~ 1.9, so they span all three blocks of the 201 records
+        params = UltraParams(n=3.0, p=3.0, beta=1.0)
+        cfg = FlowConfig(kind="heat", params=params, dt=1e-2, t_end=2.0,
+                         record_every=1, h0=0.9, h1=1e-3)
+        z = plain_nodes(3.0, 48)
+        tr = run_heat_flow(1.0 + 0.3 * z, cfg)
+        assert tr.times.size == 201
+        want = []
+        for t, lo, hi, g in zip(tr.times.tolist(), tr.u_min, tr.u_max, tr.grad_max):
+            if lo < cfg.h0 - _BOUND_TOL:
+                want.append((t, f"u_min {lo:.6g} fell below h0 {cfg.h0:g}"))
+            if hi > 1.0 / cfg.h0 + _BOUND_TOL:
+                want.append((t, f"u_max {hi:.6g} exceeded 1/h0 {1.0 / cfg.h0:.6g}"))
+            if g > cfg.h1 + _BOUND_TOL:
+                want.append((t, f"max |u'| {g:.6g} exceeded h1 {cfg.h1:g}"))
+        assert tr.bound_events == tuple(want)
+        assert all(type(t) is float for t, _ in tr.bound_events)
+        steep = [t for t, msg in tr.bound_events if "exceeded h1" in msg]
+        assert steep[-1] > tr.times[2 * 85]
 
     def test_bound_monitor_stays_quiet_inside_the_bounds(self):
         params = UltraParams(n=3.0, p=3.0, beta=1.0)
@@ -495,6 +531,26 @@ class TestClosedFormDerivative:
         assert dF_dt_closed_form(1.0 + 0.3 * z, cfg) < 0
 
 
+class TestBlockDissipation:
+    @pytest.mark.parametrize("key", [(3.0, 4.0, 2.0, 0.0), (2.5, 5.0, 4.0, 1e-3)])
+    def test_block_matches_row_by_row(self, key):
+        n, p, beta, eps = key
+        params = UltraParams(n=n, p=p, beta=beta, eps=eps)
+        fine = refined_quadrature(params, 32)
+        z = fine.nodes
+        a = np.linspace(-0.3, 0.3, 7)[:, None]
+        uu = 1.0 + a * z + 0.2 * z**2
+        up = a + 0.4 * z
+        upp = np.full_like(uu, 0.4)
+        if eps > 0:  # both corrections enter
+            assert abs(_gamma2_correction(fine, up[0], params)) > 0
+            assert abs(_lgamma_correction(fine, uu[0], up[0], params)) > 0
+        got = _dF_value(uu, up, upp, fine, params, 3.0)
+        want = np.array([_dF_value(*rows, fine, params, 3.0) for rows in zip(uu, up, upp)])
+        assert got.shape == (7,)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 class TestPartialTraceAttachment:
     def make_recorder(self):
         params = UltraParams(n=3.0, p=4.0, beta=2.0)
@@ -514,6 +570,16 @@ class TestPartialTraceAttachment:
         assert err.partial.times.tolist() == [0.0]
         assert err.partial.params_echo is cfg
         assert math.isfinite(err.partial.terminal_gap)
+
+    def test_attaches_records_of_every_block(self):
+        cfg, fine, rec = self.make_recorder()
+        times = [0.01 * j for j in range(rec.block + 3)]
+        for t in times:
+            vv = 1.0 + 0.1 * (1.0 + t) * fine.nodes
+            rec.record(t, vv, 0.1 * (1.0 + t) * np.ones_like(vv), np.zeros_like(vv))
+        err = PositivityError(times[-1], "test")
+        _attach_partial(err, rec)
+        assert err.partial.times.tolist() == times
 
     def test_nothing_attached_without_records(self):
         _, _, rec = self.make_recorder()

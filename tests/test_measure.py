@@ -163,6 +163,17 @@ class TestPlainQuadrature:
         with pytest.raises(ShapeError):
             q.integrate(np.ones(17))
 
+    def test_block_integrates_row_by_row(self):
+        q = build_quadrature(UltraParams(n=3.0), 16)
+        block = np.exp(np.outer(np.linspace(-2.0, 2.0, 5), q.nodes))
+        got = q.integrate(block)
+        want = np.array([q.integrate(row) for row in block])
+        assert got.shape == (5,)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+        assert type(q.integrate(block[0])) is float
+        with pytest.raises(ShapeError):
+            q.integrate(np.ones((5, 17)))
+
     def test_too_few_nodes(self):
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=3.0), 1)
