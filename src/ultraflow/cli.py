@@ -155,6 +155,8 @@ def cmd_range(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    if args.steps < 1:
+        raise DomainError(f"--steps must be at least 1, got {args.steps}")
     n = args.n
     r0 = m_range(n, max(args.p_min, 1.0 + 1e-9))
     p_max = args.p_max
@@ -244,12 +246,9 @@ def _write_trace_csv(path: str, trace) -> None:
 
 def cmd_flow(args) -> int:
     N = _resolve_nodes(args)
-    if args.kind == "heat":
-        beta = 1.0
-    else:
-        if args.beta is None:
-            raise DomainError(f"--beta is required for the {args.kind} flow")
-        beta = args.beta
+    beta = 1.0 if args.kind == "heat" and args.beta is None else args.beta
+    if beta is None:
+        raise DomainError(f"--beta is required for the {args.kind} flow")
     params = UltraParams(n=args.n, eps=args.eps, p=args.p, beta=beta)
     q = build_quadrature(params, N)
     u0 = parse_function(args.u0)(q.nodes, args.n)

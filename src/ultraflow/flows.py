@@ -13,8 +13,8 @@ of v = u^(beta p) in the orthonormal basis of the working measure:
 
 The weak form d/dt c_j = -int Q_j' (v^m)' rho^2 dnu / m has an exactly
 zero right-hand side in row 0, so the mass int v dnu = c_0 never moves:
-conservation is structural, not a property of the stepper.  All moment
-integrals run on the refined companion rule of the measure.
+conservation is structural, not a property of the stepper.  The basis is
+built on the measure's refined rule; the plain measure is the eps = 0 case.
 
 Stepping: the weak form is -a S c + N(c), with S the stiffness matrix
 int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
@@ -45,7 +45,7 @@ from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams, build_quadrature
-from .spectral import GridFn, _discretization, get_regularized_basis, resample
+from .spectral import GridFn, _resample_positive, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
@@ -183,12 +183,7 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     the config leaves it unset.
     """
     params = cfg.params
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("dF_dt_closed_form requires a strictly positive state")
-    fine, _, _, uu, up, upp = resample(u, params, len(u))
-    if np.any(uu <= 0):
-        raise DomainError("resampled state loses positivity; refine the grid")
+    fine, _, _, uu, up, upp = _resample_positive(u, params, len(u), "the state")
     lam = cfg.lam if cfg.lam is not None else params.n
     return float(_dF_value(uu, up, upp, fine, params, lam))
 
@@ -257,20 +252,11 @@ class _Recorder:
 def _initial_state(u0: GridFn, cfg: FlowConfig):
     """Project v0 = u0^(beta p) into the working basis; return run plumbing."""
     params = cfg.params
-    u0 = np.asarray(u0, dtype=float)
-    if np.any(u0 <= 0):
-        raise DomainError("initial datum must be strictly positive")
-    fine, basis, _, u0_fine, up0, _ = resample(u0, params, len(u0))
-    if cfg.kind == "regularized":
-        basis = get_regularized_basis(params.n, params.eps, len(u0))
-        V0, V1 = basis.V, basis.V1
-    else:
-        V0, V1 = _discretization(float(params.n), float(params.eps), len(u0))[2:]
-    if np.any(u0_fine <= 0):
-        raise DomainError("initial datum loses positivity under resampling")
+    _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, len(u0), "the initial datum")
+    basis = get_regularized_basis(params.n, params.eps, len(u0))
     v0_fine = u0_fine ** (params.beta * params.p)
-    c0 = V0.T @ (fine.weights * v0_fine)
-    return fine, basis, V0, V1, c0, u0_fine, up0
+    c0 = basis.analyze(v0_fine)
+    return basis, c0, u0_fine, up0
 
 
 def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig:
@@ -322,9 +308,9 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     params = cfg.params
     if params.p == 2:  # lyapunov_terms would raise it only at the first flush
         raise DomainError("the Lyapunov functional needs p != 2")
-    fine, basis, V0, V1, c0, u0_fine, up0 = _initial_state(u0, cfg)
+    basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
-    m = params.m
+    fine, V0, V1, m = basis.quad, basis.V, basis.V1, params.m
     rho2w = fine.weights * (1.0 - fine.nodes**2)
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh
     # leaves y[0] = c[0], the mass, exactly fixed.
@@ -333,7 +319,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
     lam_top = float(mu[-1])
     a = (c0[0] * V0[0, 0]) ** (m - 1.0)
-    W0, W1, W2 = V0 @ U, V1 @ U, V1 @ (basis.D[: c0.size, : c0.size] @ U)
+    W0, W1, W2 = V0 @ U, V1 @ U, V1 @ (basis.D @ U)
     rec = _Recorder(cfg, fine, cfg.lam)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 

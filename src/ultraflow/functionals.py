@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams
-from .spectral import GridFn, resample
+from .spectral import GridFn, _resample_positive, resample
 
 
 @dataclass(frozen=True)
@@ -99,29 +99,8 @@ def deficit(
     the entropy term change sign across p = 2, so the report is meaningful
     on the whole range p in [1, 2) u (2, 2*].
     """
-    n, p = params.n, params.p
-    _check_p_range(n, p)
-    if lam is None:
-        lam = n
-    if N is None:
-        N = DEFAULT_NODES
-    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
-    fisher_val = float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
-    l2 = fine.integrate(ff**2)
-    if p == 1:
-        mean = fine.integrate(ff)
-        entropy = l2 - mean**2
-    else:
-        lp2 = fine.integrate(np.abs(ff) ** p) ** (2.0 / p)
-        entropy = (lp2 - l2) / (p - 2.0)
-    return DeficitReport(
-        n=n,
-        p=p,
-        lambda_used=float(lam),
-        fisher=fisher_val,
-        entropy_term=float(entropy),
-        deficit=float(fisher_val - lam * entropy),
-    )
+    _check_p_range(params.n, params.p)
+    return _deficit(f, params.n, params.p, lam, N)
 
 
 def logsob_deficit(
@@ -134,26 +113,37 @@ def logsob_deficit(
 
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0.
     """
-    n = params.n
+    return _deficit(f, params.n, 2.0, lam, N)
+
+
+def _deficit(f: GridFn, n: float, p: float, lam: float | None, N: int | None) -> DeficitReport:
+    """The body of ``deficit`` and of ``logsob_deficit`` (p = 2, the log entropy)."""
     if lam is None:
-        lam = n / 2.0
+        lam = n / 2.0 if p == 2 else n
     if N is None:
         N = DEFAULT_NODES
     fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
     fisher_val = float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
     g = ff**2
     l2 = fine.integrate(g)
-    if l2 <= 0:
-        raise DomainError("logsob_deficit requires a nonzero function")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(g > 0, g * np.log(g / l2), 0.0)
-    entropy = float(fine.integrate(integrand))
+    if p == 2:
+        if l2 <= 0:
+            raise DomainError("logsob_deficit requires a nonzero function")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(g > 0, g * np.log(g / l2), 0.0)
+        entropy = fine.integrate(integrand)
+    elif p == 1:
+        mean = fine.integrate(ff)
+        entropy = l2 - mean**2
+    else:
+        lp2 = fine.integrate(np.abs(ff) ** p) ** (2.0 / p)
+        entropy = (lp2 - l2) / (p - 2.0)
     return DeficitReport(
         n=n,
-        p=2.0,
+        p=p,
         lambda_used=float(lam),
         fisher=fisher_val,
-        entropy_term=entropy,
+        entropy_term=float(entropy),
         deficit=float(fisher_val - lam * entropy),
     )
 
@@ -213,11 +203,6 @@ def lyapunov_F(
         lam = params.n
     if N is None:
         N = DEFAULT_NODES
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("lyapunov_F requires a strictly positive function")
-    fine, _, _, uu, up, _ = resample(u, params, N)
-    if np.any(uu <= 0):
-        raise DomainError("resampled function loses positivity; refine the grid")
+    fine, _, _, uu, up, _ = _resample_positive(u, params, N, "the function")
     F, mass, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

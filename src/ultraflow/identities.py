@@ -40,7 +40,7 @@ from numpy.polynomial import Polynomial
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
 from .operators import drift
-from .spectral import GridFn, resample
+from .spectral import GridFn, _resample_positive
 
 # Degree of the random exponent polynomial; amplitude is at most 1 about
 # the constant term, so test functions satisfy e^-2 <= u <= e^2.
@@ -92,17 +92,6 @@ def make_test_function(
     return np.exp(c0 + P1(build_quadrature(params, N).nodes))
 
 
-def _sampled_derivatives(u: GridFn, params: UltraParams):
-    """``resample`` of a strictly positive u: (fine, basis, c, u, u', u'')."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("identity checks require a strictly positive function")
-    fine, basis, c, uu, up, upp = resample(u, params, len(u))
-    if np.any(uu <= 0):
-        raise DomainError("resampled function loses positivity; refine the grid")
-    return fine, basis, c, uu, up, upp
-
-
 def _require_neumann(basis, c) -> None:
     up_ends = basis.end_slopes[:, : c.shape[0]] @ c
     scale = 1.0 + float(np.max(np.abs(basis.derivative_values(c))))
@@ -132,7 +121,7 @@ def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params:
 
 
 def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
-    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
+    fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
     if enforce_neumann:
         _require_neumann(basis, c)
     n, z = params.n, fine.nodes
@@ -144,7 +133,7 @@ def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann
 
 
 def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
-    fine, basis, c, uu, up, upp = _sampled_derivatives(u, params)
+    fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
     if enforce_neumann:
         _require_neumann(basis, c)
     n, z = params.n, fine.nodes

@@ -22,12 +22,13 @@ first-derivative operator twice, so the top two modes carry no accuracy
 guarantee.
 
 Caching.  ``get_basis`` and ``get_regularized_basis`` memoize bases per
-(n, N) and (n, eps, N), and the Gauss rules beneath them are memoized in
-the measure module.  ``resample`` is the one way from samples to
-(u, u', u'') on the refined rule: it keeps, for the key (n, eps, N), the
-refined rule, the interpolation basis and the read-only tables of Q_k and
-Q_k' at the refined nodes, built in one pass of the recurrence.  Only the
-most recent key's tables are kept.  The identity loops visit one key at a
+(n, N) and (n, eps, N); eps = 0 gives the plain basis on the refined
+rule at any n.  The Gauss rules beneath them are memoized in the measure
+module.  ``resample`` is the one way from samples to (u, u', u'') on the
+refined rule: it keeps, for the key (n, eps, N), the refined rule, the
+interpolation basis and the read-only tables of Q_k and Q_k' at the
+refined nodes, built in one pass of the recurrence.  Only the most
+recent key's tables are kept.  The identity loops visit one key at a
 time, so that is all they reuse, while a scan over fresh keys never
 reuses any.  At N = 64 one entry holds at most about 0.8 MB (746 refined
 nodes at eps = 1e-8).
@@ -189,11 +190,9 @@ def get_regularized_basis(n: float, eps: float, N: int = DEFAULT_NODES) -> Ortho
 
     Truncation is K = N - 2 as for plain bases, but the discrete inner
     product uses the eps-adapted refined rule so that the folded weight is
-    integrated to full precision.  eps = 0 is accepted only at integer n.
+    integrated to full precision.  eps = 0 (any n) gives the plain basis.
     """
     params = UltraParams(n=n, eps=eps)
-    if eps == 0 and n != params.d:
-        raise DomainError("the regularized basis needs eps > 0 when n is not an integer")
     return OrthoBasis(refined_quadrature(params, N), K=N - 2)
 
 
@@ -235,6 +234,17 @@ def resample(u: GridFn, params: UltraParams, N: int):
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), N)
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
+
+
+def _resample_positive(u: GridFn, params: UltraParams, N: int, what: str):
+    """``resample`` of samples that are, and stay, strictly positive; ``what`` names them."""
+    u = np.asarray(u, dtype=float)
+    if np.any(u <= 0):
+        raise DomainError(f"{what} must be strictly positive")
+    out = resample(u, params, N)
+    if np.any(out[3] <= 0):
+        raise DomainError(f"{what} loses positivity under resampling; refine the grid")
+    return out
 
 
 def _nodal_derivatives(f: GridFn, q: Quadrature):

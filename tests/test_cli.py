@@ -148,6 +148,14 @@ class TestFigure1:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_rejected(self, capsys, tmp_path, steps):
+        out = tmp_path / "x.csv"
+        code = main(["figure1", "--n", "3", "--steps", steps, "--out", str(out), "--json"])
+        assert code == 2
+        assert "--steps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_extremal_function_has_zero_deficit(self, capsys):
@@ -220,6 +228,17 @@ class TestFlow:
         assert "lambda = 3" in text
         assert "F: " in text
         assert "terminal gap = " in text
+
+    def test_heat_rejects_beta_other_than_one(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        code = main(["flow", "--kind", "heat", "--n", "3", "--p", "3", "--beta", "2",
+                     "--t-end", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "beta = 1" in capsys.readouterr().err
+        assert not out.exists()
+        code, _ = run_json(capsys, ["flow", "--kind", "heat", "--n", "3", "--p", "3",
+                                    "--beta", "1", "--t-end", "0.1", "--out", str(out)])
+        assert code == 0
 
     def test_nonlinear_requires_beta(self, capsys):
         code = main(["flow", "--kind", "nonlinear", "--n", "3", "--p", "4"])

@@ -45,7 +45,7 @@ from ultraflow.flows import (
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
-from ultraflow.spectral import eigenvalue, get_basis
+from ultraflow.spectral import eigenvalue, get_regularized_basis
 
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
@@ -60,11 +60,11 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
     explicit method's stability bound.
     """
     cfg = tr.params_echo
-    fine, basis, V0, V1, c0, _, _ = _initial_state(u0, cfg)
+    basis, c0, _, _ = _initial_state(u0, cfg)
+    fine, V0, V1, D = basis.quad, basis.V, basis.V1, basis.D
     m = cfg.params.m
     rho2w = fine.weights * (1.0 - fine.nodes**2)
     lam_top = np.linalg.eigvalsh(V1.T @ (rho2w[:, None] * V1))[-1]
-    D = basis.D[: c0.size, : c0.size]
 
     def rhs(c):
         return -(V1.T @ (rho2w * (V0 @ c) ** (m - 1.0) * (V1 @ c)))
@@ -321,9 +321,9 @@ class TestHeatFlow:
         z = plain_nodes(n, 48)
         u0 = 1.0 + 0.3 * z + 0.1 * z**2
         tr = run_heat_flow(u0, cfg)
-        fine, _, V0, V1, c0, _, _ = _initial_state(u0, tr.params_echo)
+        basis, c0, _, _ = _initial_state(u0, tr.params_echo)
+        fine, V0, V1, D = basis.quad, basis.V, basis.V1, basis.D
         lams = np.array([eigenvalue(n, k) for k in range(c0.size)])
-        D = get_basis(n, 48).D
         rec = _Recorder(tr.params_echo, fine, tr.params_echo.lam)
         for t in [j * cfg.dt for j in range(0, 200, cfg.record_every)] + [cfg.t_end]:
             c = c0 * np.exp(-lams * t)
@@ -334,6 +334,18 @@ class TestHeatFlow:
             got, want = getattr(tr, name), getattr(exact, name)
             assert got.shape == want.shape, name
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), name
+
+    def test_linear_mode_matches_the_closed_form(self):
+        # the README heat run: at p = 1, u = 1 + a e^(-n t) z exactly, so the
+        # extremes on the refined nodes and max|u'| = a e^(-n t) are known
+        n, a = 3.0, 0.1
+        params = UltraParams(n=n, p=1.0, beta=1.0)
+        tr = run_heat_flow(1.0 + a * plain_nodes(n, 64), FlowConfig(kind="heat", params=params))
+        slope = a * np.exp(-n * tr.times)
+        z_max = float(np.max(refined_quadrature(params, 64).nodes))
+        assert np.max(np.abs(tr.u_max - (1.0 + slope * z_max))) <= 5e-13
+        assert np.max(np.abs(tr.u_min - (1.0 - slope * z_max))) <= 5e-13
+        assert np.max(np.abs(tr.grad_max - slope) / slope) <= 2e-9
 
     def test_trace_arrays_are_read_only(self):
         params = UltraParams(n=3.0, p=3.0, beta=1.0)
@@ -423,6 +435,36 @@ class TestGalerkinStepper:
         assert tr.times.size == 219
         assert tr.times[-1] == 2.18
         np.testing.assert_allclose(np.diff(tr.times), 0.01, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("heat", UltraParams(n=3.0, p=3.0, beta=1.0)),
+        ("nonlinear", UltraParams(n=2.5, p=5.0, beta=4.0)),
+        ("regularized", UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)),
+    ])
+    def test_every_kind_steps_in_the_basis_on_the_refined_rule(self, kind, params):
+        # the plain kinds use the eps = 0 member of the same family
+        cfg = FlowConfig(kind=kind, params=params)
+        u0 = 1.0 + 0.1 * build_quadrature(params, 32).nodes
+        basis, c0, _, _ = _initial_state(u0, cfg)
+        assert basis is get_regularized_basis(params.n, params.eps, 32)
+        assert basis.quad is refined_quadrature(params, 32)
+        assert c0.shape == (31,)
+
+    @pytest.mark.parametrize("n, p, beta, a1, a2", [
+        (4.0, 3.8, 1.9048, 0.01, 0.05),
+        (2.5, 5.0, 4.0, 0.01, 0.05),
+        (1.5, 8.0, 8.333, 0.005, 0.02),
+    ])
+    def test_initial_gradient_is_exact_to_1e_9(self, n, p, beta, a1, a2):
+        # the acceptance-08 data: u0' = a1 + 2 a2 z, so max|u0'| on the
+        # refined nodes is a1 + 2 a2 z_max exactly
+        params = UltraParams(n=n, p=p, beta=beta)
+        z = plain_nodes(n, 64)
+        u0 = 1.0 + a1 * z + a2 * (z**2 - 1.0 / (n + 1.0))
+        cfg = FlowConfig(kind="nonlinear", params=params, dt=1e-3, t_end=1e-3)
+        tr = run_nonlinear_flow(u0, cfg)
+        want = a1 + 2.0 * a2 * float(np.max(refined_quadrature(params, 64).nodes))
+        assert abs(tr.grad_max[0] - want) <= 1e-9 * want
 
     def test_large_perturbation_shortens_the_step(self):
         # max|v^(m-1) - a| is large enough that the remainder bound, not

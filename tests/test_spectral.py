@@ -14,15 +14,22 @@ from ultraflow import (
     AccuracyWarning,
     AliasingError,
     DomainError,
+    FlowConfig,
     ShapeError,
     UltraParams,
     build_quadrature,
+    check_gamma2,
+    check_gamma2_eps,
+    dF_dt_closed_form,
     eigenvalue,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
+    lyapunov_F,
     refined_quadrature,
     resample,
+    run_heat_flow,
+    run_regularized_flow,
     spectral_derivative,
 )
 from ultraflow.spectral import _discretization
@@ -70,9 +77,13 @@ class TestBasisConstruction:
         G = basis.V.T @ (basis.quad.weights[:, None] * basis.V)
         np.testing.assert_allclose(G, np.eye(G.shape[1]), atol=1e-11)
 
-    def test_regularized_basis_needs_eps_at_non_integer_n(self):
-        with pytest.raises(DomainError):
-            get_regularized_basis(2.5, 0.0, 16)
+    def test_regularized_basis_at_eps_0_is_the_plain_basis(self):
+        # eps = 0 at non-integer n: the plain measure's basis on its 2N-node rule
+        basis = get_regularized_basis(2.5, 0.0, 32)
+        fine = refined_quadrature(UltraParams(n=2.5), 32)
+        assert basis.quad is fine
+        want = get_basis(2.5, 32).evaluate(fine.nodes)
+        assert np.max(np.abs(basis.V - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTransforms:
@@ -186,6 +197,30 @@ class TestResample:
         for table in (V, V1, basis.V, basis.V1, basis.D, basis.end_slopes, fine.nodes, fine.weights):
             with pytest.raises(ValueError):
                 table[0] = 0.0
+
+
+class TestPositivityGuard:
+    # u = 1e-3 + exp(-400 (z - 0.5)^2) is positive on 16 nodes, but its
+    # resample dips to -0.19 at n = 3 and to -0.28 at (n, eps) = (2.5, 1e-2)
+    PLAIN = UltraParams(n=3.0, p=3.0, beta=1.0)
+    EPS = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-2)
+    ENTRY_POINTS = {
+        "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
+        "heat flow": (PLAIN, lambda u, prm: run_heat_flow(u, FlowConfig("heat", prm))),
+        "regularized flow": (EPS, lambda u, prm: run_regularized_flow(u, FlowConfig("regularized", prm))),
+        "check_gamma2": (PLAIN, lambda u, prm: check_gamma2(u, prm, enforce_neumann=False)),
+        "check_gamma2_eps": (EPS, check_gamma2_eps),
+        "lyapunov_F": (PLAIN, lambda u, prm: lyapunov_F(u, prm, N=16)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_loss_of_positivity_under_resampling_is_rejected(self, entry):
+        params, call = self.ENTRY_POINTS[entry]
+        z = build_quadrature(params, 16).nodes
+        u = 1e-3 + np.exp(-400.0 * (z - 0.5) ** 2)
+        assert np.min(resample(u, params, 16)[3]) < -0.1
+        with pytest.raises(DomainError, match="positivity"):
+            call(u, params)
 
 
 class TestEigenvalue:
