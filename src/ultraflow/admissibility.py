@@ -304,9 +304,9 @@ def lambda_eps(params: UltraParams, h0: float, h1: float) -> float:
 
         lambda = n + eps (n - d) (beta (p-1) h1 / ((n+2) h0))^2
 
-    where h0 < u < 1/h0 and |u'| <= h1 bound the evolving solution.  Since
-    n < d whenever eps > 0 is allowed, lambda < n: the price of the
-    regularization is a slightly weaker constant, vanishing as eps -> 0.
+    where h0 < u < 1/h0 and |u'| <= h1 bound the evolving solution.  For
+    n < d, lambda < n: a slightly weaker constant, vanishing as eps -> 0.
+    Integer n with eps > 0 passes UltraParams but raises DomainError here.
     """
     n, eps = params.n, params.eps
     if eps == 0:

@@ -167,10 +167,8 @@ def _dF_value(
     Valid as a time derivative along the matching flow.  Leading axes of
     (uu, up, upp) are records, with one value per row.
     """
-    z = fine.nodes
-    rho2 = 1.0 - z**2
-    val = (lam - params.n) * fine.integrate(rho2 * up**2)
-    val -= fine.integrate(_qform(uu, up, upp, params.beta, params) * rho2**2)
+    val = (lam - params.n) * fine.integrate(fine.rho2 * up**2)
+    val -= fine.integrate(_qform(uu, up, upp, params.beta, params) * fine.rho2**2)
     val -= _gamma2_correction(fine, up, params)
     val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params)
     return val
@@ -311,7 +309,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     fine, V0, V1, m = basis.quad, basis.V, basis.V1, params.m
-    rho2w = fine.weights * (1.0 - fine.nodes**2)
+    rho2w = fine.weights * fine.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh
     # leaves y[0] = c[0], the mass, exactly fixed.
     S = V1.T @ (rho2w[:, None] * V1)

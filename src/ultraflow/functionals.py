@@ -57,8 +57,7 @@ class LyapunovValue:
 
 def _resampled(f: GridFn, q: Quadrature):
     """``resample`` of f given on ``q``; the measure is q's own."""
-    eps = q.eps if q.kind == "regularized" else 0.0
-    return resample(f, UltraParams(n=q.n, eps=eps), q.order)
+    return resample(f, UltraParams(n=q.n, eps=q.eps), q.order)
 
 
 def lp_norm(f: GridFn, q: Quadrature, p: float) -> float:
@@ -72,7 +71,7 @@ def lp_norm(f: GridFn, q: Quadrature, p: float) -> float:
 def fisher(f: GridFn, q: Quadrature) -> float:
     """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu."""
     fine, _, _, _, fp, _ = _resampled(f, q)
-    return float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
+    return float(fine.integrate(fine.rho2 * fp**2))
 
 
 def _check_p_range(n: float, p: float) -> None:
@@ -123,7 +122,7 @@ def _deficit(f: GridFn, n: float, p: float, lam: float | None, N: int | None) ->
     if N is None:
         N = DEFAULT_NODES
     fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
-    fisher_val = float(fine.integrate((1.0 - fine.nodes**2) * fp**2))
+    fisher_val = float(fine.integrate(fine.rho2 * fp**2))
     g = ff**2
     l2 = fine.integrate(g)
     if p == 2:
@@ -177,10 +176,9 @@ def lyapunov_terms(
     beta, p = params.beta, params.p
     if p == 2:
         raise DomainError("the Lyapunov functional needs p != 2")
-    rho2 = 1.0 - fine.nodes**2
     ub = u**beta
     ubp = beta * u ** (beta - 1.0) * up
-    fisher_beta = float(fine.integrate(rho2 * ubp**2))
+    fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))
     l2 = fine.integrate(ub**2)
     lpp = fine.integrate(ub**p)
     F = fisher_beta + lam / (p - 2.0) * (l2 - lpp ** (2.0 / p))

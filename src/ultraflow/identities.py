@@ -14,9 +14,10 @@ the same identities acquire one correction term each:
     (Gamma2-eps)  rhs += -eps(n-d) int (1+eps+z^2)/(1+eps-z^2)^2 rho^2 |u'|^2
     (L-Gamma-eps) rhs += 2 eps(n-d)/(n+2) int (u')^3 rho^2 z / ((1+eps-z^2) u)
 
-with rho^2 = 1 - z^2 and all integrals against the measure of the
-operator in play.  One body computes each identity; the plain check is
-its eps = 0 case, where the drift is n z and the correction vanishes.
+with rho^2 = 1 - z^2 (read from the rule, ``Quadrature.rho2``) and all
+integrals against the measure of the operator in play.  One body computes
+each identity; the plain check is its eps = 0 case, where the drift is
+n z and the correction vanishes.
 Each check resamples the function spectrally onto the refined companion
 rule, evaluates both sides, and reports the residual
 |lhs - rhs| / (1 + |lhs| + |rhs|): relative in the large, with an
@@ -104,29 +105,27 @@ def _require_neumann(basis, c) -> None:
 
 def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams):
     """The Gamma2-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    n, eps, d, rho2 = params.n, params.eps, params.d, fine.rho2
     if eps == 0 or n == d:
         return 0.0
-    zeta = 1.0 + eps - z**2
-    return -eps * (n - d) * fine.integrate((1.0 + eps + z**2) / zeta**2 * (1.0 - z**2) * up**2)
+    zeta = rho2 + eps  # and 1 + eps + z^2 = 2 + eps - rho^2
+    return -eps * (n - d) * fine.integrate((2.0 + eps - rho2) / zeta**2 * rho2 * up**2)
 
 
 def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params: UltraParams):
     """The L-Gamma-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
-    n, eps, d, z = params.n, params.eps, params.d, fine.nodes
+    n, eps, d, rho2 = params.n, params.eps, params.d, fine.rho2
     if eps == 0 or n == d:
         return 0.0
-    zeta = 1.0 + eps - z**2
-    return 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * (1.0 - z**2) * z / (zeta * uu))
+    return 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * rho2 * fine.nodes / ((rho2 + eps) * uu))
 
 
 def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
     fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
     if enforce_neumann:
         _require_neumann(basis, c)
-    n, z = params.n, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - drift(z, params) * up
+    n, rho2 = params.n, fine.rho2
+    Lu = rho2 * upp - drift(fine.nodes, params) * up
     lhs = fine.integrate(Lu**2)
     rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
     return _report(lhs, rhs + _gamma2_correction(fine, up, params), tag, seed)
@@ -136,9 +135,8 @@ def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann
     fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
     if enforce_neumann:
         _require_neumann(basis, c)
-    n, z = params.n, fine.nodes
-    rho2 = 1.0 - z**2
-    Lu = rho2 * upp - drift(z, params) * up
+    n, rho2 = params.n, fine.rho2
+    Lu = rho2 * upp - drift(fine.nodes, params) * up
     lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
     rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
         n - 1.0

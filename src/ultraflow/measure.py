@@ -33,13 +33,18 @@ its error in E[z^2] is 1.4e-9 at (n, eps) = (2.5, 1e-2), 7.9e-6 at
 (2.5, 1e-4), 1.1e-5 at (2.5, 1e-6) and 4.0e-2 at (0.300001, 1e-8).
 Integrate on ``refined_quadrature`` instead.
 
-Rules are memoized, 128 keys per layer, and shared read-only: the
-Gauss-Jacobi base rule per (N, a), a = (d-2)/2 for regularized and (n-2)/2
-for plain rules; the rule per (kind, n, eps, N) that ``build_quadrature``
-returns after validation, folding its factor into new weights over the
-base nodes (p and beta do not enter it); the Gauss-Legendre panel rule per
-size, few per N since the panel edges pi/2^j do not depend on eps; and the
-graded rule per (n, eps, N).
+Every rule carries rho^2 = 1 - z^2 at its nodes for integrands to read:
+1 - nodes^2 on Gauss rules, sin^2 theta on the graded one, which keeps
+the digits that 1 - z^2 and 1 + eps - z^2 lose to cancellation at +-1.
+
+Rules are memoized and shared read-only, 128 keys per layer: the
+Gauss-Jacobi base rule with its rho^2 per (N, a), a = (d-2)/2 for
+regularized and (n-2)/2 for plain rules; the rule per (kind, n, eps, N) that
+``build_quadrature`` returns after validation, folding its factor into new
+weights over the base nodes (p, beta and a plain rule's eps do not enter
+it); the Gauss-Legendre panel rule per size, few per N since the panel
+edges pi/2^j do not depend on eps; and, 16 keys only, as many as the bases
+built on it, the graded rule per (n, eps, N).
 """
 from __future__ import annotations
 
@@ -55,8 +60,8 @@ from .errors import DomainError, ShapeError
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
 
-#: Smallest admissible positive regularization; below this the drift
-#: coefficient is too close to its pole for double precision.
+#: Smallest admissible positive regularization: the range down to which the
+#: refined rule and the eps corrections are checked against mpmath.
 EPS_MIN = 1e-8
 
 
@@ -122,7 +127,8 @@ class Quadrature:
     ``weights`` are strictly positive and sum to one, so ``integrate``
     approximates integrals against a probability measure.  ``kind`` is
     "plain" or "regularized"; ``order`` is the node count N.  ``n`` and
-    ``eps`` echo the measure the rule was built for.
+    ``eps`` echo the measure the rule was built for, eps = 0 on plain rules;
+    ``rho2`` is rho^2 = 1 - z^2 at the nodes (see the module docstring).
     """
 
     nodes: np.ndarray = field(repr=False)
@@ -131,10 +137,11 @@ class Quadrature:
     order: int
     n: float
     eps: float = 0.0
+    rho2: np.ndarray = field(repr=False, kw_only=True)
 
     def __post_init__(self):
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        for a in (self.nodes, self.weights, self.rho2):
+            a.setflags(write=False)
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Integrate a function given by its values at ``nodes``.
@@ -192,27 +199,29 @@ def build_quadrature(
         raise DomainError(
             "regularized quadrature with eps=0 is only defined at integer n=d"
         )
-    return _rule(kind, float(params.n), float(params.eps), N)
+    eps = float(params.eps) if kind == "regularized" else 0.0
+    return _rule(kind, float(params.n), eps, N)
 
 
 @lru_cache(maxsize=128)
-def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and raw weights of the N-point Gauss-Jacobi rule (a, a)."""
+def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nodes, raw weights and 1 - nodes^2 of the N-point Gauss-Jacobi rule (a, a)."""
     nodes, w = roots_jacobi(N, a, a)
-    nodes.setflags(write=False)
-    w.setflags(write=False)
-    return nodes, w
+    rule = nodes, w, 1.0 - nodes**2
+    for x in rule:
+        x.setflags(write=False)
+    return rule
 
 
 @lru_cache(maxsize=128)
 def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
     if kind == "plain":
-        nodes, w = _base_rule(N, (n - 2.0) / 2.0)
+        nodes, w, rho2 = _base_rule(N, (n - 2.0) / 2.0)
     else:
         d = math.ceil(n)
-        nodes, w = _base_rule(N, (d - 2.0) / 2.0)
-        w = w * (1.0 + eps - nodes**2) ** ((n - d) / 2.0)
-    return Quadrature(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps)
+        nodes, w, rho2 = _base_rule(N, (d - 2.0) / 2.0)
+        w = w * (rho2 + eps) ** ((n - d) / 2.0)
+    return Quadrature(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps, rho2=rho2)
 
 
 @lru_cache(maxsize=128)
@@ -224,7 +233,7 @@ def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=16)
 def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta."""
     d = math.ceil(n)
@@ -240,10 +249,11 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
         theta.append(lo + (hi - lo) * (x + 1) / 2)
         w.append(wx * (hi - lo) / 2)
     theta, w = np.concatenate(theta), np.concatenate(w)
-    w = w * np.sin(theta) ** (d - 1) * (np.sin(theta) ** 2 + eps) ** ((n - d) / 2)
+    s2 = np.sin(theta) ** 2
+    w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)
     z = np.cos(theta)  # descending on (0, 1); the mirror image about pi/2 gives z < 0
-    nodes, w = np.concatenate((-z, z[::-1])), np.concatenate((w, w[::-1]))
-    return Quadrature(nodes=nodes, weights=w / w.sum(), kind="regularized", order=nodes.size, n=n, eps=eps)
+    nodes, w, s2 = (np.concatenate((x, y[::-1])) for x, y in ((-z, z), (w, w), (s2, s2)))
+    return Quadrature(nodes=nodes, weights=w / w.sum(), kind="regularized", order=nodes.size, n=n, eps=eps, rho2=s2)
 
 
 def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadrature:

@@ -47,8 +47,7 @@ def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
 
 def _apply(f: GridFn, q: Quadrature, params: UltraParams) -> GridFn:
     _, fp, fpp = _nodal_derivatives(f, q)
-    z = q.nodes
-    return (1.0 - z**2) * fpp - drift(z, params) * fp
+    return q.rho2 * fpp - drift(q.nodes, params) * fp
 
 
 def apply_L(f: GridFn, q: Quadrature) -> GridFn:

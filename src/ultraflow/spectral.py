@@ -35,6 +35,7 @@ nodes at eps = 1e-8).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from functools import cached_property, lru_cache
 
@@ -199,15 +200,11 @@ def get_regularized_basis(n: float, eps: float, N: int = DEFAULT_NODES) -> Ortho
 def interpolation_basis(q: Quadrature) -> OrthoBasis:
     """The polynomial family interpolating GridFn samples on ``q``.
 
-    Plain rules carry the Gegenbauer basis of their own measure.  A
-    regularized rule shares its nodes with the plain rule of the ceiling
+    Plain rules carry the Gegenbauer basis of their own measure.  A rule
+    with eps > 0 shares its nodes with the plain rule of the ceiling
     dimension d, so values on it are interpreted through the d-basis.
     """
-    if q.kind == "plain":
-        return get_basis(q.n, q.order)
-    import math
-
-    return get_basis(float(math.ceil(q.n)), q.order)
+    return get_basis(float(math.ceil(q.n)) if q.eps else q.n, q.order)
 
 
 @lru_cache(maxsize=1)  # most recent key only; see the module docstring

@@ -4,7 +4,8 @@ Oracle values were computed independently of the package: normalization
 constants with adaptive quadrature of the density (scipy.integrate.quad),
 regularized-measure integrals the same way at tight tolerance.  The refined
 regularized rules are checked against ``theta_oracle``, mpmath.quad at 30
-digits of the measure written in theta = arccos z.
+digits of the measure written in theta = arccos z, and the eps corrections
+on them against ``corrections_oracle``, the same integrals at 40 digits.
 """
 import functools
 import math
@@ -30,6 +31,7 @@ from ultraflow import (
     normalization_constant,
     refined_quadrature,
 )
+from ultraflow.identities import _gamma2_correction, _lgamma_correction
 
 # adaptive-quadrature oracles for int_{-1}^{1} (1-z^2)^{(n-2)/2} dz
 Z_ORACLE = {
@@ -202,6 +204,11 @@ class TestRuleCache:
         np.testing.assert_array_equal(again.weights, w / w.sum())
         assert not again.nodes.flags.writeable and not again.weights.flags.writeable
 
+    def test_plain_rule_records_eps_zero(self):
+        q = build_quadrature(UltraParams(n=2.5, eps=1e-3), 64, kind="plain")
+        assert q is build_quadrature(UltraParams(n=2.5), 64)
+        assert q.eps == 0.0 and "eps=0.0" in repr(q)
+
     def test_eps_zero_noninteger_rejected_after_plain_is_cached(self):
         build_quadrature(UltraParams(n=2.7), 20, kind="plain")
         with pytest.raises(DomainError):
@@ -359,3 +366,55 @@ class TestGradedRuleOracle:
         p = UltraParams(n=n, eps=eps, p=3.0, beta=1.0 / 3.0)
         mass = lyapunov_F(1.0 + build_quadrature(p, N).nodes ** 2, p, N=N).mass
         assert abs(mass - 1.0 - (1.0 + oracle[1]) / 2.0) < 1e-13
+
+
+def corrections_oracle(n, eps):
+    """The Gamma2-eps and L-Gamma-eps corrections of u = 1 + z/10 + z^2/20 by mpmath.
+
+    The integrals run in theta = arccos z, where rho^2 = sin^2 theta and
+    zeta = sin^2 theta + eps are exact, over [0, pi] split at sqrt(eps) 2^j
+    and their mirror images as in ``theta_oracle``; 40 digits.
+    """
+    with mpmath.workdps(40):
+        d, e = math.ceil(n), mpmath.mpf(eps)
+        a = (mpmath.mpf(n) - d) / 2
+
+        @functools.lru_cache(maxsize=None)  # every integral samples the same nodes
+        def at(t):
+            s2, z = mpmath.sin(t) ** 2, mpmath.cos(t)
+            return s2, z, (1 + z / 10 + z * z / 20), (1 + z) / 10, mpmath.sin(t) ** (d - 1) * (s2 + e) ** a
+
+        def integral(f):
+            return mpmath.quad(lambda t: f(*at(t)), pts, method="gauss-legendre")
+
+        half = [0, *(mpmath.sqrt(e) * 2**j for j in range(40) if mpmath.sqrt(e) * 2**j < 1), mpmath.pi / 2]
+        pts = half + [mpmath.pi - x for x in half[-2::-1]]
+        mass = integral(lambda s2, z, u, up, w: w)
+        g2 = integral(lambda s2, z, u, up, w: w * (1 + e + z * z) / (s2 + e) ** 2 * s2 * up**2)
+        lg = integral(lambda s2, z, u, up, w: w * up**3 * s2 * z / ((s2 + e) * u))
+        return float(-e * (n - d) * g2 / mass), float(2 * e * (n - d) / (n + 2) * lg / mass)
+
+
+class TestRuleRho2:
+    """rho^2 is data of the rule: sin^2 theta on the graded rule, 1 - z^2 on Gauss rules."""
+
+    def test_eps_corrections_in_the_end_layer_and_gauss_rho2(self):
+        # rho^2 and zeta formed from z cancel within sqrt(eps) of +-1: the
+        # Gamma2-eps term would miss by 9.4e-13 at eps = 1e-6, 2.1e-11 at 1e-8
+        for eps in (1e-4, 1e-6, 1e-8):
+            p = UltraParams(n=2.5, eps=eps)
+            fine = refined_quadrature(p, 64)
+            z = fine.nodes
+            uu, up = 1.0 + 0.1 * z + 0.05 * z**2, 0.1 + 0.1 * z
+            g2, lg = corrections_oracle(2.5, eps)
+            assert abs(_gamma2_correction(fine, up, p) - g2) < 1e-14 * abs(g2), eps
+            assert abs(_lgamma_correction(fine, uu, up, p) - lg) < 1e-14 * abs(lg), eps
+        assert not fine.rho2.flags.writeable
+        for n, eps, kind in [(0.7, 0.0, "plain"), (2.5, 0.0, "plain"), (2.5, 1e-2, "regularized"),
+                             (3.0, 1e-6, "regularized"), (4.2, 1e-4, "regularized")]:
+            for N in (16, 64, 128):
+                q = build_quadrature(UltraParams(n=n, eps=eps), N, kind=kind)
+                np.testing.assert_array_equal(q.rho2, 1.0 - q.nodes**2)
+                assert not q.rho2.flags.writeable
+                with pytest.raises(ValueError):
+                    q.rho2[0] = 0.0
