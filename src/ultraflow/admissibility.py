@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import UltraParams, build_quadrature
-from .operators import drift_prime
+from .operators import _deformation
 from .spectral import _nodal_derivatives
 
 # Relative tolerance declaring the discriminant a double root.
@@ -271,14 +271,13 @@ def regularity_coeffs(z, params: UltraParams):
     and the scaling constant alpha = 2/((n+2)m - n) already substituted:
 
         a(z)     = -n(1-m)(2-n(1-m))(1-z^2) / ((n+2)m - n)^2
-        b_eps(z) = 2(1-m)(d-n) eps z / (((n+2)m - n)(1+eps-z^2))
-        c_eps(z) = -l'(z)        (drift derivative of the eps-measure)
+        b_eps(z) = 2(1-m)(ell(z) - n z) / ((n+2)m - n)
+        c_eps(z) = -ell'(z)      (ell: the drift of the operators module)
 
     At eps = 0 this reduces to b = 0, c = -n and
     disc_0 = -4 n^2 (1-m)(2-n(1-m))(1-z^2) / ((n+2)m - n)^2.
     """
-    n, eps, m = params.n, params.eps, params.m
-    d = params.d
+    n, m = params.n, params.m
     den = (n + 2.0) * m - n
     if abs(den) < 1e-12:
         raise DomainError(
@@ -287,12 +286,11 @@ def regularity_coeffs(z, params: UltraParams):
         )
     z = np.asarray(z, dtype=float)
     one_m = 1.0 - m
-    a = -n * one_m * (2.0 - n * one_m) * (1.0 - z**2) / den**2
-    if eps > 0:
-        b_eps = 2.0 * one_m * (d - n) * eps * z / (den * (1.0 + eps - z**2))
-    else:
-        b_eps = np.zeros_like(z)
-    c_eps = -drift_prime(z, params)
+    rho2 = (1.0 - z) * (1.0 + z)
+    a = -n * one_m * (2.0 - n * one_m) * rho2 / den**2
+    ell_n, ell_n_prime = _deformation(z, rho2 + params.eps, params)
+    b_eps = 2.0 * one_m * ell_n / den
+    c_eps = -(n + ell_n_prime)
     disc_eps = b_eps**2 - 4.0 * a * c_eps
     if z.ndim == 0:
         return float(a), float(b_eps), float(c_eps), float(disc_eps)

@@ -326,18 +326,14 @@ def cmd_identities(args) -> int:
     for i in range(args.trials):
         seed = args.seed + i
         u = make_test_function(seed, plain, neumann=neumann, N=N)
-        for rep in (
-            check_gamma2(u, plain, enforce_neumann=False, seed=seed),
-            check_lgamma(u, plain, enforce_neumann=False, seed=seed),
-        ):
-            worst[rep.identity_tag] = max(worst.get(rep.identity_tag, 0.0), rep.residual)
+        reps = [check(u, plain, enforce_neumann=False, seed=seed)
+                for check in (check_gamma2, check_lgamma)]
         if eps_params is not None:
             u_e = make_test_function(seed, eps_params, neumann=False, N=N)
-            for rep in (
-                check_gamma2_eps(u_e, eps_params, seed=seed),
-                check_lgamma_eps(u_e, eps_params, seed=seed),
-            ):
-                worst[rep.identity_tag] = max(worst.get(rep.identity_tag, 0.0), rep.residual)
+            reps += [check(u_e, eps_params, seed=seed)
+                     for check in (check_gamma2_eps, check_lgamma_eps)]
+        for rep in reps:
+            worst[rep.identity_tag] = max(worst.get(rep.identity_tag, 0.0), rep.residual)
     ok = all(v <= _RESIDUAL_GATE for v in worst.values())
     status = "ok" if ok else "residual gate exceeded"
     if args.json:

@@ -9,15 +9,15 @@ by default):
                                  - 2(n-1)/(n+2) int |u'|^2 u'' rho^4/u dnu
 
 and on the regularized measure, where no boundary condition is needed,
-the same identities acquire one correction term each:
+each acquires one term from the drift's deformation (operators module):
 
-    (Gamma2-eps)  rhs += -eps(n-d) int (1+eps+z^2)/(1+eps-z^2)^2 rho^2 |u'|^2
-    (L-Gamma-eps) rhs += 2 eps(n-d)/(n+2) int (u')^3 rho^2 z / ((1+eps-z^2) u)
+    (Gamma2-eps)  rhs += int (ell' - n) rho^2 |u'|^2
+    (L-Gamma-eps) rhs += -2/(n+2) int (ell - n z) (u')^3 rho^2 / u
 
-with rho^2 = 1 - z^2 (read from the rule, ``Quadrature.rho2``) and all
-integrals against the measure of the operator in play.  One body computes
-each identity; the plain check is its eps = 0 case, where the drift is
-n z and the correction vanishes.
+with rho^2 and zeta = rho^2 + eps read from the rule (``Quadrature.rho2``)
+by Lu and both corrections alike, and all integrals against the measure of
+the operator in play.  One body computes each identity; the plain check is
+its eps = 0 case, where the drift is n z and the corrections vanish.
 Each check resamples the function spectrally onto the refined companion
 rule, evaluates both sides, and reports the residual
 |lhs - rhs| / (1 + |lhs| + |rhs|): relative in the large, with an
@@ -40,7 +40,7 @@ from numpy.polynomial import Polynomial
 
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
-from .operators import drift
+from .operators import _apply, _deformation
 from .spectral import GridFn, _resample_positive
 
 # Degree of the random exponent polynomial; amplitude is at most 1 about
@@ -104,43 +104,39 @@ def _require_neumann(basis, c) -> None:
 
 
 def _gamma2_correction(fine: Quadrature, up: np.ndarray, params: UltraParams):
-    """The Gamma2-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
-    n, eps, d, rho2 = params.n, params.eps, params.d, fine.rho2
-    if eps == 0 or n == d:
-        return 0.0
-    zeta = rho2 + eps  # and 1 + eps + z^2 = 2 + eps - rho^2
-    return -eps * (n - d) * fine.integrate((2.0 + eps - rho2) / zeta**2 * rho2 * up**2)
+    """The Gamma2-eps term int (ell' - n) rho^2 u'^2 on ``fine``, one per row of ``up``."""
+    ell_n_prime = _deformation(fine.nodes, fine.rho2 + params.eps, params)[1]
+    return fine.integrate(ell_n_prime * fine.rho2 * up**2)
 
 
 def _lgamma_correction(fine: Quadrature, uu: np.ndarray, up: np.ndarray, params: UltraParams):
-    """The L-Gamma-eps term of the right-hand side on ``fine``, one per row of ``up``; 0.0 if plain."""
-    n, eps, d, rho2 = params.n, params.eps, params.d, fine.rho2
-    if eps == 0 or n == d:
-        return 0.0
-    return 2.0 * eps * (n - d) / (n + 2.0) * fine.integrate(up**3 * rho2 * fine.nodes / ((rho2 + eps) * uu))
+    """The L-Gamma-eps term -2/(n+2) int (ell - n z) u'^3 rho^2 / u on ``fine``, one per row of ``up``."""
+    ell_n = _deformation(fine.nodes, fine.rho2 + params.eps, params)[0]
+    return -2.0 / (params.n + 2.0) * fine.integrate(ell_n * fine.rho2 * up**3 / uu)
 
 
-def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
+def _prepare(u: GridFn, params: UltraParams, enforce_neumann: bool):
+    """(fine, u, u', u'', L_eps u) on the refined rule, the Neumann check applied on request."""
     fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
     if enforce_neumann:
         _require_neumann(basis, c)
+    return fine, uu, up, upp, _apply(up, upp, fine, params)
+
+
+def _gamma2(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
+    fine, uu, up, upp, Lu = _prepare(u, params, enforce_neumann)
     n, rho2 = params.n, fine.rho2
-    Lu = rho2 * upp - drift(fine.nodes, params) * up
     lhs = fine.integrate(Lu**2)
     rhs = fine.integrate(upp**2 * rho2**2) + n * fine.integrate(rho2 * up**2)
     return _report(lhs, rhs + _gamma2_correction(fine, up, params), tag, seed)
 
 
 def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann: bool) -> IdentityReport:
-    fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
-    if enforce_neumann:
-        _require_neumann(basis, c)
+    fine, uu, up, upp, Lu = _prepare(u, params, enforce_neumann)
     n, rho2 = params.n, fine.rho2
-    Lu = rho2 * upp - drift(fine.nodes, params) * up
     lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
-    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
-        n - 1.0
-    ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
+    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2)
+    rhs -= 2.0 * (n - 1.0) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
     return _report(lhs, rhs + _lgamma_correction(fine, uu, up, params), tag, seed)
 
 

@@ -4,13 +4,19 @@ Plain operator (self-adjoint in L^2(dnu_n)):
 
     L f = (1 - z^2) f'' - n z f',      <f, L g> = -int f' g' (1 - z^2) dnu_n.
 
-Regularized operator (self-adjoint in L^2(dnu_{eps,n})):
+Regularized operator (self-adjoint in L^2(dnu_{eps,n})), zeta = 1 + eps - z^2:
 
-    L_eps f = (1 - z^2) f'' - ell(z) f',
-    ell(z) = z (n - eps (n - d) / (1 + eps - z^2)),
+    L_eps f = (1 - z^2) f'' - ell(z) f',    ell = -(rho^2 w)'/w = z (n - eps (n - d) / zeta),
 
-whose drift slope  ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2
-stays >= n for n < d and collapses to the constant n at eps = 0 or n = d.
+with w the eps-weight of the measure module.  The eps terms of the operator,
+the identities and the gradient bound are the deformation of the drift n z,
+
+    ell - n z = eps (d - n) z / zeta,    ell' - n = eps (d - n)(2 (1 + eps) - zeta) / zeta^2,
+
+both 0 at eps = 0 or n = d, and ell' >= n for n < d.  Its one owner,
+``_deformation``, takes zeta from the caller: q.rho2 + eps on a rule
+(``_apply``, the identities' Lu and eps corrections), and pointwise
+(``drift``, ``drift_prime``, ``regularity_coeffs``) (1 - z)(1 + z) + eps.
 Derivatives of the argument are spectral (see the spectral module); the
 pointwise combination makes no use of the eigendecomposition, so eigenvalue
 checks against k (k + n - 1) are a genuine cross-validation.
@@ -24,30 +30,32 @@ from .measure import Quadrature, UltraParams, build_quadrature
 from .spectral import GridFn, _nodal_derivatives
 
 
-def drift(z: np.ndarray, params: UltraParams) -> np.ndarray:
-    """Drift coefficient ell(z) of the regularized operator.
-
-    Reduces to n z at eps = 0 (plain operator) and for n = d.
-    """
-    z = np.asarray(z, dtype=float)
+def _deformation(z: np.ndarray, zeta: np.ndarray, params: UltraParams):
+    """(ell - n z, ell' - n) at z, with zeta = 1 + eps - z^2 taken from the caller; zeros if plain."""
     n, d, eps = params.n, params.d, params.eps
     if eps == 0 or n == d:
-        return n * z
-    return z * (n - eps * (n - d) / (1.0 + eps - z**2))
+        zero = np.zeros_like(zeta)
+        return zero, zero
+    k = eps * (d - n)
+    return k * z / zeta, k * (2 * (1 + eps) - zeta) / zeta**2  # exact on rationals too
+
+
+def drift(z: np.ndarray, params: UltraParams) -> np.ndarray:
+    """Drift coefficient ell(z) of the regularized operator; n z at eps = 0 and for n = d."""
+    z = np.asarray(z, dtype=float)
+    return params.n * z + _deformation(z, (1.0 - z) * (1.0 + z) + params.eps, params)[0]
 
 
 def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
     """Slope ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2."""
     z = np.asarray(z, dtype=float)
-    n, d, eps = params.n, params.d, params.eps
-    if eps == 0 or n == d:
-        return np.full_like(z, n)
-    return n - eps * (n - d) * (1.0 + eps + z**2) / (1.0 + eps - z**2) ** 2
+    return params.n + _deformation(z, (1.0 - z) * (1.0 + z) + params.eps, params)[1]
 
 
-def _apply(f: GridFn, q: Quadrature, params: UltraParams) -> GridFn:
-    _, fp, fpp = _nodal_derivatives(f, q)
-    return q.rho2 * fpp - drift(q.nodes, params) * fp
+def _apply(fp: np.ndarray, fpp: np.ndarray, q: Quadrature, params: UltraParams) -> np.ndarray:
+    """L_eps from (f', f'') at the nodes of ``q``, with rho^2 and zeta = rho^2 + eps from the rule."""
+    ell_n = _deformation(q.nodes, q.rho2 + params.eps, params)[0]
+    return q.rho2 * fpp - (params.n * q.nodes + ell_n) * fp
 
 
 def apply_L(f: GridFn, q: Quadrature) -> GridFn:
@@ -56,7 +64,7 @@ def apply_L(f: GridFn, q: Quadrature) -> GridFn:
     n is taken from the rule; f must be sampled on ``q``.  Exact for
     polynomials of degree <= K up to differentiation rounding.
     """
-    return _apply(f, q, UltraParams(n=q.n))
+    return _apply(*_nodal_derivatives(f, q)[1:], q, UltraParams(n=q.n))
 
 
 def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> GridFn:
@@ -69,4 +77,4 @@ def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> 
         raise DomainError("apply_L_eps with eps=0 is only defined at integer n=d")
     if q is None:
         q = build_quadrature(params, kind="regularized")
-    return _apply(f, q, params)
+    return _apply(*_nodal_derivatives(f, q)[1:], q, params)

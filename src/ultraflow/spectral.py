@@ -115,7 +115,7 @@ class OrthoBasis:
         numerically stable on [-1, 1] for all supported measures.
         """
         if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order}")
+            raise DomainError(f"order must be 0, 1 or 2, got {order}")
         return self._tables(nodes, order)[order]
 
     @cached_property

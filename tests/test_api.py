@@ -1,6 +1,12 @@
 """The public API: ``ultraflow.__all__`` is pinned, so a name leaves it only
-through a deliberate edit of this list."""
+through a deliberate edit of this list.  A source check keeps the drift's
+eps-deformation in its one owner, ``operators._deformation``."""
+import inspect
+import re
+from pathlib import Path
+
 import ultraflow
+from ultraflow.operators import _deformation
 
 PUBLIC_NAMES = [
     "AccuracyWarning", "AdmissibleRange", "AliasingError", "DEFAULT_NODES",
@@ -27,3 +33,14 @@ def test_public_names_are_pinned_and_resolve():
     assert sorted(ultraflow.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ultraflow, name) is not None, name
+
+
+def test_eps_deformation_has_one_owner():
+    # the plain-case branch and a zeta formed from the nodes appear nowhere else
+    owner = inspect.getsource(_deformation)
+    branch, zeta_from_z = r"\beps == 0 or n == d\b", r"1\.0 \+ eps - z"
+    assert re.search(branch, owner)
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        text = path.read_text().replace(owner, "")
+        for pattern in (branch, zeta_from_z):
+            assert not re.search(pattern, text), f"{path.name} matches {pattern!r}"

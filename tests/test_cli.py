@@ -287,6 +287,24 @@ class TestFlow:
         assert data["lambda"] == pytest.approx(2.49991, abs=1e-4)
         assert out.exists()
 
+    def test_text_report_lists_bound_events(self, capsys, tmp_path):
+        # u0 = 1 + 0.1 z leaves h0 = 0.95 and h1 = 0.05 at every record
+        code = main(
+            ["flow", "--kind", "regularized", "--n", "2.5", "--p", "5", "--beta", "4",
+             "--eps", "1e-3", "--t-end", "0.005", "--h0", "0.95", "--h1", "0.05",
+             "--out", str(tmp_path / "reg.csv")]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("bound events (9):")
+        events = lines[start + 1:]
+        assert len(events) == 9
+        assert events[:3] == [
+            "  t = 0: u_min 0.9 fell below h0 0.95",
+            "  t = 0: u_max 1.1 exceeded 1/h0 1.05263",
+            "  t = 0: max |u'| 0.1 exceeded h1 0.05",
+        ]
+
 
 class TestIdentities:
     def test_integer_dimension_runs_all_four(self, capsys):
@@ -332,6 +350,16 @@ class TestIdentities:
         assert code == 4
         assert data["status"] == "residual gate exceeded"
         assert data["worst_residuals"]["L-Gamma"] > 1e-6
+
+    def test_text_report_of_the_readme_command(self, capsys):
+        code = main(["identities", "--n", "3", "--trials", "50", "--seed", "7"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n = 3, eps = 0, trials = 50, seed = 7"
+        assert lines[-1] == "status = ok"
+        tags = [line.split(":")[0] for line in lines[1:-1]]
+        assert tags == [f"worst residual {tag}" for tag in ("Gamma2", "Gamma2-eps", "L-Gamma", "L-Gamma-eps")]
+        assert all(float(line.split(": ")[1]) < 1e-12 for line in lines[1:-1])
 
     def test_trials_validated(self, capsys):
         code = main(["identities", "--n", "3", "--trials", "0"])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ultraflow import (
+    EPS_MIN,
     DomainError,
     UltraParams,
     check_gamma2,
@@ -132,24 +133,30 @@ class TestPlainIdentities:
         )
 
 
+def _eps_gate(n, eps):
+    # n = 0.3 (d = 1) and eps = EPS_MIN put ell' - n at its largest, about
+    # 1/eps at z = +-1; Lu and the corrections read the same zeta there
+    return 1e-13 if n == 0.3 or eps == EPS_MIN else 1e-10
+
+
 class TestRegularizedIdentities:
-    @pytest.mark.parametrize("n", [0.5, 1.5, 2.5, 3.5])
-    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    @pytest.mark.parametrize("n", [0.3, 0.5, 1.5, 2.5, 3.5])
+    @pytest.mark.parametrize("eps", [EPS_MIN, 0.01, 0.1])
     def test_gamma2_eps_small_residual(self, n, eps):
         p = UltraParams(n=n, eps=eps)
         for seed in range(5):
             u = make_test_function(seed, p, neumann=False)
             rep = check_gamma2_eps(u, p, seed=seed)
-            assert rep.residual < 1e-10
+            assert rep.residual < _eps_gate(n, eps)
 
-    @pytest.mark.parametrize("n", [0.5, 1.5, 2.5, 3.5])
-    @pytest.mark.parametrize("eps", [0.01, 0.1])
+    @pytest.mark.parametrize("n", [0.3, 0.5, 1.5, 2.5, 3.5])
+    @pytest.mark.parametrize("eps", [EPS_MIN, 0.01, 0.1])
     def test_lgamma_eps_small_residual(self, n, eps):
         p = UltraParams(n=n, eps=eps)
         for seed in range(5):
             u = make_test_function(seed, p, neumann=False)
             rep = check_lgamma_eps(u, p, seed=seed)
-            assert rep.residual < 1e-10
+            assert rep.residual < _eps_gate(n, eps)
 
     def test_integer_n_eps_zero_allowed(self):
         # at n = d the regularized identity is the plain one

@@ -112,6 +112,11 @@ class TestParams:
         with pytest.raises(DomainError):
             UltraParams(n=3.0, beta=0.0)
 
+    def test_eps_below_the_supported_minimum_rejected(self):
+        with pytest.raises(DomainError, match="below the supported minimum"):
+            UltraParams(n=2.5, eps=5e-9)
+        assert UltraParams(n=2.5, eps=EPS_MIN).eps == EPS_MIN
+
 
 class TestNormalization:
     @pytest.mark.parametrize("n", sorted(Z_ORACLE))

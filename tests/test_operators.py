@@ -3,10 +3,16 @@
 The eigenvalue relation and the integration-by-parts property are the two
 structural facts everything downstream depends on; both are checked on
 the plain and the regularized operator.  Drift anchors are exact rational
-evaluations of the coefficient formula.
+evaluations of the coefficient formula; the drift's eps-deformation is
+checked against 30-digit mpmath and, as the log-derivative of the weight,
+against sympy.
 """
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from ultraflow import (
     DomainError,
@@ -18,7 +24,9 @@ from ultraflow import (
     drift_prime,
     eigenvalue,
     get_basis,
+    regularity_coeffs,
 )
+from ultraflow.operators import _deformation
 
 
 class TestEigenRelation:
@@ -179,3 +187,74 @@ class TestDrift:
             p = UltraParams(n=n, eps=eps)
             dev = abs(float(drift(z, p)[0]) - n)
             assert dev == pytest.approx(0.5, rel=1e-10)
+
+
+# 1 - |z| from 0.2 down to 1e-12 on both sides, where 1 + eps - z^2 cancels
+_ORACLE_Z = np.array([s * (1.0 - 10.0**-k) for k in range(1, 13) for s in (-1.0, 1.0)] + [-0.3, 0.45])
+
+
+def _mp_drift(n, eps, z):
+    """(ell, ell', rho^2) at the float z, in mpmath from the written formulas."""
+    n, eps, z, d = mpmath.mpf(n), mpmath.mpf(eps), mpmath.mpf(z), mpmath.ceil(n)
+    zeta = 1 + eps - z**2
+    return z * (n - eps * (n - d) / zeta), n - eps * (n - d) * (1 + eps + z**2) / zeta**2, 1 - z**2
+
+
+def _assert_rel(got, ref, tol=1e-14):
+    err = max(abs(mpmath.mpf(g) - r) / abs(r) for g, r in zip(got, ref))
+    assert err <= tol, f"relative miss {mpmath.nstr(err, 3)}"
+
+
+class TestPointwiseOracle:
+    """Pointwise drift, slope and gradient-bound coefficients against 30-digit mpmath."""
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("n", [0.3, 1.7, 2.5])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5, 1e-3, 1e-1])
+    def test_drift_and_slope(self, n, eps):
+        p = UltraParams(n=n, eps=eps)
+        ref = [_mp_drift(n, eps, z) for z in _ORACLE_Z]
+        _assert_rel(drift(_ORACLE_Z, p), [ell for ell, _, _ in ref])
+        _assert_rel(drift_prime(_ORACLE_Z, p), [slope for _, slope, _ in ref])
+
+    @pytest.mark.parametrize("n", [0.3, 1.7, 2.5])
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5, 1e-3, 1e-1])
+    @pytest.mark.parametrize("p_, beta", [(5.0, 4.0), (4.0, 0.5)])
+    def test_regularity_coeffs(self, n, eps, p_, beta):
+        p = UltraParams(n=n, eps=eps, p=p_, beta=beta)
+        one_m = 1 - mpmath.mpf(p.m)
+        den = (n + 2) * mpmath.mpf(p.m) - n
+        a_ref, b_ref, c_ref = [], [], []
+        for z in _ORACLE_Z:
+            ell, slope, rho2 = _mp_drift(n, eps, z)
+            a_ref.append(-n * one_m * (2 - n * one_m) * rho2 / den**2)
+            b_ref.append(2 * one_m * (ell - n * mpmath.mpf(z)) / den)
+            c_ref.append(-slope)
+        a, b_eps, c_eps, _ = regularity_coeffs(_ORACLE_Z, p)
+        _assert_rel(a, a_ref)
+        _assert_rel(b_eps, b_ref)
+        _assert_rel(c_eps, c_ref)
+
+
+class TestDeformationAlgebra:
+    """The owner's (ell - n z, ell' - n) is the log-derivative of the measure's weight."""
+
+    @pytest.mark.parametrize("n, eps", [("3/10", "1/100"), ("17/10", "1/1000"), ("5/2", "1/20"), ("3", "1/10")])
+    def test_drift_is_minus_rho2_weight_derivative_over_weight(self, n, eps):
+        z = sp.Symbol("z")
+        n, eps = sp.Rational(n), sp.Rational(eps)
+        d = sp.ceiling(n)
+        rho2, zeta = 1 - z**2, 1 + eps - z**2
+        w = zeta ** ((n - d) / 2) * rho2 ** ((d - 2) / 2)  # the weight the measure folds into its rules
+        ell = sp.simplify(-sp.diff(rho2 * w, z) / w)
+        params = SimpleNamespace(n=n, d=d, eps=eps)
+        for z0 in (sp.Rational(-9, 10), sp.Rational(1, 3), sp.Rational(999, 1000)):
+            ell_n, ell_n_prime = _deformation(z0, zeta.subs(z, z0), params)
+            assert sp.simplify(ell.subs(z, z0) - n * z0 - ell_n) == 0
+            assert sp.simplify(sp.diff(ell, z).subs(z, z0) - n - ell_n_prime) == 0
+            if n == d:
+                assert ell_n == 0 and ell_n_prime == 0

@@ -133,6 +133,11 @@ class TestTransforms:
         assert basis.end_slopes is rows
         np.testing.assert_array_equal(rows, basis.evaluate(np.array([-1.0, 1.0]), order=1))
 
+    @pytest.mark.parametrize("order", [-1, 3])
+    def test_evaluate_rejects_an_unknown_order(self, order):
+        with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
+            get_basis(2.5, 16).evaluate(np.array([0.0, 0.5]), order=order)
+
 
 class TestDerivatives:
     def test_polynomial_derivatives_exact(self):
