@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import UltraParams, build_quadrature
-from .operators import _deformation
+from .operators import _deformation, _points
 from .spectral import _nodal_derivatives
 
 # Relative tolerance declaring the discriminant a double root.
@@ -284,11 +284,10 @@ def regularity_coeffs(z, params: UltraParams):
             "regularity_coeffs: (n+2)m = n puts the scaling constant on its pole; "
             "this beta is the excluded value of the exponent relation"
         )
-    z = np.asarray(z, dtype=float)
+    z, rho2 = _points(z)
     one_m = 1.0 - m
-    rho2 = (1.0 - z) * (1.0 + z)
     a = -n * one_m * (2.0 - n * one_m) * rho2 / den**2
-    ell_n, ell_n_prime = _deformation(z, rho2 + params.eps, params)
+    ell_n, ell_n_prime = _deformation(z, rho2, params)
     b_eps = 2.0 * one_m * ell_n / den
     c_eps = -(n + ell_n_prime)
     disc_eps = b_eps**2 - 4.0 * a * c_eps

@@ -33,10 +33,9 @@ its error in E[z^2] is 1.4e-9 at (n, eps) = (2.5, 1e-2), 7.9e-6 at
 (2.5, 1e-4), 1.1e-5 at (2.5, 1e-6) and 4.0e-2 at (0.300001, 1e-8).
 Integrate on ``refined_quadrature`` instead.
 
-Every rule carries rho^2 = 1 - z^2 at its nodes for integrands to read,
-and zeta = 1 + eps - z^2 as rho^2 + eps: 1 - nodes^2 on Gauss rules,
-sin^2 theta on the graded one, which keeps the digits that both lose to
-cancellation at +-1 when formed from z.
+Every rule carries rho^2 = 1 - z^2 at its nodes, and so zeta = rho^2 + eps,
+for integrands to read: 1 - nodes^2 on Gauss rules, sin^2 theta on the graded
+one, which keeps the digits that 1 - z^2 and 1 + eps - z^2 lose at +-1.
 
 Rules are memoized and shared read-only, 128 keys per layer: the
 Gauss-Jacobi base rule with its rho^2 per (N, a), a = (d-2)/2 for

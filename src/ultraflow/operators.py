@@ -8,15 +8,16 @@ Regularized operator (self-adjoint in L^2(dnu_{eps,n})), zeta = 1 + eps - z^2:
 
     L_eps f = (1 - z^2) f'' - ell(z) f',    ell = -(rho^2 w)'/w = z (n - eps (n - d) / zeta),
 
-with w the eps-weight of the measure module.  The eps terms of the operator,
-the identities and the gradient bound are the deformation of the drift n z,
+with w the eps-weight of the measure module.  eps enters the operator, the
+identities and the gradient bound only through the deformation of n z,
 
     ell - n z = eps (d - n) z / zeta,    ell' - n = eps (d - n)(2 (1 + eps) - zeta) / zeta^2,
 
-both 0 at eps = 0 or n = d, and ell' >= n for n < d.  Its one owner,
-``_deformation``, takes zeta from the caller: q.rho2 + eps on a rule
-(``_apply``, the identities' Lu and eps corrections), and pointwise
-(``drift``, ``drift_prime``, ``regularity_coeffs``) (1 - z)(1 + z) + eps.
+0 at eps = 0 or n = d (ell' >= n for n < d).  Its one owner, ``_deformation``,
+forms zeta = rho^2 + eps from a rule's own rho^2 (exact from theta on the graded
+rule) or, at points z, from (1 - z)(1 + z) (``_points``).  Rules come from the Lu
+of ``apply_L``, ``apply_L_eps`` and the identities (through ``drift``) and from the
+identities' eps corrections; points from ``drift``, ``drift_prime``, ``regularity_coeffs``.
 Derivatives of the argument are spectral (see the spectral module); the
 pointwise combination makes no use of the eigendecomposition, so eigenvalue
 checks against k (k + n - 1) are a genuine cross-validation.
@@ -30,32 +31,37 @@ from .measure import Quadrature, UltraParams, build_quadrature
 from .spectral import GridFn, _nodal_derivatives
 
 
-def _deformation(z: np.ndarray, zeta: np.ndarray, params: UltraParams):
-    """(ell - n z, ell' - n) at z, with zeta = 1 + eps - z^2 taken from the caller; zeros if plain."""
+def _points(z: np.ndarray | Quadrature):
+    """(z, rho^2) at the nodes of a rule, with its rho^2, or at points z, with (1 - z)(1 + z)."""
+    if isinstance(z, Quadrature):
+        return z.nodes, z.rho2
+    z = np.asarray(z, dtype=float)
+    return z, (1.0 - z) * (1.0 + z)
+
+
+def _deformation(z: np.ndarray, rho2: np.ndarray, params: UltraParams):
+    """(ell - n z, ell' - n) at z, with zeta = rho^2 + eps; zeros if plain."""
     n, d, eps = params.n, params.d, params.eps
     if eps == 0 or n == d:
-        zero = np.zeros_like(zeta)
-        return zero, zero
-    k = eps * (d - n)
-    return k * z / zeta, k * (2 * (1 + eps) - zeta) / zeta**2  # exact on rationals too
+        return (np.zeros_like(rho2),) * 2
+    zeta = rho2 + eps
+    r = eps * (d - n) / zeta  # exact on rationals too
+    return r * z, r * (2 * (1 + eps) - zeta) / zeta
 
 
-def drift(z: np.ndarray, params: UltraParams) -> np.ndarray:
-    """Drift coefficient ell(z) of the regularized operator; n z at eps = 0 and for n = d."""
-    z = np.asarray(z, dtype=float)
-    return params.n * z + _deformation(z, (1.0 - z) * (1.0 + z) + params.eps, params)[0]
+def drift(z: np.ndarray | Quadrature, params: UltraParams) -> np.ndarray:
+    """Drift ell at points z, or at a rule's nodes with zeta from its rho^2; n z at eps = 0 and for n = d."""
+    z, rho2 = _points(z)
+    return params.n * z + _deformation(z, rho2, params)[0]
 
 
-def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
-    """Slope ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2."""
-    z = np.asarray(z, dtype=float)
-    return params.n + _deformation(z, (1.0 - z) * (1.0 + z) + params.eps, params)[1]
+def drift_prime(z: np.ndarray | Quadrature, params: UltraParams) -> np.ndarray:
+    """Slope ell' = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2; ``z`` as for ``drift``."""
+    return params.n + _deformation(*_points(z), params)[1]
 
 
 def _apply(fp: np.ndarray, fpp: np.ndarray, q: Quadrature, params: UltraParams) -> np.ndarray:
-    """L_eps from (f', f'') at the nodes of ``q``, with rho^2 and zeta = rho^2 + eps from the rule."""
-    ell_n = _deformation(q.nodes, q.rho2 + params.eps, params)[0]
-    return q.rho2 * fpp - (params.n * q.nodes + ell_n) * fp
+    return q.rho2 * fpp - drift(q, params) * fp
 
 
 def apply_L(f: GridFn, q: Quadrature) -> GridFn:

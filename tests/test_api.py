@@ -1,12 +1,13 @@
 """The public API: ``ultraflow.__all__`` is pinned, so a name leaves it only
 through a deliberate edit of this list.  A source check keeps the drift's
-eps-deformation in its one owner, ``operators._deformation``."""
+eps-deformation in its one owner, ``operators._deformation``, and rho^2
+formed from points in ``operators._points``."""
 import inspect
 import re
 from pathlib import Path
 
 import ultraflow
-from ultraflow.operators import _deformation
+from ultraflow.operators import _deformation, _points
 
 PUBLIC_NAMES = [
     "AccuracyWarning", "AdmissibleRange", "AliasingError", "DEFAULT_NODES",
@@ -36,11 +37,16 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_eps_deformation_has_one_owner():
-    # the plain-case branch and a zeta formed from the nodes appear nowhere else
-    owner = inspect.getsource(_deformation)
-    branch, zeta_from_z = r"\beps == 0 or n == d\b", r"1\.0 \+ eps - z"
-    assert re.search(branch, owner)
+    # the plain-case branch lives in the owner and rho^2 formed from points in
+    # _points; zeta = 1 + eps - z^2 is formed from z nowhere (code spellings)
+    branch = r"\beps == 0 or n == d\b"
+    rho2_from_z = r"\b1(\.0)? - z\s*\*\*\s*2|\(1(\.0)? - z\) \* \(1(\.0)? \+ z\)"
+    zeta_from_z = r"\beps - z\s*\*\*"
+    owners = {branch: inspect.getsource(_deformation), rho2_from_z: inspect.getsource(_points)}
+    for pattern, owner in owners.items():
+        assert re.search(pattern, owner)
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
-        text = path.read_text().replace(owner, "")
-        for pattern in (branch, zeta_from_z):
-            assert not re.search(pattern, text), f"{path.name} matches {pattern!r}"
+        text = path.read_text()
+        for pattern in (branch, rho2_from_z, zeta_from_z):
+            rest = text.replace(owners.get(pattern, ""), "")
+            assert not re.search(pattern, rest), f"{path.name} matches {pattern!r}"

@@ -24,6 +24,7 @@ from ultraflow import (
     drift_prime,
     eigenvalue,
     get_basis,
+    refined_quadrature,
     regularity_coeffs,
 )
 from ultraflow.operators import _deformation
@@ -240,6 +241,20 @@ class TestPointwiseOracle:
         _assert_rel(c_eps, c_ref)
 
 
+    @pytest.mark.parametrize("n, eps", [(0.3, 1e-8), (1.7, 1e-5), (2.5, 1e-3)])
+    def test_drift_on_a_rule_reads_its_rho2(self, n, eps):
+        # zeta = rho^2 + eps from the rule; formed from its nodes it would
+        # miss by up to 1e-8 relative within sqrt(eps) of +-1 at eps = 1e-8
+        p = UltraParams(n=n, eps=eps)
+        q = refined_quadrature(p, 32)
+        ref = []
+        for z, rho2 in zip(q.nodes, q.rho2):
+            z, zeta, d = mpmath.mpf(z), mpmath.mpf(rho2) + eps, mpmath.ceil(n)
+            ref.append((z * (n - eps * (n - d) / zeta), n - eps * (n - d) * (2 + 2 * eps - zeta) / zeta**2))
+        _assert_rel(drift(q, p), [ell for ell, _ in ref])
+        _assert_rel(drift_prime(q, p), [slope for _, slope in ref])
+
+
 class TestDeformationAlgebra:
     """The owner's (ell - n z, ell' - n) is the log-derivative of the measure's weight."""
 
@@ -253,7 +268,7 @@ class TestDeformationAlgebra:
         ell = sp.simplify(-sp.diff(rho2 * w, z) / w)
         params = SimpleNamespace(n=n, d=d, eps=eps)
         for z0 in (sp.Rational(-9, 10), sp.Rational(1, 3), sp.Rational(999, 1000)):
-            ell_n, ell_n_prime = _deformation(z0, zeta.subs(z, z0), params)
+            ell_n, ell_n_prime = _deformation(z0, rho2.subs(z, z0), params)
             assert sp.simplify(ell.subs(z, z0) - n * z0 - ell_n) == 0
             assert sp.simplify(sp.diff(ell, z).subs(z, z0) - n - ell_n_prime) == 0
             if n == d:
