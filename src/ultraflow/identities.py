@@ -142,14 +142,24 @@ def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann
     return _report(lhs, rhs + _lgamma_correction(fine, uu, up, params), tag, seed)
 
 
-def check_gamma2(u: GridFn, params: UltraParams, enforce_neumann: bool = True, seed: int = -1) -> IdentityReport:
+def check_gamma2(
+    u: GridFn,
+    params: UltraParams,
+    enforce_neumann: bool = True,
+    seed: int = -1,
+) -> IdentityReport:
     """Second-order identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_gamma2 is the plain-measure check; use check_gamma2_eps")
     return _gamma2(u, params, "Gamma2", seed, enforce_neumann)
 
 
-def check_lgamma(u: GridFn, params: UltraParams, enforce_neumann: bool = True, seed: int = -1) -> IdentityReport:
+def check_lgamma(
+    u: GridFn,
+    params: UltraParams,
+    enforce_neumann: bool = True,
+    seed: int = -1,
+) -> IdentityReport:
     """Mixed gradient identity for the plain operator."""
     if params.eps != 0:
         raise DomainError("check_lgamma is the plain-measure check; use check_lgamma_eps")

@@ -55,8 +55,8 @@ def drift(z: np.ndarray | Quadrature, params: UltraParams) -> np.ndarray:
     return params.n * z + _deformation(z, rho2, params)[0]
 
 
-def drift_prime(z: np.ndarray | Quadrature, params: UltraParams) -> np.ndarray:
-    """Slope ell' = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2; ``z`` as for ``drift``."""
+def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
+    """Slope ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2."""
     return params.n + _deformation(*_points(z), params)[1]
 
 
