@@ -258,7 +258,7 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
 def _qform(u, up, upp, beta: float, params: UltraParams) -> np.ndarray:
     """q[u] = u''^2 - 2b u''u'^2/u + c u'^4/u^2 from pointwise (u, u', u'')."""
     b, c = qform_coeffs(beta, params.n, params.p)
-    return upp**2 - 2.0 * b * upp * up**2 / u + c * up**4 / u**2
+    return upp**2 - 2.0 * b * upp * up**2 / u + c * (up**2) ** 2 / u**2  # square, not pow()
 
 
 def regularity_coeffs(z, params: UltraParams):

@@ -8,8 +8,8 @@ Subcommands:
     flow        run a heat / nonlinear / regularized flow, write the trace
     identities  residuals of the integration-by-parts identities
 
-Every command honors ``--json`` and ``--nodes N`` (the environment
-variable ULTRAFLOW_NODES supplies the node-count default).  Numeric text
+Every command honors ``--json``; ``verify``, ``flow`` and ``identities``
+take ``--nodes N`` (ULTRAFLOW_NODES supplies its default).  Numeric text
 and CSV output carries 17 significant digits; CSV files use a header row,
 comma separators and '.' decimals.  JSON output and the manifests, JSON
 files listing every emitted path, come from ``json.dumps``: numbers in
@@ -89,10 +89,11 @@ def _resolve_nodes(args) -> int:
     return DEFAULT_NODES
 
 
-def _add_common(sp) -> None:
+def _add_common(sp, nodes: bool = True) -> None:
     sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sp.add_argument("--nodes", type=int, default=None,
-                    help="quadrature nodes (default: ULTRAFLOW_NODES or 64)")
+    if nodes:
+        sp.add_argument("--nodes", type=int, default=None,
+                        help="quadrature nodes (default: ULTRAFLOW_NODES or 64)")
 
 
 def _write_manifest(path: str, command: str, parameters: dict, seed: int, outputs: list[str]) -> None:
@@ -270,21 +271,19 @@ def cmd_flow(args) -> int:
         "record_every": args.record_every, "nodes": N, "u0": args.u0,
         "lambda": args.lam, "h0": args.h0, "h1": args.h1,
     }
+    failure = None
     try:
         trace = _FLOW_RUNNERS[args.kind](u0, cfg)
-    except PositivityError as err:
-        partial = getattr(err, "partial", None)
-        if partial is not None:
-            _write_trace_csv(out, partial)
-            _write_manifest(manifest_path, "flow", parameters, seed=0,
-                            outputs=[out, manifest_path])
-            print(f"error: {err}; partial trace flushed to {out}", file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
+    except PositivityError as exc:
+        failure, trace = exc, exc.partial
+    if trace is not None:
+        _write_trace_csv(out, trace)
+        _write_manifest(manifest_path, "flow", parameters, seed=0,
+                        outputs=[out, manifest_path])
+    if failure is not None:
+        flushed = f"; partial trace flushed to {out}" if trace is not None else ""
+        print(f"error: {failure}{flushed}", file=sys.stderr)
         return 3
-    _write_trace_csv(out, trace)
-    _write_manifest(manifest_path, "flow", parameters, seed=0,
-                    outputs=[out, manifest_path])
     echo = trace.params_echo
     drift = float(abs(trace.mass - trace.mass[0]).max() / (abs(trace.mass[0]) + 1e-300))
     if args.json:
@@ -368,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("range", help="admissible exponent ranges for one (n, p)")
     sp.add_argument("--n", type=float, required=True)
     sp.add_argument("--p", type=float, required=True)
-    _add_common(sp)
+    _add_common(sp, nodes=False)
     sp.set_defaults(handler=cmd_range)
 
     sp = sub.add_parser("figure1", help="CSV sweep of m_minus/m_plus over p")
@@ -378,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="default: p_crit when finite, else 8")
     sp.add_argument("--steps", type=int, default=60)
     sp.add_argument("--out", type=str, default=None)
-    _add_common(sp)
+    _add_common(sp, nodes=False)
     sp.set_defaults(handler=cmd_figure1)
 
     sp = sub.add_parser("verify", help="deficit of the sharp inequality for a function")

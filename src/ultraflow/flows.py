@@ -28,9 +28,10 @@ A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
 and u', the closed-form instantaneous dF/dt, and any violation of the
 entered h0/h1 bounds; positivity loss aborts with the failure time.
-Recording only buffers the state: the diagnostics are evaluated a block
-of records at a time, as (records, nodes) arrays, and bound violations
-are reported in record order.
+The recorder takes the state's coefficients and evaluates everything
+itself: v, v' and v'' on the refined rule and every diagnostic, a block
+of records at a time as (records, nodes) arrays; bound violations are
+reported in record order.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams, build_quadrature
-from .spectral import GridFn, _resample_positive, get_regularized_basis
+from .spectral import GridFn, OrthoBasis, _resample_positive, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
@@ -187,43 +188,44 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
 
 
 class _Recorder:
-    """Accumulates per-time diagnostics from the v-state on the fine rule.
+    """Accumulates per-time diagnostics from the coefficients of the v-state.
 
-    ``record`` buffers (t, v, v', v''); ``flush`` evaluates the buffer as one
-    (records, nodes) block every ``block`` records and in ``finish``.
+    ``record`` buffers (t, c), c the coefficients of v in ``basis``;
+    ``flush`` evaluates the buffer as one (records, nodes) block on the
+    basis's refined rule every ``block`` records and in ``finish``.
     """
 
-    def __init__(self, cfg: FlowConfig, fine: Quadrature, lam: float):
+    def __init__(self, cfg: FlowConfig, basis: OrthoBasis):
         self.cfg = cfg
-        self.fine = fine
-        self.lam = lam
-        self.block = max(1, 8192 // fine.nodes.size)
-        self.pending: list[tuple] = []
+        self.basis = basis
+        self.block = max(1, 8192 // basis.quad.nodes.size)
+        self.pending: list[tuple[float, np.ndarray]] = []
         self.columns: list[np.ndarray] = []  # per block, FlowTrace's 8 arrays as rows
         self.events: list[tuple[float, str]] = []
-        self.last_vv: np.ndarray | None = None
 
-    def record(self, t: float, vv: np.ndarray, vp: np.ndarray, vpp: np.ndarray) -> None:
-        self.last_vv = vv
-        self.pending.append((t, vv, vp, vpp))
+    def record(self, t: float, c: np.ndarray) -> None:
+        self.pending.append((t, c))
         if len(self.pending) == self.block:
             self.flush()
 
     def flush(self) -> None:
         if not self.pending:
             return
-        cfg, params = self.cfg, self.cfg.params
-        t, vv, vp, vpp = (np.array(col) for col in zip(*self.pending))
+        cfg, params, basis, fine = self.cfg, self.cfg.params, self.basis, self.basis.quad
+        t, C = (np.array(col) for col in zip(*self.pending))
         self.pending = []
+        vv, vp, vpp = C @ basis.V.T, C @ basis.V1.T, (C @ basis.D.T) @ basis.V1.T
         r = 1.0 / (params.beta * params.p)
         uu = vv**r
         up = r * vv ** (r - 1.0) * vp
         upp = r * (r - 1.0) * vv ** (r - 2.0) * vp**2 + r * vv ** (r - 1.0) * vpp
-        F, mass, fb = np.array([lyapunov_terms(u, g, self.fine, params, self.lam)
+        F, mass, fb = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
                                 for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
-        dF = _dF_value(uu, up, upp, self.fine, params, self.lam)
+        dF = _dF_value(uu, up, upp, fine, params, cfg.lam)
         self.columns.append(np.array([t, mass, fb, F, umin, umax, gmax, dF]))
+        # terminal gap max|u - mass^r| at the latest record (a run's last step records)
+        self.gap = float(np.max(np.abs(uu[-1] - mass[-1] ** r)))
         low = high = steep = np.zeros(t.size, dtype=bool)
         if cfg.h0 is not None:
             low, high = umin < cfg.h0 - _BOUND_TOL, umax > 1.0 / cfg.h0 + _BOUND_TOL
@@ -238,13 +240,13 @@ class _Recorder:
             if steep[i]:
                 self.events.append((ti, f"max |u'| {gmax[i]:.6g} exceeded h1 {cfg.h1:g}"))
 
-    def finish(self, vv_end: np.ndarray) -> FlowTrace:
+    def finish(self) -> FlowTrace | None:
+        """The trace of every record so far; None if nothing was recorded."""
         self.flush()
-        r = 1.0 / (self.cfg.params.beta * self.cfg.params.p)
-        cols = np.concatenate(self.columns, axis=1)
-        gap = float(np.max(np.abs(vv_end**r - float(cols[1, -1]) ** r)))
-        return FlowTrace(*cols, bound_events=tuple(self.events), terminal_gap=gap,
-                         params_echo=self.cfg)
+        if not self.columns:
+            return None
+        return FlowTrace(*np.concatenate(self.columns, axis=1), bound_events=tuple(self.events),
+                         terminal_gap=self.gap, params_echo=self.cfg)
 
 
 def _initial_state(u0: GridFn, cfg: FlowConfig):
@@ -271,12 +273,6 @@ def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig
     elif lam is None:
         lam = params.n
     return dataclasses.replace(cfg, h0=h0, h1=h1, lam=lam)
-
-
-def _attach_partial(err: PositivityError, rec: _Recorder) -> None:
-    """Hang the trace-so-far on a positivity failure, if anything was recorded."""
-    if rec.last_vv is not None:
-        err.partial = rec.finish(rec.last_vv)
 
 
 def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
@@ -317,25 +313,25 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
     lam_top = float(mu[-1])
     a = (c0[0] * V0[0, 0]) ** (m - 1.0)
-    W0, W1, W2 = V0 @ U, V1 @ U, V1 @ (basis.D @ U)
-    rec = _Recorder(cfg, fine, cfg.lam)
+    W0, W1 = V0 @ U, V1 @ U
+    rec = _Recorder(cfg, basis)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 
     def state(y: np.ndarray):
         vv = W0 @ y
         if vv.min() <= _POSITIVITY_FLOOR:
             raise PositivityError(t_now, "v reached the positivity floor")
-        return vv, vv ** (m - 1.0) - a
+        return vv ** (m - 1.0) - a
 
     def remainder(y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         # the weak form's -V1^T(rho^2 w v^(m-1) v') (the chain rule's m
         # cancels the 1/m) less its linear part -a S c, in the eigenbasis
-        g = state(y)[1] if g is None else g
+        g = state(y) if g is None else g
         return -(W1.T @ (rho2w * g * (W1 @ y)))
 
     try:
-        vv, g = state(y)
-        rec.record(0.0, vv, W1 @ y, W2 @ y)
+        g = state(y)
+        rec.record(0.0, U @ y)
         while t_now < cfg.t_end:
             stiff = lam_top * float(np.abs(g).max()) * max(1.0, abs(m))
             dt = min(cfg.dt, 2.0 / stiff) if stiff > 0 else cfg.dt
@@ -355,13 +351,13 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
                 y = E * y + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * remainder(yc)
             t_now = cfg.t_end if last else t_now + dt
             step += 1
-            vv, g = state(y)
+            g = state(y)
             if step % cfg.record_every == 0 or last:
-                rec.record(t_now, vv, W1 @ y, W2 @ y)
+                rec.record(t_now, U @ y)
     except PositivityError as err:
-        _attach_partial(err, rec)
+        err.partial = rec.finish()
         raise
-    return rec.finish(vv)
+    return rec.finish()
 
 
 def run_nonlinear_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:

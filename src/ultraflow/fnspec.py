@@ -12,7 +12,9 @@ Grammar (whitespace-insensitive):
               | 'fab' '(' signed-number ',' signed-number ')'
 
 Exponents are literal numbers, not expressions; that keeps evaluation a
-plain composition of numpy operations with no symbolic machinery.
+plain composition of numpy operations with no symbolic machinery.  A '+'/'-'
+or '*'/'/' chain of any length runs left to right in one loop; factors
+(unary signs, parentheses, function calls) nest at most 64 deep.
 ``fab(a, b)`` is the profile family of ``functionals.extremal_profile``,
 
     f_{a,b}(z) = a |1 - b z|^(-(n-2)/2),     |b| < 1,
@@ -23,6 +25,7 @@ called with both z and n).  Parse errors carry the offending position.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +42,8 @@ _TOKEN = re.compile(
     r"|(?P<op>\*\*|[+\-*/^(),])"
     r")"
 )
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_MAX_DEPTH = 64  # unary signs plus parenthesized or function-call levels
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class _Parser:
                     break
             pos = m.end()
         self.tokens.append(("end", "", len(text)))
-        self.i = 0
+        self.i = self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -101,43 +106,44 @@ class _Parser:
             raise FunctionSpecError(f"expected a number, found {val or 'end of input'!r}", pos)
         return sign * float(val)
 
-    def expr(self) -> Callable:
-        left = self.term()
-        while True:
+    def chain(self, operand: Callable, ops: str) -> Callable:
+        """operand (op operand)* for op in ``ops``, evaluated left to right in one loop."""
+        first, rest = operand(), []
+        kind, val, _ = self.peek()
+        while kind == "op" and val in ops:
+            self.next()
+            rest.append((_BINARY[val], operand()))
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                right = self.term()
-                if val == "+":
-                    left = (lambda f, g: lambda z, n: f(z, n) + g(z, n))(left, right)
-                else:
-                    left = (lambda f, g: lambda z, n: f(z, n) - g(z, n))(left, right)
-            else:
-                return left
+        if not rest:
+            return first
+
+        def run(z, n):
+            acc = first(z, n)
+            for op, f in rest:
+                acc = op(acc, f(z, n))
+            return acc
+
+        return run
+
+    def expr(self) -> Callable:
+        return self.chain(self.term, "+-")
 
     def term(self) -> Callable:
-        left = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                right = self.factor()
-                if val == "*":
-                    left = (lambda f, g: lambda z, n: f(z, n) * g(z, n))(left, right)
-                else:
-                    left = (lambda f, g: lambda z, n: f(z, n) / g(z, n))(left, right)
-            else:
-                return left
+        return self.chain(self.factor, "*/")
 
     def factor(self) -> Callable:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise FunctionSpecError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
         if kind == "op" and val in "+-":
             self.next()
             inner = self.factor()
-            if val == "-":
-                return lambda z, n: -inner(z, n)
-            return inner
-        return self.power()
+            out = (lambda z, n: -inner(z, n)) if val == "-" else inner
+        else:
+            out = self.power()
+        self.depth -= 1
+        return out
 
     def power(self) -> Callable:
         base = self.atom()
@@ -160,16 +166,11 @@ class _Parser:
         if kind == "name":
             if val == "z":
                 return lambda z, n: z
-            if val == "exp":
+            if val in ("exp", "abs"):
                 self.expect("(")
-                inner = self.expr()
+                inner, ufunc = self.expr(), np.exp if val == "exp" else np.abs
                 self.expect(")")
-                return lambda z, n: np.exp(inner(z, n))
-            if val == "abs":
-                self.expect("(")
-                inner = self.expr()
-                self.expect(")")
-                return lambda z, n: np.abs(inner(z, n))
+                return lambda z, n: ufunc(inner(z, n))
             if val == "const":
                 self.expect("(")
                 c = self.signed_number()

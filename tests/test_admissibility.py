@@ -59,6 +59,11 @@ class TestThresholds:
             a, b = thresholds(n)
             assert a < b
 
+    @pytest.mark.parametrize("n", [0.0, -1.5])
+    def test_nonpositive_dimension_rejected(self, n):
+        with pytest.raises(DomainError, match="n > 0"):
+            thresholds(n)
+
 
 class TestQuadratic:
     def test_coefficients_at_4_4(self):

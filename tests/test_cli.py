@@ -94,6 +94,21 @@ class TestRange:
         assert "A = B = 0" in out
         assert "status = special" in out
 
+    def test_empty_range_in_text_mode(self, capsys):
+        # p = 7 lies beyond p_crit = 6 at n = 3
+        assert main(["range", "--n", "3", "--p", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "m range: empty" in out
+        assert "beta intervals: empty" in out
+        assert "status = empty" in out
+
+    def test_nodes_is_not_an_option(self, capsys):
+        # the report is closed-form; a resolution flag would be ignored
+        with pytest.raises(SystemExit) as excinfo:
+            main(["range", "--n", "3", "--p", "4", "--nodes", "8"])
+        assert excinfo.value.code == 2
+        assert "--nodes" in capsys.readouterr().err
+
 
 class TestFigure1:
     def test_csv_contents(self, capsys, tmp_path):
@@ -135,6 +150,19 @@ class TestFigure1:
         last = out.read_text().splitlines()[-1].split(",")
         assert float(last[0]) == 8.0
         assert last[1] != ""  # band still nonempty below p_sharp = 9
+
+    def test_band_is_empty_beyond_the_critical_exponent(self, capsys, tmp_path):
+        out = tmp_path / "wide.csv"
+        assert main(["figure1", "--n", "3", "--p-max", "8", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert float(rows[-1][0]) == 8.0
+        for p, m_minus, m_plus, _, _ in rows:
+            assert (m_minus == m_plus == "") == (float(p) > 6.0), p
+
+    def test_nodes_is_not_an_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure1", "--n", "3", "--nodes", "8", "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
 
     def test_default_filename(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -195,6 +223,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "position" in err
+
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        code = main(["verify", "--n", "3", "--p", "4", "--fn", "(" * 2000 + "z" + ")" * 2000])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: nesting deeper than")
+        assert len(err.splitlines()) == 1  # no traceback
 
 
 class TestFlow:

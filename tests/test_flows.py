@@ -33,7 +33,6 @@ from ultraflow.flows import (
     _BOUND_TOL,
     FlowConfig,
     FlowTrace,
-    _attach_partial,
     _dF_value,
     _initial_state,
     _Recorder,
@@ -61,7 +60,7 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
     """
     cfg = tr.params_echo
     basis, c0, _, _ = _initial_state(u0, cfg)
-    fine, V0, V1, D = basis.quad, basis.V, basis.V1, basis.D
+    fine, V0, V1 = basis.quad, basis.V, basis.V1
     m = cfg.params.m
     rho2w = fine.weights * (1.0 - fine.nodes**2)
     lam_top = np.linalg.eigvalsh(V1.T @ (rho2w[:, None] * V1))[-1]
@@ -69,7 +68,7 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
     def rhs(c):
         return -(V1.T @ (rho2w * (V0 @ c) ** (m - 1.0) * (V1 @ c)))
 
-    rec = _Recorder(cfg, fine, cfg.lam)
+    rec = _Recorder(cfg, basis)
     c, t = c0.copy(), 0.0
     for t_next in tr.times:
         vpow = float(np.max((V0 @ c) ** (m - 1.0)))
@@ -83,8 +82,8 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
             k4 = rhs(c + h * k3)
             c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t_next
-        rec.record(t, V0 @ c, V1 @ c, V1 @ (D @ c))
-    return rec.finish(V0 @ c)
+        rec.record(t, c)
+    return rec.finish()
 
 
 class TestFlowConfig:
@@ -322,13 +321,11 @@ class TestHeatFlow:
         u0 = 1.0 + 0.3 * z + 0.1 * z**2
         tr = run_heat_flow(u0, cfg)
         basis, c0, _, _ = _initial_state(u0, tr.params_echo)
-        fine, V0, V1, D = basis.quad, basis.V, basis.V1, basis.D
         lams = np.array([eigenvalue(n, k) for k in range(c0.size)])
-        rec = _Recorder(tr.params_echo, fine, tr.params_echo.lam)
+        rec = _Recorder(tr.params_echo, basis)
         for t in [j * cfg.dt for j in range(0, 200, cfg.record_every)] + [cfg.t_end]:
-            c = c0 * np.exp(-lams * t)
-            rec.record(t, V0 @ c, V1 @ c, V1 @ (D @ c))
-        exact = rec.finish(V0 @ c)
+            rec.record(t, c0 * np.exp(-lams * t))
+        exact = rec.finish()
         for name in ("times", "mass", "fisher_beta", "F_values", "u_min", "u_max",
                      "grad_max", "dF_closed"):
             got, want = getattr(tr, name), getattr(exact, name)
@@ -597,34 +594,25 @@ class TestPartialTraceAttachment:
     def make_recorder(self):
         params = UltraParams(n=3.0, p=4.0, beta=2.0)
         cfg = FlowConfig(kind="nonlinear", params=params, lam=3.0)
-        fine = refined_quadrature(params, 32)
-        return cfg, fine, _Recorder(cfg, fine, lam=3.0)
+        basis = get_regularized_basis(3.0, 0.0, 32)
+        return cfg, basis, _Recorder(cfg, basis)
 
     def test_attaches_the_recorded_prefix(self):
-        cfg, fine, rec = self.make_recorder()
-        vv = 1.0 + 0.1 * fine.nodes
-        vp = 0.1 * np.ones_like(vv)
-        vpp = np.zeros_like(vv)
-        rec.record(0.0, vv, vp, vpp)
-        err = PositivityError(0.25, "test")
-        _attach_partial(err, rec)
-        assert isinstance(err.partial, FlowTrace)
-        assert err.partial.times.tolist() == [0.0]
-        assert err.partial.params_echo is cfg
-        assert math.isfinite(err.partial.terminal_gap)
+        cfg, basis, rec = self.make_recorder()
+        rec.record(0.0, basis.analyze(1.0 + 0.1 * basis.quad.nodes))
+        partial = rec.finish()
+        assert isinstance(partial, FlowTrace)
+        assert partial.times.tolist() == [0.0]
+        assert partial.params_echo is cfg
+        assert math.isfinite(partial.terminal_gap)
 
     def test_attaches_records_of_every_block(self):
-        cfg, fine, rec = self.make_recorder()
+        _, basis, rec = self.make_recorder()
         times = [0.01 * j for j in range(rec.block + 3)]
         for t in times:
-            vv = 1.0 + 0.1 * (1.0 + t) * fine.nodes
-            rec.record(t, vv, 0.1 * (1.0 + t) * np.ones_like(vv), np.zeros_like(vv))
-        err = PositivityError(times[-1], "test")
-        _attach_partial(err, rec)
-        assert err.partial.times.tolist() == times
+            rec.record(t, basis.analyze(1.0 + 0.1 * (1.0 + t) * basis.quad.nodes))
+        assert rec.finish().times.tolist() == times
 
     def test_nothing_attached_without_records(self):
         _, _, rec = self.make_recorder()
-        err = PositivityError(0.0, "test")
-        _attach_partial(err, rec)
-        assert err.partial is None
+        assert rec.finish() is None

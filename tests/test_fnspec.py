@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultraflow.errors import FunctionSpecError
 from ultraflow.fnspec import FunctionExpr, parse_function
@@ -155,6 +157,55 @@ class TestErrors:
     def test_message_carries_the_position(self):
         with pytest.raises(FunctionSpecError, match=r"\(at position 2\)"):
             parse_function("1 2")
+
+
+class TestLongAndDeepInputs:
+    def test_deep_parentheses_raise_with_the_position(self):
+        with pytest.raises(FunctionSpecError, match="nesting deeper than 64") as excinfo:
+            parse_function("(" * 2000 + "z" + ")" * 2000)
+        assert excinfo.value.position == 64
+
+    def test_many_unary_signs_raise_with_the_position(self):
+        with pytest.raises(FunctionSpecError, match="nesting deeper than 64") as excinfo:
+            parse_function("-" * 5000 + "z")
+        assert excinfo.value.position == 64
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert np.array_equal(ev("(" * 63 + "z" + ")" * 63), Z)
+        assert np.array_equal(ev("-" * 62 + "z"), Z)
+
+    def test_long_sum_evaluates_left_to_right(self):
+        # 5,000 terms, one flat loop: the same operations in the same order
+        text, want = "z", Z
+        for k in range(4999):
+            op, c = "+-"[k % 2], 0.1 * (k % 7)
+            text += f"{op}{c!r}*z"
+            want = want + c * Z if op == "+" else want - c * Z
+        assert np.array_equal(ev(text), want)
+
+    def test_long_product_evaluates_left_to_right(self):
+        text, want = "(1+z/8)", 1.0 + Z / 8.0
+        for k in range(2999):
+            op = "*/"[k % 2]
+            text += f"{op}(1+z/{k % 5 + 8})"
+            f = 1.0 + Z / (k % 5 + 8.0)
+            want = want * f if op == "*" else want / f
+        assert np.array_equal(ev(text), want)
+
+
+_PIECES = ["z", "1", ".5", "2e-1", "3.", " ", "+", "-", "*", "/", "^", "**", "(", ")", ",",
+           "exp(", "abs(", "const(", "fab(", "e", "x", "q"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789.eE+-*/^(),z abcfpostx", max_size=40),
+                 st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)))
+def test_any_string_over_the_alphabet_parses_or_raises_the_spec_error(text):
+    try:
+        expr = parse_function(text)
+    except FunctionSpecError:
+        return
+    assert isinstance(expr, FunctionExpr)
 
 
 class TestFunctionExpr:

@@ -208,3 +208,8 @@ class TestLyapunov:
         p = UltraParams(n=3.0, p=4.0, beta=2.0)
         with pytest.raises(DomainError):
             lyapunov_F(np.linspace(-1, 1, 64), p)
+
+    def test_quadratic_exponent_rejected(self):
+        # lam/(p-2) has no limit form here; the entropy form is logsob_deficit
+        with pytest.raises(DomainError, match="p != 2"):
+            lyapunov_F(1.0 + 0.1 * rule(3.0).nodes, UltraParams(n=3.0, p=2.0, beta=1.0))

@@ -112,6 +112,15 @@ class TestRegularizedOperator:
             q.integrate(g * apply_L_eps(f, params, q)), abs=1e-8
         )
 
+    def test_default_rule_is_the_64_node_regularized_rule(self):
+        # L_eps z = -ell(z): the drift on the default rule's nodes, up to the
+        # rounding that the nodal derivative of z picks up near z = +-1
+        params = UltraParams(n=2.5, eps=0.05)
+        q = build_quadrature(params, 64, kind="regularized")
+        got = apply_L_eps(q.nodes, params)
+        np.testing.assert_array_equal(got, apply_L_eps(q.nodes, params, q))
+        np.testing.assert_allclose(got, -drift(q.nodes, params), rtol=1e-10, atol=0)
+
     def test_eps_zero_noninteger_rejected(self):
         params = UltraParams(n=2.5)
         with pytest.raises(DomainError):
