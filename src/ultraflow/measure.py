@@ -27,11 +27,11 @@ toward pi) until an edge is at most sqrt(eps)/2 (Schwab, Computing 53,
 1994): O(N + log(1/eps)) nodes.
 
 The N-node regularized rule only carries samples; for eps > 0 and n < d
-its folded weights do not resolve the measure, and nothing warns when
-``integrate`` is called on it.  Against the graded refined rule at N = 64
-its error in E[z^2] is 1.4e-9 at (n, eps) = (2.5, 1e-2), 7.9e-6 at
-(2.5, 1e-4), 1.1e-5 at (2.5, 1e-6) and 4.0e-2 at (0.300001, 1e-8).
-Integrate on ``refined_quadrature`` instead.
+its folded weights do not resolve the measure, and its ``integrate`` emits
+an ``AccuracyWarning`` that names ``refined_quadrature``.  Against the
+graded refined rule at N = 64 its error in E[z^2] is 1.4e-9 at
+(n, eps) = (2.5, 1e-2), 7.9e-6 at (2.5, 1e-4), 1.1e-5 at (2.5, 1e-6) and
+4.0e-2 at (0.300001, 1e-8).  Integrate on ``refined_quadrature`` instead.
 
 Every rule carries rho^2 = 1 - z^2 at its nodes, and so zeta = rho^2 + eps,
 for integrands to read: 1 - nodes^2 on Gauss rules, sin^2 theta on the graded
@@ -45,17 +45,21 @@ weights over the base nodes (p, beta and a plain rule's eps do not enter
 it); the Gauss-Legendre panel rule per size, few per N since the panel
 edges pi/2^j do not depend on eps; and, 16 keys only, as many as the bases
 built on it, the graded rule per (n, eps, N).
+
+scipy enters in one place, ``roots_jacobi``, which imports
+``scipy.special`` on its first call: ``import ultraflow`` loads no scipy,
+and a process pays its import (about 0.3 s) at its first Gauss-Jacobi rule.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .errors import DomainError, ShapeError
+from .errors import AccuracyWarning, DomainError, ShapeError
 
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
@@ -147,7 +151,8 @@ class Quadrature:
         """Integrate a function given by its values at ``nodes``.
 
         The last axis runs over the nodes.  A 1-D array gives a float; an
-        (..., N) block gives the (...) array of its rows' integrals.
+        (..., N) block gives the (...) array of its rows' integrals.  On the
+        N-node regularized rule for eps > 0 and n < d it warns (module docstring).
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != self.nodes.shape:
@@ -163,6 +168,15 @@ class Quadrature:
             f"Quadrature(kind={self.kind!r}, order={self.order}, "
             f"n={self.n}, eps={self.eps})"
         )
+
+
+class _FoldedQuadrature(Quadrature):
+    """The N-node regularized rule for eps > 0 and n < d: samples only (module docstring)."""
+
+    def integrate(self, values: np.ndarray) -> float | np.ndarray:
+        msg = f"{self!r} does not resolve its folded weight; integrate on refined_quadrature"
+        warnings.warn(msg, AccuracyWarning, stacklevel=2)
+        return super().integrate(values)
 
 
 def normalization_constant(n: float) -> float:
@@ -203,6 +217,13 @@ def build_quadrature(
     return _rule(kind, float(params.n), eps, N)
 
 
+def roots_jacobi(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.special.roots_jacobi``, imported on the first call (module docstring)."""
+    from scipy.special import roots_jacobi
+
+    return roots_jacobi(N, a, b)
+
+
 @lru_cache(maxsize=128)
 def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only nodes, raw weights and 1 - nodes^2 of the N-point Gauss-Jacobi rule (a, a)."""
@@ -221,7 +242,8 @@ def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
         d = math.ceil(n)
         nodes, w, rho2 = _base_rule(N, (d - 2.0) / 2.0)
         w = w * (rho2 + eps) ** ((n - d) / 2.0)
-    return Quadrature(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps, rho2=rho2)
+    rule = _FoldedQuadrature if kind == "regularized" and n < math.ceil(n) else Quadrature
+    return rule(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps, rho2=rho2)
 
 
 @lru_cache(maxsize=128)

@@ -1,7 +1,10 @@
 """The public API: ``ultraflow.__all__`` is pinned, so a name leaves it only
 through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
-formed from points in ``operators._points``."""
+formed from points in ``operators._points``; another keeps the one scipy
+import inside ``measure.roots_jacobi``, so ``import ultraflow`` loads no
+scipy."""
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -50,3 +53,27 @@ def test_eps_deformation_has_one_owner():
         for pattern in (branch, rho2_from_z, zeta_from_z):
             rest = text.replace(owners.get(pattern, ""), "")
             assert not re.search(pattern, rest), f"{path.name} matches {pattern!r}"
+
+
+def test_scipy_is_imported_only_inside_roots_jacobi():
+    # import scipy.special takes about 0.3 s; the CLI commands that build no
+    # Gauss-Jacobi rule must not pay it (tests/test_cli.py runs them)
+    sites = []
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                scope = []  # the qualified name of the enclosing def, "" at module level
+                while node in parent:
+                    node = parent[node]
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        scope.insert(0, node.name)
+                sites.append((path.name, ".".join(scope)))
+    assert sites == [("measure.py", "roots_jacobi")]

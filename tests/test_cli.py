@@ -4,7 +4,8 @@ Commands run in-process through ``main(argv)`` so stdout/stderr land in
 capsys.  Two subprocess tests pin the entry points: ``python -m
 ultraflow.cli`` always, and the ``ultraflow`` console script only where
 the distribution is installed (``pip install -e . --no-build-isolation``);
-from a plain source checkout that test is skipped.
+from a plain source checkout that test is skipped.  A third runs commands
+in a fresh interpreter to pin where scipy is first imported.
 The JSON emitter renders non-finite floats as the strings "inf"/"-inf",
 which ``json.loads`` hands back unchanged.
 """
@@ -22,6 +23,7 @@ import sysconfig
 import pytest
 
 import ultraflow
+from ultraflow import DEFAULT_NODES, UltraParams, build_quadrature, deficit, parse_function
 from ultraflow.cli import main
 
 
@@ -31,6 +33,36 @@ def _distribution_installed(name: str) -> bool:
     except importlib.metadata.PackageNotFoundError:
         return False
     return True
+
+
+_IMPORT_BOUNDARY_CHILD = """
+import contextlib, io, json, sys
+import ultraflow, ultraflow.cli
+from ultraflow.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded, out = {"import": scipy_modules()}, io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["range", "--n", "3", "--p", "4"])
+    loaded["range"] = scipy_modules()
+    main(["range", "--n", "3", "--p", "4", "--json"])
+    loaded["range --json"] = scipy_modules()
+    main(["figure1", "--n", "3", "--out", sys.argv[1]])
+    loaded["figure1"] = scipy_modules()
+    try:
+        main(["--version"])
+    except SystemExit:
+        pass
+    loaded["--version"] = scipy_modules()
+    out.truncate(0)
+    out.seek(0)
+    main(["verify", "--n", "4", "--p", "4", "--fn", "fab(1, 0.5)", "--json"])
+    loaded["verify"] = scipy_modules()
+loaded["deficit"] = json.loads(out.getvalue())["deficit"]
+print(json.dumps(loaded))
+"""
 
 
 def run_json(capsys, argv):
@@ -460,6 +492,26 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "ultraflow" in proc.stdout
+
+    def test_scipy_loads_at_the_first_gauss_rule(self, tmp_path):
+        # a fresh interpreter: commands that build no Gauss-Jacobi rule leave
+        # scipy unimported, and the first rule (verify) imports it
+        root = os.path.dirname(os.path.dirname(ultraflow.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "ULTRAFLOW_NODES"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_BOUNDARY_CHILD, str(tmp_path / "sweep.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        for step in ("import", "range", "range --json", "figure1", "--version"):
+            assert loaded[step] == [], step
+        assert "scipy.special" in loaded["verify"]
+        n, p = 4.0, 4.0
+        z = build_quadrature(UltraParams(n=n), DEFAULT_NODES, kind="plain").nodes
+        f = parse_function("fab(1, 0.5)")(z, n)
+        assert loaded["deficit"] == deficit(f, UltraParams(n=n, p=p)).deficit
 
     @pytest.mark.skipif(
         not _distribution_installed("ultraflow"),

@@ -21,6 +21,7 @@ from scipy.special import roots_jacobi
 import ultraflow.measure as measure
 from ultraflow import (
     EPS_MIN,
+    AccuracyWarning,
     DomainError,
     Quadrature,
     ShapeError,
@@ -253,18 +254,20 @@ class TestRegularizedQuadrature:
     def test_against_dense_oracles(self):
         p = UltraParams(n=2.5, eps=0.1)
         q = build_quadrature(p, 32, kind="regularized")
-        assert q.integrate(q.nodes**2) == pytest.approx(EPS_Z2_ORACLE, abs=1e-9)
-        assert q.integrate(np.exp(q.nodes)) == pytest.approx(EPS_EXP_ORACLE, abs=1e-9)
-        assert q.integrate(np.cos(3.0 * q.nodes)) == pytest.approx(EPS_COS3_ORACLE, abs=1e-9)
+        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+            assert q.integrate(q.nodes**2) == pytest.approx(EPS_Z2_ORACLE, abs=1e-9)
+            assert q.integrate(np.exp(q.nodes)) == pytest.approx(EPS_EXP_ORACLE, abs=1e-9)
+            assert q.integrate(np.cos(3.0 * q.nodes)) == pytest.approx(EPS_COS3_ORACLE, abs=1e-9)
 
     def test_doubling_plateau(self):
         p = UltraParams(n=2.5, eps=0.05)
-        vals = [
-            build_quadrature(p, N, kind="regularized").integrate(
-                np.sin(build_quadrature(p, N, kind="regularized").nodes) ** 2
-            )
-            for N in (32, 64, 128)
-        ]
+        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+            vals = [
+                build_quadrature(p, N, kind="regularized").integrate(
+                    np.sin(build_quadrature(p, N, kind="regularized").nodes) ** 2
+                )
+                for N in (32, 64, 128)
+            ]
         # the folded weight needs ~24/sqrt(eps) nodes for full precision,
         # so the first doubling still moves the 9th digit
         assert vals[1] == pytest.approx(vals[0], abs=1e-8)
@@ -273,6 +276,34 @@ class TestRegularizedQuadrature:
     def test_defaults_to_regularized_when_eps_positive(self):
         q = build_quadrature(UltraParams(n=2.5, eps=0.01), 16)
         assert q.kind == "regularized"
+
+    def test_folded_rule_warns_on_integrate(self):
+        # the N-node weights miss E[z^2] by 7.9e-6 against the graded rule
+        p = UltraParams(n=2.5, eps=1e-4)
+        q, ref = build_quadrature(p, 64), refined_quadrature(p, 64)
+        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+            miss = abs(q.integrate(q.nodes**2) - ref.integrate(ref.nodes**2))
+        assert miss > 1e-6
+        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+            q.integrate(np.ones((3, 64)))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda: build_quadrature(UltraParams(n=2.5), 64),
+            lambda: build_quadrature(UltraParams(n=2.5, eps=1e-4), 64, kind="plain"),
+            lambda: build_quadrature(UltraParams(n=3.0), 64, kind="regularized"),
+            lambda: build_quadrature(UltraParams(n=3.0, eps=1e-4), 64),
+            lambda: refined_quadrature(UltraParams(n=2.5, eps=1e-4), 64),
+            lambda: refined_quadrature(UltraParams(n=2.5), 64),
+        ],
+        ids=["plain", "plain-kind", "n=d", "n=d-eps", "graded", "refined-plain"],
+    )
+    def test_resolved_rules_do_not_warn(self, rule):
+        q = rule()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q.integrate(q.nodes**2)
 
     def test_integer_n_matches_plain(self):
         # at n = d the bounded factor tends to one with eps; eps = 0 is the
@@ -294,7 +325,8 @@ class TestRegularizedQuadrature:
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
             q = build_quadrature(UltraParams(n=n, eps=eps), 48, kind="regularized")
-            errs.append(abs(q.integrate(np.exp(q.nodes)) - target))
+            with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+                errs.append(abs(q.integrate(np.exp(q.nodes)) - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-4
 

@@ -15,6 +15,7 @@ import pytest
 import sympy as sp
 
 from ultraflow import (
+    AccuracyWarning,
     DomainError,
     UltraParams,
     apply_L,
@@ -97,8 +98,9 @@ class TestRegularizedOperator:
             g = np.polynomial.polynomial.polyval(z, cg)
             fp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(cf))
             gp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(cg))
-            lhs = q.integrate(f * apply_L_eps(g, params, q))
-            rhs = -q.integrate(fp * gp * (1.0 - z**2))
+            with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+                lhs = q.integrate(f * apply_L_eps(g, params, q))
+                rhs = -q.integrate(fp * gp * (1.0 - z**2))
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_self_adjointness_eps(self):
@@ -108,9 +110,10 @@ class TestRegularizedOperator:
         q = build_quadrature(params, 64, kind="regularized")
         f = np.exp(0.3 * q.nodes)
         g = np.cos(q.nodes)
-        assert q.integrate(f * apply_L_eps(g, params, q)) == pytest.approx(
-            q.integrate(g * apply_L_eps(f, params, q)), abs=1e-8
-        )
+        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
+            assert q.integrate(f * apply_L_eps(g, params, q)) == pytest.approx(
+                q.integrate(g * apply_L_eps(f, params, q)), abs=1e-8
+            )
 
     def test_default_rule_is_the_64_node_regularized_rule(self):
         # L_eps z = -ell(z): the drift on the default rule's nodes, up to the
