@@ -51,8 +51,8 @@ def thresholds(n: float) -> tuple[float, float]:
     argument (beta = 1 admissible); it is +inf at n = 1.  p_crit is the
     Sobolev endpoint, +inf for n <= 2.
     """
-    if n <= 0:
-        raise DomainError(f"thresholds requires n > 0, got {n}")
+    if not (n > 0 and math.isfinite(n)):
+        raise DomainError(f"thresholds requires a finite n > 0, got {n}")
     p_sharp = math.inf if n == 1 else (2.0 * n * n + 1.0) / (n - 1.0) ** 2
     p_crit = math.inf if n <= 2 else 2.0 * n / (n - 2.0)
     return p_sharp, p_crit
@@ -195,11 +195,11 @@ def _beta_intervals(n: float, p: float) -> tuple[tuple[float, float], ...]:
 
 
 def m_range(n: float, p: float) -> AdmissibleRange:
-    """Full admissibility report; requires n > 0 and p > 1."""
-    if n <= 0:
-        raise DomainError(f"m_range requires n > 0, got {n}")
-    if p <= 1:
-        raise DomainError(f"m_range requires p > 1, got {p}")
+    """Full admissibility report; requires finite n > 0 and p > 1."""
+    if not (n > 0 and math.isfinite(n)):
+        raise DomainError(f"m_range requires a finite n > 0, got {n}")
+    if not (p > 1 and math.isfinite(p)):
+        raise DomainError(f"m_range requires a finite p > 1, got {p}")
     p_sharp, p_crit = thresholds(n)
     A, B, C = abc(n, p)
     disc = B * B - A * C

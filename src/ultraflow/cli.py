@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .admissibility import m_range
@@ -318,24 +319,17 @@ def cmd_identities(args) -> int:
     if args.trials < 1:
         raise DomainError(f"--trials must be >= 1, got {args.trials}")
     neumann = not args.no_neumann
-    plain = UltraParams(n=args.n)
+    plain_checks = (partial(check_gamma2, enforce_neumann=False), partial(check_lgamma, enforce_neumann=False))
+    families = [(UltraParams(n=args.n), neumann, plain_checks)]
+    if args.eps > 0 or args.n == math.ceil(args.n):
+        families.append((UltraParams(n=args.n, eps=args.eps), False, (check_gamma2_eps, check_lgamma_eps)))
     worst: dict[str, float] = {}
-    run_eps = args.eps > 0 or args.n == math.ceil(args.n)
-    eps_params = UltraParams(n=args.n, eps=args.eps) if run_eps else None
-    for i in range(args.trials):
-        seed = args.seed + i
-        u = make_test_function(seed, plain, neumann=neumann, N=N)
-        for rep in (
-            check_gamma2(u, plain, enforce_neumann=False, seed=seed),
-            check_lgamma(u, plain, enforce_neumann=False, seed=seed),
-        ):
-            worst[rep.identity_tag] = max(worst.get(rep.identity_tag, 0.0), rep.residual)
-        if eps_params is not None:
-            u_e = make_test_function(seed, eps_params, neumann=False, N=N)
-            for rep in (
-                check_gamma2_eps(u_e, eps_params, seed=seed),
-                check_lgamma_eps(u_e, eps_params, seed=seed),
-            ):
+    # One family at a time: resample keeps the tables of one key only.
+    for params, family_neumann, checks in families:
+        for seed in range(args.seed, args.seed + args.trials):
+            u = make_test_function(seed, params, neumann=family_neumann, N=N)
+            for check in checks:
+                rep = check(u, params, seed=seed)
                 worst[rep.identity_tag] = max(worst.get(rep.identity_tag, 0.0), rep.residual)
     ok = all(v <= _RESIDUAL_GATE for v in worst.values())
     status = "ok" if ok else "residual gate exceeded"

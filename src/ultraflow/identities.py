@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
@@ -47,6 +47,9 @@ from .spectral import GridFn, _resample_positive
 # the constant term, so test functions satisfy e^-2 <= u <= e^2.
 DEFAULT_DEGREE = 6
 _NEUMANN_TOL = 1e-8
+# Where make_test_function measures the amplitude of its exponent.
+_SCALE_GRID = np.linspace(-1.0, 1.0, 2001)
+_SCALE_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -77,20 +80,19 @@ def make_test_function(
     otherwise P is a plain random polynomial and u'(+-1) != 0 generically.
     P - c0 is rescaled to amplitude 1 and |c0| <= 1, hence e^-2 <= u <= e^2.
     """
+    if seed < 0:
+        raise DomainError(f"the test-function seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     c0 = rng.uniform(-1.0, 1.0)
     if neumann:
-        q_deg = max(0, degree - 3)
-        Q = Polynomial(rng.uniform(-1.0, 1.0, size=q_deg + 1))
-        P1 = (Q - Polynomial([0.0, 0.0, 1.0]) * Q).integ()
+        q = rng.uniform(-1.0, 1.0, size=max(0, degree - 3) + 1)
+        p1 = npoly.polyint(npoly.polysub(q, npoly.polymulx(npoly.polymulx(q))))
     else:
-        coeffs = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, size=degree)])
-        P1 = Polynomial(coeffs)
-    zz = np.linspace(-1.0, 1.0, 2001)
-    scale = np.max(np.abs(P1(zz)))
+        p1 = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, size=degree)])
+    scale = np.max(np.abs(npoly.polyval(_SCALE_GRID, p1)))
     if scale > 0:
-        P1 = P1 / scale
-    return np.exp(c0 + P1(build_quadrature(params, N).nodes))
+        p1 = p1 / scale
+    return np.exp(c0 + npoly.polyval(build_quadrature(params, N).nodes, p1))
 
 
 def _require_neumann(basis, c) -> None:
@@ -136,7 +138,7 @@ def _lgamma(u: GridFn, params: UltraParams, tag: str, seed: int, enforce_neumann
     fine, uu, up, upp, Lu = _prepare(u, params, enforce_neumann)
     n, rho2 = params.n, fine.rho2
     lhs = fine.integrate((up**2 * rho2 / uu) * Lu)
-    rhs = n / (n + 2.0) * fine.integrate(up**4 * rho2**2 / uu**2) - 2.0 * (
+    rhs = n / (n + 2.0) * fine.integrate((up**2) ** 2 * rho2**2 / uu**2) - 2.0 * (
         n - 1.0
     ) / (n + 2.0) * fine.integrate(up**2 * upp * rho2**2 / uu)
     return _report(lhs, rhs + _lgamma_correction(fine, uu, up, params), tag, seed)

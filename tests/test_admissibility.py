@@ -59,7 +59,7 @@ class TestThresholds:
             a, b = thresholds(n)
             assert a < b
 
-    @pytest.mark.parametrize("n", [0.0, -1.5])
+    @pytest.mark.parametrize("n", [0.0, -1.5, math.nan, math.inf])
     def test_nonpositive_dimension_rejected(self, n):
         with pytest.raises(DomainError, match="n > 0"):
             thresholds(n)
@@ -210,6 +210,12 @@ class TestRange:
             m_range(3.0, 1.0)
         with pytest.raises(DomainError):
             beta_range(3.0, 2.0)
+
+    @pytest.mark.parametrize("n, p", [(3.0, math.nan), (3.0, math.inf), (math.nan, 4.0), (math.inf, 4.0)])
+    def test_non_finite_inputs_rejected(self, n, p):
+        # NaN passes every ordered comparison as False, so it needs its own check
+        with pytest.raises(DomainError, match="finite"):
+            m_range(n, p)
 
     def test_width_matches_disc(self):
         # m_plus - m_minus = 2 sqrt(disc) / p for the reported anchors

@@ -134,6 +134,14 @@ class TestRange:
         assert "beta intervals: empty" in out
         assert "status = empty" in out
 
+    @pytest.mark.parametrize("n, p", [("3", "nan"), ("inf", "4")])
+    def test_non_finite_inputs_rejected(self, capsys, n, p):
+        assert main(["range", "--n", n, "--p", p]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: m_range requires a finite")
+        assert captured.err.count("\n") == 1
+
     def test_nodes_is_not_an_option(self, capsys):
         # the report is closed-form; a resolution flag would be ignored
         with pytest.raises(SystemExit) as excinfo:
@@ -201,6 +209,12 @@ class TestFigure1:
         main(["figure1", "--n", "3"])
         assert (tmp_path / "figure1_n3.csv").exists()
         assert (tmp_path / "figure1_n3.csv.manifest.json").exists()
+
+    def test_non_finite_dimension_rejected(self, capsys, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["figure1", "--n", "nan", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inverted_range_rejected(self, capsys, tmp_path):
         code = main(["figure1", "--n", "3", "--p-max", "1.5",
@@ -431,6 +445,22 @@ class TestIdentities:
     def test_trials_validated(self, capsys):
         code = main(["identities", "--n", "3", "--trials", "0"])
         assert code == 2
+
+    def test_negative_seed_rejected(self, capsys):
+        assert main(["identities", "--n", "3", "--trials", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the test-function seed must be >= 0, got -1\n"
+
+    def test_each_family_resamples_on_one_key(self, capsys):
+        # resample keeps the tables of one (n, eps, N) key: finishing the plain
+        # family before the eps family builds them once per family, not per trial
+        from ultraflow.spectral import _discretization
+
+        _discretization.cache_clear()
+        assert main(["identities", "--n", "2.5", "--eps", "1e-2", "--trials", "5"]) == 0
+        info = _discretization.cache_info()
+        assert (info.misses, info.hits) == (2, 18)
 
     def test_deterministic_for_a_fixed_seed(self, capsys):
         argv = ["identities", "--n", "3", "--trials", "2", "--seed", "7", "--json"]

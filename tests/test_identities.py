@@ -8,11 +8,13 @@ enforcement is a validation contract, not a mathematical requirement.
 """
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from ultraflow import (
     EPS_MIN,
     DomainError,
     UltraParams,
+    build_quadrature,
     check_gamma2,
     check_gamma2_eps,
     check_lgamma,
@@ -64,6 +66,33 @@ class TestTestFunctions:
             ends = basis.derivative_values(c, np.array([-1.0, 1.0]))
             slopes.append(np.max(np.abs(ends)))
         assert max(slopes) > 1e-2
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            make_test_function(-1, UltraParams(n=3.0))
+
+    @pytest.mark.parametrize("neumann", [True, False])
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_matches_the_polynomial_class_construction(self, neumann, N):
+        # reference: the exponent built from numpy Polynomial objects
+        def reference(seed, params, degree):
+            rng = np.random.default_rng(seed)
+            c0 = rng.uniform(-1.0, 1.0)
+            if neumann:
+                Q = Polynomial(rng.uniform(-1.0, 1.0, size=max(0, degree - 3) + 1))
+                P1 = (Q - Polynomial([0.0, 0.0, 1.0]) * Q).integ()
+            else:
+                P1 = Polynomial(np.concatenate([[0.0], rng.uniform(-1.0, 1.0, size=degree)]))
+            scale = np.max(np.abs(P1(np.linspace(-1.0, 1.0, 2001))))
+            if scale > 0:
+                P1 = P1 / scale
+            return np.exp(c0 + P1(build_quadrature(params, N).nodes))
+
+        for params in (UltraParams(n=0.5), UltraParams(n=3.0), UltraParams(n=2.5, eps=1e-2)):
+            for seed in range(12):
+                for degree in (0, 1, 3, 6, 9):
+                    u = make_test_function(seed, params, neumann=neumann, degree=degree, N=N)
+                    np.testing.assert_array_equal(u, reference(seed, params, degree))
 
     def test_regularized_rule_selected(self):
         p = UltraParams(n=2.5, eps=0.01)
