@@ -46,9 +46,23 @@ it); the Gauss-Legendre panel rule per size, few per N since the panel
 edges pi/2^j do not depend on eps; and, 16 keys only, as many as the bases
 built on it, the graded rule per (n, eps, N).
 
-scipy enters in one place, ``roots_jacobi``, which imports
-``scipy.special`` on its first call: ``import ultraflow`` loads no scipy,
-and a process pays its import (about 0.3 s) at its first Gauss-Jacobi rule.
+Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
+a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
+with equal weights, and nodes cos(k pi/(N+1)) with weights proportional to
+sin^2(k pi/(N+1)).  Every other a goes to ``_golub_welsch`` (Golub & Welsch,
+Math. Comp. 23, 1969, with the Newton step of Hale & Townsend, SIAM J. Sci.
+Comput. 35, 2013).  The squares of the nonnegative nodes are the eigenvalues
+of the even block of J^2, a ceil(N/2)-square matrix, J the Jacobi matrix of
+the orthonormal recurrence.  One pass of that recurrence gives p_{N-1}, p_N
+and S = sum_{k<N} p_k^2 at them, so one Newton step, and the Christoffel
+weight 1/S carried to the corrected node.  Measured for N <= 256 and n in
+[1e-3, 12]: nodes within 2.0e-16 of 30-digit zeros (the eigenvalues alone
+miss by up to 3.4e-15 next to 0); plain-rule even moments within 8.0e-14
+of their closed form, against 6.0e-10 with scipy's rules and 1.9e-12 with
+1/S taken at the uncorrected node.  Median cost of a build for
+a in {-0.35, 0.25, 1}: 0.14-0.22 ms at N = 64 and 0.33-0.47 ms at N = 128,
+against 0.19-0.26 and 0.57-0.73 ms for ``scipy.special.roots_jacobi`` on the
+same 2-core x86-64 host; a closed form takes under 0.01 ms.
 """
 from __future__ import annotations
 
@@ -201,7 +215,11 @@ def build_quadrature(
     Notes
     -----
     Weights are renormalized to sum to exactly one, so moment identities
-    such as  int z^2 dnu_n = 1/(n+1)  hold to rounding for N >= 2.
+    such as  int z^2 dnu_n = 1/(n+1)  hold to rounding for N >= 2.  Plain
+    rules meet every even moment they integrate exactly,
+    B(k + 1/2, a + 1) / B(1/2, a + 1) with a = (n-2)/2 and k < N, within
+    8.0e-14 for N <= 256 and n in [1e-3, 12], and ``fisher(z)`` = n/(n+1)
+    within 1.2e-14 (measured; module docstring).
     """
     if kind is None:
         kind = "regularized" if params.eps > 0 else "plain"
@@ -217,17 +235,68 @@ def build_quadrature(
     return _rule(kind, float(params.n), eps, N)
 
 
-def roots_jacobi(N: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.special.roots_jacobi``, imported on the first call (module docstring)."""
-    from scipy.special import roots_jacobi
+def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights summing to one of the N-point Gauss rule for
+    (1 - x^2)^a, a > -1: Chebyshev's closed forms at a = -1/2 and 1/2, else
+    ``_golub_welsch`` (module docstring)."""
+    k = np.arange(N, 0, -1)
+    if a == -0.5:
+        return np.cos((2 * k - 1) * (math.pi / (2 * N))), np.full(N, 1.0 / N)
+    if a == 0.5:
+        w = np.sin(k * (math.pi / (N + 1))) ** 2
+        return np.cos(k * (math.pi / (N + 1))), w / w.sum()
+    return _golub_welsch(N, a)
 
-    return roots_jacobi(N, a, b)
+
+def _golub_welsch(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_jacobi`` for any a > -1: eigenvalues, one Newton step, Christoffel weights."""
+    # the orthonormal polynomials of the probability measure: x p_k = b_{k+1} p_{k+1} + b_k p_{k-1},
+    # b_k^2 = k (k + 2a) / ((2k + 2a)^2 - 1), at k = 1 with the factor 1 + 2a cancelled
+    k = np.arange(2.0, N + 1)
+    b2 = np.concatenate(([0.0, 1.0 / (3.0 + 2.0 * a)], k * (k + 2.0 * a) / ((2.0 * k + 2.0 * a) ** 2 - 1.0)))
+    b = np.sqrt(b2)
+    # the squares of the nonnegative nodes are the eigenvalues of the even block
+    # of J^2: b_k^2 + b_{k+1}^2 (no b_N^2) on its diagonal, b_{k+1} b_{k+2} below
+    # it, for k = 0, 2, ...; eigvalsh reads the lower triangle
+    m = (N + 1) // 2
+    A = np.zeros((m, m))
+    diag = A.reshape(-1)[:: m + 1]
+    diag[:] = b2[0:N:2]
+    diag[: N // 2] += b2[1:N:2]
+    A.reshape(-1)[m :: m + 1] = b[1 : N - 1 : 2] * b[2:N:2]
+    y = np.linalg.eigvalsh(A)
+    if N % 2:
+        y[0] = 0.0
+    x = np.sqrt(y)
+    # one pass of the recurrence, as r_{k+1} = c_k x r_k - r_{k-1} with p_k = s_k r_k:
+    # s_{k+1} = s_{k-1} b_k / b_{k+1} leaves two numpy calls a step
+    t = b[1:N] / b[2:]
+    s = np.ones(N + 1)
+    s[2::2] = np.cumprod(t[0::2])
+    s[3::2] = np.cumprod(t[1::2])
+    cx = np.multiply.outer(s[:N] / (b[1:] * s[1:]), x)
+    r = np.empty((N + 1, m))
+    r[0], r[1] = 1.0, cx[0]
+    rows = list(r)
+    for c, r0, r1, r2 in zip(cx[1:], rows, rows[1:], rows[2:]):
+        np.multiply(c, r1, r2)
+        np.subtract(r2, r0, r2)
+    p = s[:, None] * r
+    S = np.einsum("ij,ij->j", p[:N], p[:N])  # sum_{k<N} p_k^2, the inverse weight
+    # at a zero of p_N, Christoffel-Darboux gives p_N' = S / (b_N p_{N-1}), and with
+    # the Jacobi equation S' = (2a + 2) x S / (1 - x^2): the step and S at its end
+    dx = p[N] * b[N] * p[N - 1] / S
+    x = x - dx
+    w = (1.0 + (2.0 * a + 2.0) * x * dx / (1.0 - x * x)) / S
+    h = N % 2  # mirror the nodes x > 0
+    w = np.concatenate((w[h:][::-1], w))
+    return np.concatenate((-x[h:][::-1], x)), w / w.sum()
 
 
 @lru_cache(maxsize=128)
 def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only nodes, raw weights and 1 - nodes^2 of the N-point Gauss-Jacobi rule (a, a)."""
-    nodes, w = roots_jacobi(N, a, a)
+    """Read-only nodes, weights and 1 - nodes^2 of the N-point Gauss-Jacobi rule (a, a)."""
+    nodes, w = gauss_jacobi(N, a)
     rule = nodes, w, 1.0 - nodes**2
     for x in rule:
         x.setflags(write=False)

@@ -4,8 +4,9 @@ Commands run in-process through ``main(argv)`` so stdout/stderr land in
 capsys.  Two subprocess tests pin the entry points: ``python -m
 ultraflow.cli`` always, and the ``ultraflow`` console script only where
 the distribution is installed (``pip install -e . --no-build-isolation``);
-from a plain source checkout that test is skipped.  A third runs commands
-in a fresh interpreter to pin where scipy is first imported.
+from a plain source checkout that test is skipped.  Two more run the
+README's command lines in a fresh interpreter: none loads scipy, and verify
+and flow run where importing scipy raises.
 The JSON emitter renders non-finite floats as the strings "inf"/"-inf",
 which ``json.loads`` hands back unchanged.
 """
@@ -15,15 +16,16 @@ import importlib.metadata
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import sysconfig
+from pathlib import Path
 
 import pytest
 
 import ultraflow
-from ultraflow import DEFAULT_NODES, UltraParams, build_quadrature, deficit, parse_function
 from ultraflow.cli import main
 
 
@@ -35,34 +37,36 @@ def _distribution_installed(name: str) -> bool:
     return True
 
 
-_IMPORT_BOUNDARY_CHILD = """
+def _readme_command_lines() -> list[list[str]]:
+    """The argv of every ``ultraflow`` line in the README's "Command line" block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("ultraflow ")]
+
+
+# runs argv lists in one fresh interpreter; "block" makes import scipy raise ImportError
+_README_CHILD = """
 import contextlib, io, json, sys
-import ultraflow, ultraflow.cli
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
 from ultraflow.cli import main
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-loaded, out = {"import": scipy_modules()}, io.StringIO()
-with contextlib.redirect_stdout(out):
-    main(["range", "--n", "3", "--p", "4"])
-    loaded["range"] = scipy_modules()
-    main(["range", "--n", "3", "--p", "4", "--json"])
-    loaded["range --json"] = scipy_modules()
-    main(["figure1", "--n", "3", "--out", sys.argv[1]])
-    loaded["figure1"] = scipy_modules()
-    try:
-        main(["--version"])
-    except SystemExit:
-        pass
-    loaded["--version"] = scipy_modules()
-    out.truncate(0)
-    out.seek(0)
-    main(["verify", "--n", "4", "--p", "4", "--fn", "fab(1, 0.5)", "--json"])
-    loaded["verify"] = scipy_modules()
-loaded["deficit"] = json.loads(out.getvalue())["deficit"]
-print(json.dumps(loaded))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+
+def _run_in_child(tmp_path, lines, scipy_import):
+    root = os.path.dirname(os.path.dirname(ultraflow.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "ULTRAFLOW_NODES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _README_CHILD, scipy_import, json.dumps(lines)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def run_json(capsys, argv):
@@ -523,25 +527,18 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert "ultraflow" in proc.stdout
 
-    def test_scipy_loads_at_the_first_gauss_rule(self, tmp_path):
-        # a fresh interpreter: commands that build no Gauss-Jacobi rule leave
-        # scipy unimported, and the first rule (verify) imports it
-        root = os.path.dirname(os.path.dirname(ultraflow.__file__))
-        env = {k: v for k, v in os.environ.items() if k != "ULTRAFLOW_NODES"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_BOUNDARY_CHILD, str(tmp_path / "sweep.csv")],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout)
-        for step in ("import", "range", "range --json", "figure1", "--version"):
-            assert loaded[step] == [], step
-        assert "scipy.special" in loaded["verify"]
-        n, p = 4.0, 4.0
-        z = build_quadrature(UltraParams(n=n), DEFAULT_NODES, kind="plain").nodes
-        f = parse_function("fab(1, 0.5)")(z, n)
-        assert loaded["deficit"] == deficit(f, UltraParams(n=n, p=p)).deficit
+    def test_readme_commands_load_no_scipy(self, tmp_path):
+        # a fresh interpreter runs all README lines; scipy is a test dependency only
+        lines = _readme_command_lines()
+        assert len(lines) == 11 and {argv[0] for argv in lines} == {"range", "figure1", "verify", "flow", "identities"}
+        loaded = _run_in_child(tmp_path, lines, "allow")
+        assert loaded == {"codes": [0] * 11, "scipy": []}
+
+    def test_verify_and_flow_run_where_scipy_cannot_import(self, tmp_path):
+        lines = [argv for argv in _readme_command_lines() if argv[0] in ("verify", "flow")]
+        assert len(lines) == 6
+        loaded = _run_in_child(tmp_path, lines, "block")
+        assert loaded == {"codes": [0] * 6, "scipy": ["scipy"]}  # only the blocking entry
 
     @pytest.mark.skipif(
         not _distribution_installed("ultraflow"),
