@@ -23,6 +23,12 @@ S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
 max|v^(m-1) - a| max(1, |m|) with lam_top the top eigenvalue of S, needs
 dt <= 2 / that; the last step lands on t_end.  Where that stiffness is 0
 (at m = 1 always) the remainder vanishes and the step is y = e^(-a h S) y.
+Each of a step's four stages is one call of ``_galerkin_stage``: one
+product of the eigenbasis state with a (modes x 2 nodes) table gives v and
+v' on the refined rule, and the v' half of the same table projects the
+remainder back.  The step's last stage also yields the stiffness and the
+next step's first remainder.  The phi-function weights are real: closed
+forms away from hL = 0, Taylor series near it (``_etdrk4_weights``).
 
 A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
@@ -52,7 +58,11 @@ _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
 _BOUND_TOL = 1e-8
 _SNAP = 1e-6  # a remainder to t_end below this fraction of dt joins the last step
-_CONTOUR = np.exp(1j * np.pi * (np.arange(1, 33) - 0.5) / 32)
+_SERIES_RADIUS = 2.0  # the ETDRK4 weights of |z| = |hL| below it come from their Taylor series
+# Taylor coefficients of Q/h, f1/h, 2 f2/h and f3/h, a row per power of z = hL
+_SERIES = np.array([[(k + 2) * (k + 3) / 2.0 ** (k + 1), (k + 1) ** 2, 2 * (k + 1), 1 - k]
+                    for k in range(22)])
+_SERIES /= np.array([math.factorial(k + 3) for k in range(22)], dtype=float)[:, None]
 
 
 @dataclass(frozen=True)
@@ -216,9 +226,19 @@ class _Recorder:
         self.pending = []
         vv, vp, vpp = C @ basis.V.T, C @ basis.V1.T, (C @ basis.D.T) @ basis.V1.T
         r = 1.0 / (params.beta * params.p)
+        # u = v^r, u' = r v^(r-1) v' and u'' = r(r-1) v^(r-2) v'^2 + r v^(r-1) v'',
+        # in place and in that operation order
         uu = vv**r
-        up = r * vv ** (r - 1.0) * vp
-        upp = r * (r - 1.0) * vv ** (r - 2.0) * vp**2 + r * vv ** (r - 1.0) * vpp
+        up = vv ** (r - 1.0)
+        up *= r
+        vpp *= up
+        up *= vp
+        upp = vv
+        upp **= r - 2.0
+        upp *= r * (r - 1.0)
+        vp **= 2
+        upp *= vp
+        upp += vpp
         F, mass, fb = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
                                 for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
@@ -282,20 +302,64 @@ def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     return _run_galerkin(u0, cfg)
 
 
-def _etdrk4_weights(hL: np.ndarray, h: float):
-    """e^(hL), e^(hL/2) and the ETDRK4 weights Q, f1, f2, f3 for the diagonal hL.
+def _etdrk4_weights(z: np.ndarray, h: float):
+    """e^z, e^(z/2) and the ETDRK4 weights Q, f1, 2 f2, f3 for the diagonal z = hL.
 
-    Each phi-function is its mean on the unit circle about hL (Kassam &
-    Trefethen 2005), which avoids the cancellation of the closed forms near
-    hL = 0; the points are the upper half circle, real parts the lower.
+    With phi_k(z) = sum_j z^j / (j+k)!, the weights (Cox & Matthews 2002)
+    are Q = h phi_1(z/2) / 2, f1 = h(phi_1 - 3 phi_2 + 4 phi_3),
+    f2 = h(phi_2 - 2 phi_3) and f3 = h(4 phi_3 - phi_2); f2 comes doubled, as
+    the scheme uses it.  For |z| >= 2 they are the closed forms
+    Q = h expm1(z/2)/z, f1 = h(-4 - z + e^z(4 - 3z + z^2))/z^3,
+    2 f2 = h(4 + 2z + e^z(2z - 4))/z^3, f3 = h(-4 - 3z - z^2 + e^z(4 - z))/z^3.
+    Below that, where the closed forms cancel (Kassam & Trefethen 2005), they
+    are the first 22 terms of their Taylor series, with coefficients
+    1/(2^(k+1) (k+1)!), (k+1)^2/(k+3)!, 2(k+1)/(k+3)! and (1-k)/(k+3)!;
+    the first omitted term is below 1.1e-14 of f1 at |z| = 2.
     """
-    r = hL[:, None] + _CONTOUR
-    er = np.exp(r)
-    Q = h * np.mean((np.exp(r / 2.0) - 1.0) / r, axis=1).real
-    f1 = h * np.mean((-4.0 - r + er * (4.0 - 3.0 * r + r**2)) / r**3, axis=1).real
-    f2 = h * np.mean((2.0 + r + er * (r - 2.0)) / r**3, axis=1).real
-    f3 = h * np.mean((-4.0 - 3.0 * r - r**2 + er * (4.0 - r)) / r**3, axis=1).real
-    return np.exp(hL), np.exp(hL / 2.0), Q, f1, f2, f3
+    E = np.exp(z)
+    w = np.empty((4, z.size))
+    small = np.abs(z) < _SERIES_RADIUS
+    w[:, small] = (np.vander(z[small], len(_SERIES), increasing=True) @ _SERIES).T
+    big = ~small
+    zb, eb = z[big], E[big]
+    w[0, big] = np.expm1(zb / 2.0) / zb
+    w[1:, big] = np.array([-4.0 - zb + eb * (4.0 - 3.0 * zb + zb**2),
+                           4.0 + 2.0 * zb + eb * (2.0 * zb - 4.0),
+                           -4.0 - 3.0 * zb - zb**2 + eb * (4.0 - zb)]) / zb**3
+    Q, f1, f2, f3 = h * w
+    return E, np.exp(z / 2.0), Q, f1, f2, f3
+
+
+def _galerkin_stage(basis: OrthoBasis, U: np.ndarray, a: float, m: float):
+    """The stage function of the stepper for the weak form in the eigenbasis U of S.
+
+    ``stage(y, t)`` returns g = v^(m-1) - a on the refined nodes and the
+    remainder -U^T V1^T (rho^2 w g v'): the weak form's -V1^T(rho^2 w v^(m-1) v')
+    (the chain rule's m cancels the 1/m) less its linear part -a S c, at
+    c = U y.  It raises PositivityError at time t where v reaches the floor.
+    """
+    fine = basis.quad
+    weight = -(fine.weights * fine.rho2)
+    nodes = weight.size
+    # (V0 U)^T and (V1 U)^T side by side: y @ T is v and v' on the nodes, and
+    # the right half projects back
+    T = np.empty((U.shape[1], 2 * nodes))
+    np.matmul(U.T, basis.V.T, out=T[:, :nodes])
+    np.matmul(U.T, basis.V1.T, out=T[:, nodes:])
+    W1T = T[:, nodes:]
+
+    def stage(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        vd = y @ T
+        v, dv = vd[:nodes], vd[nodes:]
+        if np.minimum.reduce(v) <= _POSITIVITY_FLOOR:
+            raise PositivityError(t, "v reached the positivity floor")
+        v **= m - 1.0  # g = v^(m-1) - a, in place
+        v -= a
+        dv *= v
+        dv *= weight
+        return v, W1T @ dv
+
+    return stage
 
 
 def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
@@ -313,24 +377,12 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
     lam_top = float(mu[-1])
     a = (c0[0] * V0[0, 0]) ** (m - 1.0)
-    W0, W1 = V0 @ U, V1 @ U
+    stage = _galerkin_stage(basis, U, a, m)
     rec = _Recorder(cfg, basis)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 
-    def state(y: np.ndarray):
-        vv = W0 @ y
-        if vv.min() <= _POSITIVITY_FLOOR:
-            raise PositivityError(t_now, "v reached the positivity floor")
-        return vv ** (m - 1.0) - a
-
-    def remainder(y: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-        # the weak form's -V1^T(rho^2 w v^(m-1) v') (the chain rule's m
-        # cancels the 1/m) less its linear part -a S c, in the eigenbasis
-        g = state(y) if g is None else g
-        return -(W1.T @ (rho2w * g * (W1 @ y)))
-
     try:
-        g = state(y)
+        g, Nu = stage(y, t_now)
         rec.record(0.0, U @ y)
         while t_now < cfg.t_end:
             stiff = lam_top * float(np.abs(g).max()) * max(1.0, abs(m))
@@ -342,16 +394,16 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
             if stiff == 0:  # v^(m-1) = a on the nodes (m = 1: the heat flow)
                 y = E * y
             else:
-                Nu = remainder(y, g)
-                ya = E2 * y + Q * Nu
-                Na = remainder(ya)
-                yb = E2 * y + Q * Na
-                Nb = remainder(yb)
+                E2y = E2 * y
+                ya = E2y + Q * Nu
+                Na = stage(ya, t_now)[1]
+                yb = E2y + Q * Na
+                Nb = stage(yb, t_now)[1]
                 yc = E2 * ya + Q * (2.0 * Nb - Nu)
-                y = E * y + f1 * Nu + 2.0 * f2 * (Na + Nb) + f3 * remainder(yc)
+                y = E * y + f1 * Nu + f2 * (Na + Nb) + f3 * stage(yc, t_now)[1]
             t_now = cfg.t_end if last else t_now + dt
             step += 1
-            g = state(y)
+            g, Nu = stage(y, t_now)
             if step % cfg.record_every == 0 or last:
                 rec.record(t_now, U @ y)
     except PositivityError as err:

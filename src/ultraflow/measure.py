@@ -239,6 +239,9 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes and weights summing to one of the N-point Gauss rule for
     (1 - x^2)^a, a > -1: Chebyshev's closed forms at a = -1/2 and 1/2, else
     ``_golub_welsch`` (module docstring)."""
+    if not a > -1.0:
+        raise DomainError(f"the Gauss rule of (1 - z^2)^a needs a > -1, got {a} (on the plain "
+                          "measure, n below 1.1e-16 rounds a = (n - 2)/2 to -1)")
     k = np.arange(N, 0, -1)
     if a == -0.5:
         return np.cos((2 * k - 1) * (math.pi / (2 * N))), np.full(N, 1.0 / N)
@@ -287,6 +290,11 @@ def _golub_welsch(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     # the Jacobi equation S' = (2a + 2) x S / (1 - x^2): the step and S at its end
     dx = p[N] * b[N] * p[N - 1] / S
     x = x - dx
+    if x[-1] >= 1.0:  # a + 1 below about 1e-16 N^2: the node next to 1 rounds to it
+        raise DomainError(
+            f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure "
+            f"of n = {2.0 * a + 2.0:.3g}) has a node within rounding of +-1; use fewer nodes"
+        )
     w = (1.0 + (2.0 * a + 2.0) * x * dx / (1.0 - x * x)) / S
     h = N % 2  # mirror the nodes x > 0
     w = np.concatenate((w[h:][::-1], w))

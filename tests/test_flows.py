@@ -18,11 +18,16 @@ Oracle notes
 * The Galerkin flows step with ETDRK4; ``rk4_reference`` integrates the
   same weak form with classical RK4 at the step bound of the explicit
   method, 0.5/lam_top, and lands on the trace's record times.
+* The ETDRK4 weights are phi-function combinations; 50-digit mpmath gives
+  phi_k(z) = 1F1(1; k + 1; z) / k!, free of the cancellation of the
+  closed forms near z = 0.
 """
 from __future__ import annotations
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -474,6 +479,88 @@ class TestGalerkinStepper:
         gate = 1e-9 * abs(tr.F_values[0])
         assert np.all(np.diff(tr.F_values) <= gate)
         assert np.max(np.abs(tr.mass - tr.mass[0])) < 1e-12
+
+    @pytest.mark.parametrize("params, N, nodes", [
+        (UltraParams(n=4.0, p=3.8, beta=1.9048), 64, 128),
+        (UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3), 128, 976),
+    ])
+    def test_stage_matches_the_weak_form(self, params, N, nodes):
+        # g = v^(m-1) - a and the remainder U^T(-V1^T diag(rho^2 w) g v'), formed
+        # from the basis tables at c = U y, U the stepper's eigenbasis of S
+        basis = get_regularized_basis(params.n, params.eps, N)
+        fine, V0, V1, m = basis.quad, basis.V, basis.V1, params.m
+        assert fine.nodes.size == nodes
+        c0 = basis.analyze((1.0 + 0.1 * fine.nodes + 0.05 * fine.nodes**2) ** (params.beta * params.p))
+        rho2w = fine.weights * fine.rho2
+        U = np.eye(c0.size)
+        U[1:, 1:] = np.linalg.eigh((V1.T @ (rho2w[:, None] * V1))[1:, 1:])[1]
+        a = (c0[0] * V0[0, 0]) ** (m - 1.0)
+        y = U.T @ c0
+        g, remainder = flows._galerkin_stage(basis, U, a, m)(y, 0.0)
+        # c is U y, not c0: V1 lifts c0's rounding in the top modes to 1e-11 of v'
+        c = U @ y
+        want_g = (V0 @ c) ** (m - 1.0) - a
+        want = U.T @ -(V1.T @ (rho2w * want_g * (V1 @ c)))
+        # measured: 2.6e-14 on g and 6.7e-15 on the remainder
+        assert np.max(np.abs(g - want_g)) <= 1e-13 * np.max(np.abs(want_g))
+        assert np.max(np.abs(remainder - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("position", [1, 2, 3, 4])
+    def test_every_stage_state_is_checked_for_positivity(self, monkeypatch, position):
+        # the stage call at ``position`` of the fourth step (1-3 the inner
+        # states, 4 the step's end) gets -y, whose v is negative on every node
+        make = flows._galerkin_stage
+
+        def spoiled(*args):
+            stage, calls = make(*args), []
+
+            def wrapped(y, t):
+                calls.append(t)
+                return stage(-y if len(calls) == 1 + 4 * 3 + position else y, t)
+
+            return wrapped
+
+        monkeypatch.setattr(flows, "_galerkin_stage", spoiled)
+        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.01,
+                         record_every=1)
+        with pytest.raises(PositivityError) as excinfo:
+            run_nonlinear_flow(1.0 + 0.1 * plain_nodes(4.0, 32), cfg)
+        partial = excinfo.value.partial
+        assert partial.times.size == 4
+        np.testing.assert_allclose(partial.times, [0.0, 1e-3, 2e-3, 3e-3], rtol=1e-12, atol=0)
+        if position < 4:  # an inner stage fails at its step's start
+            assert excinfo.value.t == partial.times[-1]
+        else:  # the step's last stage at its end
+            assert excinfo.value.t == pytest.approx(4e-3, rel=1e-12)
+
+
+class TestEtdrk4Weights:
+    @staticmethod
+    def reference(z: float, h: float) -> list[float]:
+        """E, E2, Q, f1, 2 f2 and f3 at 50 digits."""
+        with mpmath.workdps(50):
+            z = mpmath.mpf(z)
+            p1, p2, p3 = (mpmath.hyp1f1(1, k + 1, z) / mpmath.factorial(k) for k in (1, 2, 3))
+            q = mpmath.hyp1f1(1, 2, z / 2) / 2
+            vals = [mpmath.exp(z), mpmath.exp(z / 2), h * q, h * (p1 - 3 * p2 + 4 * p3),
+                    2 * h * (p2 - 2 * p3), h * (4 * p3 - p2)]
+            return [float(v) for v in vals]
+
+    def test_weights_match_mpmath_phi_functions(self):
+        # the stepper's z = -a h mu lies in (-inf, 0]; the grid takes z = 0,
+        # |z| from 1e-12 to 1e4 and one ulp either side of the series switch
+        # at |z| = 2.  Measured worst: 9.8e-15 on f1, whose zero at z = -2.688
+        # lies 3.5e-3 from the grid point -2.6915 (no double evaluation keeps
+        # f1's relative error at its zero), and 3.8e-16 on the others
+        h = 0.37
+        z = -np.concatenate(([0.0], np.logspace(-12, 4, 161),
+                             [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array(flows._etdrk4_weights(z, h))
+        for i, zi in enumerate(z):
+            for j, want in enumerate(self.reference(zi, h)):
+                assert abs(got[j, i] - want) <= 1e-13 * abs(want), (zi, j)
 
 
 class TestRegularizedFlow:

@@ -239,9 +239,30 @@ class TestGaussJacobi:
                             z -= mpmath.jacobi(N, a, a, z) / ((N + 2 * a + 1) / 2 * mpmath.jacobi(N - 1, a + 1, a + 1, z))
                         assert abs(nodes[i] - z) < 2.5e-16, (n, N, i)
 
+    def test_node_rounding_to_the_end_raises(self):
+        # a + 1 = 2.2e-16 at N = 6: the largest node rounds to 1, where the weight
+        # transfer would divide by 1 - x^2 = 0; below n = 1.1e-16, a rounds to -1
+        with pytest.raises(DomainError, match=r"6-node .* n = 4\.4"):
+            build_quadrature(UltraParams(n=4.4e-16), 6)
+        with pytest.raises(DomainError, match="a > -1"):
+            build_quadrature(UltraParams(n=1e-300), 6)
+
+    def test_smallest_n_at_256_nodes_keeps_its_moments(self):
+        # n = 1e-11 at N = 256 still builds: its largest node is 7.0e-14 from 1,
+        # and its even moments meet their closed form within 3.6e-11, the floor
+        # of this n (8.0e-14 from n = 1e-3 up)
+        n, N = 1e-11, 256
+        q = build_quadrature(UltraParams(n=n), N)
+        assert q.nodes[-1] < 1.0 and np.all(q.weights > 0)
+        with mpmath.workdps(30):
+            half = mpmath.mpf(n) / 2
+            for k in (1, 2, 5, N // 2, N - 1):
+                want = float(mpmath.beta(k + 0.5, half) / mpmath.beta(0.5, half))
+                assert abs(q.integrate(q.nodes ** (2 * k)) - want) < 5e-11, k
+
     # a + 1 >= 1e-9 (n >= 2e-9): closer to -1 the nodes next to +-1 lie within
     # rounding of +-1 (their distance is about 2 (a + 1) / N^2), so no double
-    # rule has them strictly inside, and 1 - x^2 vanishes in the weights
+    # rule has them strictly inside, and where one rounds to +-1 the build raises
     @given(N=st.integers(min_value=2, max_value=256),
            a=st.floats(min_value=-1.0 + 1e-9, max_value=15.0))
     @settings(max_examples=60, deadline=None)
