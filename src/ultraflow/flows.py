@@ -94,8 +94,8 @@ class FlowConfig:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if not (self.t_end > 0 and math.isfinite(self.t_end)):
             raise DomainError(f"t_end must be positive, got {self.t_end}")
-        if self.record_every < 1:
-            raise DomainError(f"record_every must be >= 1, got {self.record_every}")
+        if not (self.record_every >= 1 and float(self.record_every).is_integer()):
+            raise DomainError(f"record_every must be an integer >= 1, got {self.record_every}")
         p = self.params
         if self.kind == "heat":
             if p.beta != 1.0:
@@ -188,12 +188,13 @@ def _dF_value(
 def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     """Instantaneous (dF/dt) / (2 beta^2) for the flow of ``cfg`` at state u.
 
-    ``u`` is a GridFn on the rule of cfg.params; lam defaults to n when
-    the config leaves it unset.
+    ``u`` is a GridFn on the rule of cfg.params.  An unset lam resolves as
+    in the flow run from u: n for the heat and nonlinear kinds, lambda_eps
+    with h0/h1 from the config or derived from u for the regularized kind.
     """
     params = cfg.params
     fine, _, _, uu, up, upp = _resample_positive(u, params, len(u), "the state")
-    lam = cfg.lam if cfg.lam is not None else params.n
+    lam = _resolve_bounds_and_lambda(cfg, uu, up).lam
     return float(_dF_value(uu, up, upp, fine, params, lam))
 
 
@@ -239,8 +240,8 @@ class _Recorder:
         vp **= 2
         upp *= vp
         upp += vpp
-        F, mass, fb = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
-                                for u, g in zip(uu, up)]).T
+        F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
+                                   for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
         dF = _dF_value(uu, up, upp, fine, params, cfg.lam)
         self.columns.append(np.array([t, mass, fb, F, umin, umax, gmax, dF]))

@@ -8,7 +8,9 @@ The central object is the deficit
 which the sharp inequality makes nonnegative for lambda = n on the range
 p in [1, 2) u (2, 2*], with 2* = 2n/(n-2) enforced only when n > 2.  At
 p = 2 the entropy term degenerates to the logarithmic form handled by
-``logsob_deficit`` with the sharp constant n/2.
+``logsob_deficit`` with the sharp constant n/2.  The deficit is the flow
+Lyapunov functional F at beta = 1, taken of |f|, or of the signed f at
+p = 1; ``lyapunov_terms`` is the one body of both.
 
 Conventions at the endpoints:
 
@@ -75,8 +77,6 @@ def fisher(f: GridFn, q: Quadrature) -> float:
 
 
 def _check_p_range(n: float, p: float) -> None:
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
     if p == 2:
         raise DomainError("p = 2 is the logarithmic case; use logsob_deficit")
     if n > 2:
@@ -98,8 +98,13 @@ def deficit(
     the entropy term change sign across p = 2, so the report is meaningful
     on the whole range p in [1, 2) u (2, 2*].
     """
-    _check_p_range(params.n, params.p)
-    return _deficit(f, params.n, params.p, lam, N)
+    n, p = params.n, params.p
+    _check_p_range(n, p)
+    lam = n if lam is None else lam
+    plain = UltraParams(n=n, p=p)
+    fine, _, _, ff, fp, _ = resample(f, plain, DEFAULT_NODES if N is None else N)
+    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, plain, lam)
+    return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
 
 
 def logsob_deficit(
@@ -112,34 +117,20 @@ def logsob_deficit(
 
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0.
     """
-    return _deficit(f, params.n, 2.0, lam, N)
-
-
-def _deficit(f: GridFn, n: float, p: float, lam: float | None, N: int | None) -> DeficitReport:
-    """The body of ``deficit`` and of ``logsob_deficit`` (p = 2, the log entropy)."""
-    if lam is None:
-        lam = n / 2.0 if p == 2 else n
-    if N is None:
-        N = DEFAULT_NODES
-    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), N)
+    n = params.n
+    lam = n / 2.0 if lam is None else lam
+    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), DEFAULT_NODES if N is None else N)
     fisher_val = float(fine.integrate(fine.rho2 * fp**2))
     g = ff**2
     l2 = fine.integrate(g)
-    if p == 2:
-        if l2 <= 0:
-            raise DomainError("logsob_deficit requires a nonzero function")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(g > 0, g * np.log(g / l2), 0.0)
-        entropy = fine.integrate(integrand)
-    elif p == 1:
-        mean = fine.integrate(ff)
-        entropy = l2 - mean**2
-    else:
-        lp2 = fine.integrate(np.abs(ff) ** p) ** (2.0 / p)
-        entropy = (lp2 - l2) / (p - 2.0)
+    if l2 <= 0:
+        raise DomainError("logsob_deficit requires a nonzero function")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.where(g > 0, g * np.log(g / l2), 0.0)
+    entropy = fine.integrate(integrand)
     return DeficitReport(
         n=n,
-        p=p,
+        p=2.0,
         lambda_used=float(lam),
         fisher=fisher_val,
         entropy_term=float(entropy),
@@ -166,12 +157,12 @@ def lyapunov_terms(
     fine: Quadrature,
     params: UltraParams,
     lam: float,
-) -> tuple[float, float, float]:
-    """(F, mass, fisher_beta) from values of u and u' on a refined rule.
+) -> tuple[float, float, float, float]:
+    """(F, mass, fisher_beta, entropy) from values of u and u' on a refined rule.
 
-    F = int (1-z^2) |(u^beta)'|^2 dnu + lam/(p-2) (||u^beta||_2^2 - ||u^beta||_p^2),
-    mass = int u^(beta p) dnu.  Shared with the flow drivers, which obtain
-    (u, u') exactly from the evolved polynomial state.
+    With w = u^beta: F = fisher_beta - lam * entropy, fisher_beta = int (1-z^2) |w'|^2 dnu,
+    entropy = (||w||_p^2 - ||w||_2^2)/(p-2) and mass = int w^p dnu.  The one body of F, for
+    the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
     """
     beta, p = params.beta, params.p
     if p == 2:
@@ -181,9 +172,10 @@ def lyapunov_terms(
     fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))
     l2 = fine.integrate(ub**2)
     lpp = fine.integrate(ub**p)
-    F = fisher_beta + lam / (p - 2.0) * (l2 - lpp ** (2.0 / p))
+    lp2 = lpp ** (2.0 / p)
+    F = fisher_beta + lam / (p - 2.0) * (l2 - lp2)
     mass = float(lpp)  # int u^(beta p) = int (u^beta)^p
-    return float(F), mass, fisher_beta
+    return float(F), mass, fisher_beta, float((lp2 - l2) / (p - 2.0))
 
 
 def lyapunov_F(
@@ -202,5 +194,5 @@ def lyapunov_F(
     if N is None:
         N = DEFAULT_NODES
     fine, _, _, uu, up, _ = _resample_positive(u, params, N, "the function")
-    F, mass, _ = lyapunov_terms(uu, up, fine, params, lam)
+    F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

@@ -32,6 +32,7 @@ from ultraflow import (
     regularity_coeffs,
     thresholds,
 )
+from ultraflow import admissibility
 from ultraflow.admissibility import _radicand
 
 
@@ -196,6 +197,22 @@ class TestRange:
         r = m_range(4.0, 4.5)
         assert r.empty
         assert r.m_minus is None
+
+    def test_half_line_where_A_vanishes(self):
+        # A = ((n-1)(p-1)/(n+2))^2 + 2 - p is exactly 0 at (3, 2.25): the root
+        # s- = B - |B| is 0, and delta = 1 - 1.5 beta <= 0 on [2/3, inf)
+        assert abc(3.0, 2.25)[0] == 0.0
+        (lo, hi), = beta_range(3.0, 2.25)
+        assert lo == pytest.approx(2.0 / 3.0, rel=1e-15) and hi == math.inf
+        for beta in (lo * (1 + 1e-9), 1.0, 1e6):
+            assert delta_of_beta(beta, 3.0, 2.25) < 0
+        for beta in (lo * (1 - 1e-9), 0.5, -1.0):
+            assert delta_of_beta(beta, 3.0, 2.25) > 0
+
+    def test_half_line_where_the_upper_root_vanishes(self, monkeypatch):
+        # B < 0 with A = 0 puts s+ = B + |B| at 0: the set is (-inf, 1/s-]
+        monkeypatch.setattr(admissibility, "abc", lambda n, p: (0.0, -0.75, 1.0))
+        assert admissibility._beta_intervals(3.0, 4.0) == ((-math.inf, -2.0 / 3.0),)
 
     def test_two_rays_below_critical(self):
         ivs = beta_range(3.0, 4.0)

@@ -1,14 +1,16 @@
 """The public API: ``ultraflow.__all__`` is pinned, so a name leaves it only
 through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
-formed from points in ``operators._points``; another keeps every module
-free of scipy imports."""
+formed from points in ``operators._points``, and the Lp bracket of the
+Lyapunov functional in ``functionals.lyapunov_terms``; another keeps every
+module free of scipy imports."""
 import ast
 import inspect
 import re
 from pathlib import Path
 
 import ultraflow
+from ultraflow.functionals import lyapunov_terms
 from ultraflow.operators import _deformation, _points
 
 PUBLIC_NAMES = [
@@ -52,6 +54,17 @@ def test_eps_deformation_has_one_owner():
         for pattern in (branch, rho2_from_z, zeta_from_z):
             rest = text.replace(owners.get(pattern, ""), "")
             assert not re.search(pattern, rest), f"{path.name} matches {pattern!r}"
+
+
+def test_entropy_bracket_has_one_owner():
+    # F's bracket ||w||_p^2 = (int w^p)^(2/p) is formed only in lyapunov_terms,
+    # which deficit, lyapunov_F and the flow recorder share
+    bracket = r"\*\*\s*\(2(\.0)?\s*/\s*p\)"
+    owner = inspect.getsource(lyapunov_terms)
+    assert re.search(bracket, owner)
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        rest = path.read_text().replace(owner, "")
+        assert not re.search(bracket, rest), path.name
 
 
 def test_no_module_imports_scipy():

@@ -7,7 +7,7 @@ the distribution is installed (``pip install -e . --no-build-isolation``);
 from a plain source checkout that test is skipped.  Two more run the
 README's command lines in a fresh interpreter: none loads scipy, and verify
 and flow run where importing scipy raises.
-The JSON emitter renders non-finite floats as the strings "inf"/"-inf",
+The JSON emitter renders non-finite floats as the strings "inf"/"-inf"/"nan",
 which ``json.loads`` hands back unchanged.
 """
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import ultraflow
+from ultraflow import NumericalError, cli
 from ultraflow.cli import main
 
 
@@ -73,6 +74,11 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_json_renders_non_finite_floats_as_strings():
+    text = cli._to_json({"a": [math.nan, math.inf], "b": -math.inf, "c": 0.5})
+    assert json.loads(text) == {"a": ["nan", "inf"], "b": "-inf", "c": 0.5}
 
 
 class TestRange:
@@ -340,6 +346,16 @@ class TestFlow:
         assert code == 3
         assert "positivity lost at t=0" in capsys.readouterr().err
         assert not out.exists()  # failure at t = 0 leaves nothing to flush
+
+    def test_numerical_error_exit_code(self, capsys, monkeypatch, tmp_path):
+        def fail(u0, cfg):
+            raise NumericalError("stepper diverged")
+
+        monkeypatch.setitem(cli._FLOW_RUNNERS, "heat", fail)
+        code = main(["flow", "--kind", "heat", "--n", "3", "--p", "3",
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "error: stepper diverged" in capsys.readouterr().err
 
     def test_positivity_failure_flushes_the_partial_trace(self, capsys, tmp_path):
         out = tmp_path / "t.csv"

@@ -115,6 +115,13 @@ class TestFlowConfig:
         with pytest.raises(DomainError, match="record_every"):
             FlowConfig(kind="nonlinear", params=self.params(), record_every=0)
 
+    def test_record_every_must_be_integral(self):
+        # step % 2.5 == 0 would record every fifth step
+        with pytest.raises(DomainError, match="record_every"):
+            FlowConfig(kind="nonlinear", params=self.params(), record_every=2.5)
+        cfg = FlowConfig(kind="nonlinear", params=self.params(), record_every=np.int64(3))
+        assert cfg.record_every == 3
+
     def test_heat_requires_unit_beta(self):
         with pytest.raises(DomainError, match="beta = 1"):
             FlowConfig(kind="heat", params=self.params(beta=2.0))
@@ -356,6 +363,13 @@ class TestHeatFlow:
         assert not tr.times.flags.writeable
         with pytest.raises(ValueError):
             tr.F_values[0] = 0.0
+
+    def test_repr_names_kind_records_and_gap(self):
+        params = UltraParams(n=3.0, p=3.0, beta=1.0)
+        cfg = FlowConfig(kind="heat", params=params, t_end=0.1, record_every=25)
+        tr = run_heat_flow(np.ones(32) + 0.1 * plain_nodes(3.0, 32), cfg)
+        assert repr(tr) == (f"FlowTrace(kind='heat', records=5, t=[0, 0.1], "
+                            f"terminal_gap={tr.terminal_gap:.3e})")
 
 
 class TestNonlinearFlow:
@@ -655,6 +669,14 @@ class TestClosedFormDerivative:
         cfg = FlowConfig(kind="heat", params=params)
         z = plain_nodes(3.0, 48)
         assert dF_dt_closed_form(1.0 + 0.3 * z, cfg) < 0
+
+    def test_unset_lambda_resolves_as_the_regularized_run(self):
+        # lam = None is lambda_eps (2.49991 here), not n, as in the run itself
+        params = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)
+        u0 = 1.0 + 0.1 * build_quadrature(params, 64, kind="regularized").nodes
+        cfg = FlowConfig(kind="regularized", params=params, dt=1e-3, t_end=1e-3)
+        want = run_regularized_flow(u0, cfg).dF_closed[0]
+        assert dF_dt_closed_form(u0, cfg) == pytest.approx(want, rel=1e-12)
 
 
 class TestBlockDissipation:

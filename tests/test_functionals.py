@@ -45,6 +45,10 @@ class TestNorms:
         q = rule(3.0)
         assert lp_norm(-np.ones(64), q, 3.0) == pytest.approx(1.0, abs=1e-13)
 
+    def test_exponent_below_one_rejected(self):
+        with pytest.raises(DomainError, match="p >= 1"):
+            lp_norm(np.ones(64), rule(3.0), 0.5)
+
 
 class TestFisher:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.5, 3.0, 4.0])
@@ -155,6 +159,10 @@ class TestLogSobolev:
         assert np.isfinite(rep.deficit)
         assert rep.deficit > 0
 
+    def test_zero_function_rejected(self):
+        with pytest.raises(DomainError, match="nonzero"):
+            logsob_deficit(np.zeros(64), UltraParams(n=3.0))
+
 
 class TestExtremalProfile:
     def test_shape(self):
@@ -185,6 +193,17 @@ class TestLyapunov:
         F = lyapunov_F(u, UltraParams(n=n, p=p, beta=1.0))
         rep = deficit(u, UltraParams(n=n, p=p))
         assert F.value == pytest.approx(rep.deficit, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1.5, 2.5, 3.0, 4.2])
+    def test_deficit_is_F_at_unit_beta_bit_for_bit(self, n):
+        # one body: the deficit of a positive u is F at beta = 1, exactly
+        z = rule(n).nodes
+        crit = 2.0 * n / (n - 2.0) if n > 2 else np.inf
+        for u in (1.0 + 0.2 * z, np.exp(0.3 * np.sin(2.0 * z)), 1.5 + 0.1 * z**3):
+            for p in (1.0, 1.3, 2.7, 3.7, 5.1):
+                if p <= crit:
+                    rep = deficit(u, UltraParams(n=n, p=p))
+                    assert rep.deficit == lyapunov_F(u, UltraParams(n=n, p=p, beta=1.0)).value
 
     def test_constant_state_is_zero(self):
         F = lyapunov_F(np.full(64, 1.3), UltraParams(n=3.0, p=4.0, beta=2.0))
