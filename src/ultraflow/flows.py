@@ -22,7 +22,8 @@ int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
 S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
 max|v^(m-1) - a| max(1, |m|) with lam_top the top eigenvalue of S, needs
 dt <= 2 / that; the last step lands on t_end.  Where that stiffness is 0
-(at m = 1 always) the remainder vanishes and the step is y = e^(-a h S) y.
+(at m = 1 always) the remainder vanishes and the step is y = e^(-a h S) y;
+at m = 1 a step's end then only checks the positivity of v.
 Each of a step's four stages is one call of ``_galerkin_stage``: one
 product of the eigenbasis state with a (modes x 2 nodes) table gives v and
 v' on the refined rule, and the v' half of the same table projects the
@@ -338,6 +339,8 @@ def _galerkin_stage(basis: OrthoBasis, U: np.ndarray, a: float, m: float):
     remainder -U^T V1^T (rho^2 w g v'): the weak form's -V1^T(rho^2 w v^(m-1) v')
     (the chain rule's m cancels the 1/m) less its linear part -a S c, at
     c = U y.  It raises PositivityError at time t where v reaches the floor.
+    At m = 1 (the heat flow) both are exactly 0, so the stage only forms v
+    and checks it.
     """
     fine = basis.quad
     weight = -(fine.weights * fine.rho2)
@@ -347,7 +350,17 @@ def _galerkin_stage(basis: OrthoBasis, U: np.ndarray, a: float, m: float):
     T = np.empty((U.shape[1], 2 * nodes))
     np.matmul(U.T, basis.V.T, out=T[:, :nodes])
     np.matmul(U.T, basis.V1.T, out=T[:, nodes:])
-    W1T = T[:, nodes:]
+    W0T, W1T = T[:, :nodes], T[:, nodes:]
+
+    if m == 1:  # g = v^0 - 1 and the remainder are exactly 0: only positivity is left
+        zeros = np.zeros(nodes), np.zeros(U.shape[1])
+
+        def stage(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+            if np.minimum.reduce(y @ W0T) <= _POSITIVITY_FLOOR:
+                raise PositivityError(t, "v reached the positivity floor")
+            return zeros
+
+        return stage
 
     def stage(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         vd = y @ T

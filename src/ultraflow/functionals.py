@@ -85,6 +85,14 @@ def _check_p_range(n: float, p: float) -> None:
             raise DomainError(f"p={p} exceeds the critical exponent {p_crit} for n={n}")
 
 
+def _check_plain(params: UltraParams, what: str) -> None:
+    if params.eps != 0 or params.beta != 1:
+        raise DomainError(
+            f"{what} is defined on the plain measure at beta = 1, "
+            f"got eps={params.eps}, beta={params.beta}"
+        )
+
+
 def deficit(
     f: GridFn,
     params: UltraParams,
@@ -96,14 +104,15 @@ def deficit(
     ``lam`` defaults to the sharp constant n.  ``f`` is sampled on the
     plain N-node rule (N defaults to the package default).  Both factors of
     the entropy term change sign across p = 2, so the report is meaningful
-    on the whole range p in [1, 2) u (2, 2*].
+    on the whole range p in [1, 2) u (2, 2*].  ``params`` must be plain
+    (eps = 0) with beta = 1; anything else raises DomainError.
     """
     n, p = params.n, params.p
+    _check_plain(params, "deficit")
     _check_p_range(n, p)
     lam = n if lam is None else lam
-    plain = UltraParams(n=n, p=p)
-    fine, _, _, ff, fp, _ = resample(f, plain, DEFAULT_NODES if N is None else N)
-    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, plain, lam)
+    fine, _, _, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
     return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
 
 
@@ -116,10 +125,15 @@ def logsob_deficit(
     """Deficit of the logarithmic endpoint p = 2, sharp constant n/2.
 
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0.
+    ``params`` must have p = 2, eps = 0 and beta = 1; anything else raises
+    DomainError.
     """
     n = params.n
+    if params.p != 2:
+        raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
+    _check_plain(params, "logsob_deficit")
     lam = n / 2.0 if lam is None else lam
-    fine, _, _, ff, fp, _ = resample(f, UltraParams(n=n), DEFAULT_NODES if N is None else N)
+    fine, _, _, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
     fisher_val = float(fine.integrate(fine.rho2 * fp**2))
     g = ff**2
     l2 = fine.integrate(g)

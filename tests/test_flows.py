@@ -519,10 +519,9 @@ class TestGalerkinStepper:
         assert np.max(np.abs(g - want_g)) <= 1e-13 * np.max(np.abs(want_g))
         assert np.max(np.abs(remainder - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("position", [1, 2, 3, 4])
-    def test_every_stage_state_is_checked_for_positivity(self, monkeypatch, position):
-        # the stage call at ``position`` of the fourth step (1-3 the inner
-        # states, 4 the step's end) gets -y, whose v is negative on every node
+    @staticmethod
+    def _positivity_error(monkeypatch, cfg, spoil):
+        # the stage call numbered ``spoil`` gets -y, whose v is negative on every node
         make = flows._galerkin_stage
 
         def spoiled(*args):
@@ -530,22 +529,50 @@ class TestGalerkinStepper:
 
             def wrapped(y, t):
                 calls.append(t)
-                return stage(-y if len(calls) == 1 + 4 * 3 + position else y, t)
+                return stage(-y if len(calls) == spoil else y, t)
 
             return wrapped
 
         monkeypatch.setattr(flows, "_galerkin_stage", spoiled)
-        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.01,
-                         record_every=1)
+        run = run_heat_flow if cfg.kind == "heat" else run_nonlinear_flow
         with pytest.raises(PositivityError) as excinfo:
-            run_nonlinear_flow(1.0 + 0.1 * plain_nodes(4.0, 32), cfg)
+            run(1.0 + 0.1 * plain_nodes(4.0, 32), cfg)
         partial = excinfo.value.partial
         assert partial.times.size == 4
         np.testing.assert_allclose(partial.times, [0.0, 1e-3, 2e-3, 3e-3], rtol=1e-12, atol=0)
+        return excinfo.value
+
+    @pytest.mark.parametrize("position", [1, 2, 3, 4])
+    def test_every_stage_state_is_checked_for_positivity(self, monkeypatch, position):
+        # the stage call at ``position`` of the fourth step (1-3 the inner
+        # states, 4 the step's end)
+        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.01,
+                         record_every=1)
+        err = self._positivity_error(monkeypatch, cfg, 1 + 4 * 3 + position)
         if position < 4:  # an inner stage fails at its step's start
-            assert excinfo.value.t == partial.times[-1]
+            assert err.t == err.partial.times[-1]
         else:  # the step's last stage at its end
-            assert excinfo.value.t == pytest.approx(4e-3, rel=1e-12)
+            assert err.t == pytest.approx(4e-3, rel=1e-12)
+
+    def test_heat_step_end_is_checked_for_positivity(self, monkeypatch):
+        # m = 1: the exact step has no inner stages, only the check at its end
+        cfg = FlowConfig(kind="heat", params=UltraParams(n=4.0, p=3.0), dt=1e-3, t_end=0.01,
+                         record_every=1)
+        err = self._positivity_error(monkeypatch, cfg, 1 + 3 + 1)
+        assert err.t == pytest.approx(4e-3, rel=1e-12)
+
+    def test_heat_stage_returns_exact_zeros(self):
+        # at m = 1, g = v^0 - 1 and the remainder vanish; the stage still
+        # rejects a v below the floor
+        basis = get_regularized_basis(3.0, 0.0, 32)
+        U = np.eye(basis.K + 1)
+        c = basis.analyze(1.0 + 0.1 * basis.quad.nodes)
+        stage = flows._galerkin_stage(basis, U, 1.0, 1.0)
+        g, remainder = stage(c, 0.0)
+        assert not g.any() and not remainder.any()
+        assert g.shape == basis.quad.nodes.shape and remainder.shape == c.shape
+        with pytest.raises(PositivityError):
+            stage(-c, 0.5)
 
 
 class TestEtdrk4Weights:

@@ -116,6 +116,16 @@ class TestDeficit:
         with pytest.raises(DomainError):
             deficit(np.ones(64), UltraParams(n=4.0, p=4.5))
 
+    @pytest.mark.parametrize("params", [
+        UltraParams(n=2.5, p=3.0, eps=1e-2),
+        UltraParams(n=2.5, p=3.0, beta=4.0),
+    ])
+    def test_regularized_or_beta_key_rejected(self, params):
+        # the deficit lives on the plain measure at beta = 1; such a key used
+        # to return the plain value 0.001598811014566881 for f = 1 + 0.3z
+        with pytest.raises(DomainError, match="plain measure at beta = 1"):
+            deficit(1.0 + 0.3 * rule(2.5).nodes, params)
+
     def test_subcritical_p_below_one_rejected(self):
         with pytest.raises(DomainError):
             UltraParams(n=3.0, p=0.8)
@@ -162,6 +172,16 @@ class TestLogSobolev:
     def test_zero_function_rejected(self):
         with pytest.raises(DomainError, match="nonzero"):
             logsob_deficit(np.zeros(64), UltraParams(n=3.0))
+
+    @pytest.mark.parametrize("params, match", [
+        (UltraParams(n=2.5, p=7.0), "p = 2 endpoint"),
+        (UltraParams(n=2.5, eps=1e-2), "plain measure"),
+        (UltraParams(n=2.5, beta=4.0), "plain measure"),
+    ])
+    def test_key_off_the_log_endpoint_rejected(self, params, match):
+        # p = 7 used to be reported as p = 2.0 with the log-Sobolev value
+        with pytest.raises(DomainError, match=match):
+            logsob_deficit(1.0 + 0.3 * rule(2.5).nodes, params)
 
 
 class TestExtremalProfile:
