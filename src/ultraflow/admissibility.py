@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import UltraParams, build_quadrature
 from .operators import _deformation, _points
-from .spectral import _nodal_derivatives
+from .spectral import _nodal_derivatives, _require_positive
 
 # Relative tolerance declaring the discriminant a double root.
 _DEGENERATE_TOL = 1e-13
@@ -246,11 +246,11 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
 
     ``u`` is a GridFn on the rule matching ``params`` (plain when eps = 0)
     with as many nodes as len(u); derivatives are spectral.  Nonnegative
-    everywhere, for every positive u, exactly when delta(beta) <= 0.
+    everywhere, for every positive u, exactly when delta(beta) <= 0.  A
+    sample that is not finite and positive raises ``DomainError``.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError("qform_value requires a strictly positive function")
+    _require_positive(u, "qform_value requires a finite, strictly positive function")
     _, up, upp = _nodal_derivatives(u, build_quadrature(params, len(u)))
     return _qform(u, up, upp, beta, params)
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
@@ -79,6 +78,8 @@ def make_test_function(
     for a random polynomial Q, so u'(+-1) = 0 holds exactly by construction;
     otherwise P is a plain random polynomial and u'(+-1) != 0 generically.
     P - c0 is rescaled to amplitude 1 and |c0| <= 1, hence e^-2 <= u <= e^2.
+    P - c0 is built and evaluated on its coefficient array, in the operation
+    order of ``numpy.polynomial.polynomial``, so u matches it bit for bit.
     """
     if seed < 0:
         raise DomainError(f"the test-function seed must be >= 0, got {seed}")
@@ -86,19 +87,30 @@ def make_test_function(
     c0 = rng.uniform(-1.0, 1.0)
     if neumann:
         q = rng.uniform(-1.0, 1.0, size=max(0, degree - 3) + 1)
-        p1 = npoly.polyint(npoly.polysub(q, npoly.polymulx(npoly.polymulx(q))))
+        r = np.concatenate((q, [0.0, 0.0]))  # (1 - s^2) Q
+        r[2:] -= q
+        p1 = np.concatenate(([0.0], r / np.arange(1.0, r.size + 1)))
     else:
         p1 = np.concatenate([[0.0], rng.uniform(-1.0, 1.0, size=degree)])
-    scale = np.max(np.abs(npoly.polyval(_SCALE_GRID, p1)))
+    scale = np.abs(_polyval(_SCALE_GRID, p1)).max()
     if scale > 0:
         p1 = p1 / scale
-    return np.exp(c0 + npoly.polyval(build_quadrature(params, N).nodes, p1))
+    return np.exp(c0 + _polyval(build_quadrature(params, N).nodes, p1))
+
+
+def _polyval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c[0] + c[1] x + ... at ``x`` by Horner's rule, in place."""
+    v = np.full(x.shape, c[-1])
+    for ck in c[-2::-1].tolist():
+        v *= x
+        v += ck
+    return v
 
 
 def _require_neumann(basis, c) -> None:
     up_ends = basis.end_slopes[:, : c.shape[0]] @ c
-    scale = 1.0 + float(np.max(np.abs(basis.derivative_values(c))))
-    if np.max(np.abs(up_ends)) > _NEUMANN_TOL * scale:
+    scale = 1.0 + float(np.abs(basis.derivative_values(c)).max())
+    if np.abs(up_ends).max() > _NEUMANN_TOL * scale:
         raise DomainError(
             "u'(+-1) != 0: this check assumes the Neumann property; "
             "pass enforce_neumann=False to run it diagnostically"

@@ -39,12 +39,12 @@ one, which keeps the digits that 1 - z^2 and 1 + eps - z^2 lose at +-1.
 
 Rules are memoized and shared read-only, 128 keys per layer: the
 Gauss-Jacobi base rule with its rho^2 per (N, a), a = (d-2)/2 for
-regularized and (n-2)/2 for plain rules; the rule per (kind, n, eps, N) that
-``build_quadrature`` returns after validation, folding its factor into new
-weights over the base nodes (p, beta and a plain rule's eps do not enter
-it); the Gauss-Legendre panel rule per size, few per N since the panel
-edges pi/2^j do not depend on eps; and, 16 keys only, as many as the bases
-built on it, the graded rule per (n, eps, N).
+regularized and (n-2)/2 for plain rules, and a = 0 for the graded rule's
+Gauss-Legendre panels, few sizes per N since the panel edges pi/2^j do not
+depend on eps; the rule per (kind, n, eps, N) that ``build_quadrature``
+returns after validation, folding its factor into new weights over the base
+nodes (p, beta and a plain rule's eps do not enter it); and, 16 keys only,
+as many as the bases built on it, the graded rule per (n, eps, N).
 
 Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
 a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
@@ -62,7 +62,10 @@ of their closed form, against 6.0e-10 with scipy's rules and 1.9e-12 with
 1/S taken at the uncorrected node.  Median cost of a build for
 a in {-0.35, 0.25, 1}: 0.14-0.22 ms at N = 64 and 0.33-0.47 ms at N = 128,
 against 0.19-0.26 and 0.57-0.73 ms for ``scipy.special.roots_jacobi`` on the
-same 2-core x86-64 host; a closed form takes under 0.01 ms.
+same 2-core x86-64 host; a closed form takes under 0.01 ms.  For the
+11- to 212-node Gauss-Legendre panels (a = 0) of the graded rule at N = 64
+and 128: nodes within 8.0e-17 and weights within 7.3e-14 (relative) of
+30-digit mpmath, where numpy's ``leggauss`` misses the weights by 8.9e-12.
 """
 from __future__ import annotations
 
@@ -323,15 +326,6 @@ def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
     return rule(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps, rho2=rho2)
 
 
-@lru_cache(maxsize=128)
-def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
-    rule = np.polynomial.legendre.leggauss(m)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
-
-
 @lru_cache(maxsize=16)
 def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta."""
@@ -344,9 +338,9 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     for lo, hi in zip(edges, edges[1:]):
         # 2N (hi - lo) nodes resolve cos(k theta), k < 4N; 10 more resolve the
         # weight, whose branch points lie about a panel width away
-        x, wx = _legendre_rule(10 + math.ceil(2 * N * (hi - lo)))
+        x, wx, _ = _base_rule(10 + math.ceil(2 * N * (hi - lo)), 0.0)  # Gauss-Legendre
         theta.append(lo + (hi - lo) * (x + 1) / 2)
-        w.append(wx * (hi - lo) / 2)
+        w.append(wx * (hi - lo))
     theta, w = np.concatenate(theta), np.concatenate(w)
     s2 = np.sin(theta) ** 2
     w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)

@@ -155,12 +155,16 @@ class OrthoBasis:
     def evaluate(self, nodes: np.ndarray, order: int = 0) -> np.ndarray:
         """Values (order 0), Q_k' (order 1) or Q_k'' (order 2) at ``nodes``.
 
-        Returns an array of shape (len(nodes), K+1).  The recurrence is
-        numerically stable on [-1, 1] for all supported measures.
+        ``nodes`` must be 1-D (else ``ShapeError``).  Returns an array of
+        shape (len(nodes), K+1).  The recurrence is numerically stable on
+        [-1, 1] for all supported measures.
         """
         if order not in (0, 1, 2):
             raise DomainError(f"order must be 0, 1 or 2, got {order}")
-        return self._tables(nodes, order)[order]
+        z = np.asarray(nodes, dtype=float)
+        if z.ndim != 1:
+            raise ShapeError(f"nodes must be a 1-D array, got shape {z.shape}")
+        return self._tables(z, order)[order]
 
     @cached_property
     def end_slopes(self) -> np.ndarray:
@@ -169,9 +173,8 @@ class OrthoBasis:
         T.setflags(write=False)
         return T
 
-    def _tables(self, nodes: np.ndarray, order: int) -> list[np.ndarray]:
-        """[Q_k, Q_k', ...] up to derivative ``order`` at ``nodes``, in one recurrence pass."""
-        z = np.asarray(nodes, dtype=float)
+    def _tables(self, z: np.ndarray, order: int) -> list[np.ndarray]:
+        """[Q_k, Q_k', ...] up to derivative ``order`` at the 1-D float nodes ``z``, in one recurrence pass."""
         T = [np.empty((z.size, self.K + 1)) for _ in range(order + 1)]
         P = np.zeros((_RING, order + 1, z.size))  # the block of degree k in slot k % _RING
         S, Z = list(P), np.tile(z, (order + 1, 1))
@@ -275,14 +278,19 @@ def resample(u: GridFn, params: UltraParams, N: int):
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
 
 
+def _require_positive(u: np.ndarray, message: str) -> None:
+    """Raise ``DomainError(message)`` unless every sample lies in (0, inf), so NaN and
+    +-inf fail too; an empty ``u`` passes, for the rule builder to reject."""
+    if u.size and not 0.0 < u.min() <= u.max() < np.inf:
+        raise DomainError(message)
+
+
 def _resample_positive(u: GridFn, params: UltraParams, N: int, what: str):
-    """``resample`` of samples that are, and stay, strictly positive; ``what`` names them."""
+    """``resample`` of samples that are, and stay, finite and strictly positive; ``what`` names them."""
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0):
-        raise DomainError(f"{what} must be strictly positive")
+    _require_positive(u, f"{what} must be finite and strictly positive")
     out = resample(u, params, N)
-    if np.any(out[3] <= 0):
-        raise DomainError(f"{what} loses positivity under resampling; refine the grid")
+    _require_positive(out[3], f"{what} loses positivity under resampling; refine the grid")
     return out
 
 

@@ -3,10 +3,14 @@ through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional in ``functionals.lyapunov_terms``; another keeps every
-module free of scipy imports."""
+module free of scipy and numpy.polynomial, and a fresh interpreter checks
+that ``import ultraflow.cli`` loads no part of numpy.polynomial."""
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ultraflow
@@ -67,14 +71,30 @@ def test_entropy_bracket_has_one_owner():
         assert not re.search(bracket, rest), path.name
 
 
-def test_no_module_imports_scipy():
-    # scipy is a test dependency: the Gauss-Jacobi rules are built with numpy
+def test_no_module_imports_numpy_polynomial_or_scipy():
+    # scipy is a test dependency, and numpy.polynomial costs about 2 ms of
+    # import: the Gauss rules and the test functions are built on plain arrays
+    banned = ("scipy", "numpy.polynomial")
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("np", "numpy"):
+                names = [f"numpy.{node.attr}"]  # np.polynomial.legendre.leggauss and the like
             else:
                 continue
-            assert all(name.split(".")[0] != "scipy" for name in names), (path.name, node.lineno)
+            for name in names:
+                assert not any(f"{name}.".startswith(f"{b}.") for b in banned), (path.name, node.lineno, name)
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # a fresh interpreter: the test session itself has imported numpy.polynomial
+    root = str(Path(ultraflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ultraflow.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -90,7 +90,7 @@ class TestTestFunctions:
 
         for params in (UltraParams(n=0.5), UltraParams(n=3.0), UltraParams(n=2.5, eps=1e-2)):
             for seed in range(12):
-                for degree in (0, 1, 3, 6, 9):
+                for degree in range(10):
                     u = make_test_function(seed, params, neumann=neumann, degree=degree, N=N)
                     np.testing.assert_array_equal(u, reference(seed, params, degree))
 

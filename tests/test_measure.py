@@ -5,7 +5,9 @@ constants with adaptive quadrature of the density (scipy.integrate.quad),
 regularized-measure integrals the same way at tight tolerance.  The refined
 regularized rules are checked against ``theta_oracle``, mpmath.quad at 30
 digits of the measure written in theta = arccos z, and the eps corrections
-on them against ``corrections_oracle``, the same integrals at 40 digits.
+on them against ``corrections_oracle``, the same integrals at 40 digits,
+and their Gauss-Legendre panels against ``legendre_oracle``, Newton on the
+Legendre recurrence at 30 digits.
 """
 import functools
 import math
@@ -314,18 +316,21 @@ class TestRuleCache:
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=2.7), 20, kind="regularized")
 
-    def test_graded_rule_makes_no_gauss_jacobi_call(self, monkeypatch):
-        calls, build = [], measure.gauss_jacobi
+    def test_graded_rule_is_not_a_folded_gauss_jacobi_rule(self, monkeypatch):
+        # its panels are Gauss-Legendre (a = 0), never the base rule of (d - 2)/2;
+        # the base-rule cache is left warm, as other tests pin its shared arrays
+        calls, build = [], measure._base_rule
 
         def counting(N, a):
             calls.append((N, a))
             return build(N, a)
 
+        monkeypatch.setattr(measure, "_base_rule", counting)
         measure._graded_rule.cache_clear()
-        monkeypatch.setattr(measure, "gauss_jacobi", counting)
         for n, eps in [(2.5, 1e-6), (2.2, 4e-6), (0.300001, 1e-8)]:
             refined_quadrature(UltraParams(n=n, eps=eps), 64)
-        assert calls == []
+        assert calls and {a for _, a in calls} == {0.0}
+        assert {N for N, _ in calls} <= PANEL_SIZES
 
     def test_regularized_rule_shares_nodes_with_plain_rule_of_d(self):
         reg = build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized")
@@ -339,9 +344,43 @@ class TestRuleCache:
         assert get_regularized_basis(n, eps, N).quad is q
         assert q.kind == "regularized" and q.order == q.nodes.size
         assert not q.nodes.flags.writeable and not q.weights.flags.writeable
-        assert not any(a.flags.writeable for a in measure._legendre_rule(11))  # shared panel rule
+        assert not any(a.flags.writeable for a in measure._base_rule(11, 0.0))  # shared panel rule
         assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
         np.testing.assert_array_equal(q.nodes, -q.nodes[::-1])
+
+
+def legendre_oracle(m):
+    """Nodes and weights (sum 2) of the m-point Gauss-Legendre rule, ascending:
+    Newton on the three-term recurrence at 30 digits, from cos(pi (k - 1/4) / (m + 1/2))."""
+    with mpmath.workdps(30):
+        nodes, weights = [], []
+        for k in range(1, m + 1):
+            x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(0.25)) / (m + mpmath.mpf(0.5)))
+            for _ in range(50):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(2, m + 1):
+                    p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+                dp = m * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+                if abs(p1 / dp) < mpmath.mpf(10) ** -27:
+                    break
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes[::-1]), np.array(weights[::-1])
+
+
+# panel sizes 10 + ceil(2 N pi / 2^j), j >= 2, of the graded rule at N = 64 and 128:
+# 11, 12, 14, 17, 23, 36, 61, 111 and, at N = 128 only, 212
+PANEL_SIZES = {10 + math.ceil(2 * N * math.pi / 2**j) for N in (64, 128) for j in range(2, 20)}
+
+
+@pytest.mark.parametrize("m", sorted(PANEL_SIZES))
+def test_panel_rule_against_mpmath(m):
+    # measured: nodes within 8.0e-17, weights within 7.3e-14 relative (m = 212)
+    x, w, _ = measure._base_rule(m, 0.0)
+    want_x, want_w = legendre_oracle(m)
+    np.testing.assert_allclose(x, want_x, rtol=0, atol=2e-16)
+    np.testing.assert_allclose(2.0 * w, want_w, rtol=2e-13, atol=0)
 
 
 class TestRegularizedQuadrature:

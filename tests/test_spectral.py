@@ -24,15 +24,18 @@ from ultraflow import (
     build_quadrature,
     check_gamma2,
     check_gamma2_eps,
+    check_lgamma_eps,
     dF_dt_closed_form,
     eigenvalue,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
     lyapunov_F,
+    qform_value,
     refined_quadrature,
     resample,
     run_heat_flow,
+    run_nonlinear_flow,
     run_regularized_flow,
     spectral_derivative,
 )
@@ -291,6 +294,16 @@ class TestTransforms:
         assert basis.end_slopes is rows
         np.testing.assert_array_equal(rows, basis.evaluate(np.array([-1.0, 1.0]), order=1))
 
+    @pytest.mark.parametrize("nodes", [np.zeros((2, 3)), [[0.1, 0.2]], 0.5], ids=["2x3", "1x2", "scalar"])
+    def test_nodes_must_be_one_dimensional(self, nodes):
+        # [[0.1, 0.2]] is one row of two nodes, not two nodes
+        basis = get_basis(3.0, 16)
+        c = np.ones(4)
+        for call in (basis.evaluate, lambda z: basis.evaluate(z, order=2), lambda z: basis.synthesize(c, z),
+                     lambda z: basis.derivative_values(c, z), lambda z: basis.second_derivative_values(c, z)):
+            with pytest.raises(ShapeError, match="1-D"):
+                call(nodes)
+
     @pytest.mark.parametrize("order", [-1, 3])
     def test_evaluate_rejects_an_unknown_order(self, order):
         with pytest.raises(DomainError, match="order must be 0, 1 or 2"):
@@ -383,6 +396,27 @@ class TestPositivityGuard:
         u = 1e-3 + np.exp(-400.0 * (z - 0.5) ** 2)
         assert np.min(resample(u, params, 16)[3]) < -0.1
         with pytest.raises(DomainError, match="positivity"):
+            call(u, params)
+
+    NONLINEAR = UltraParams(n=3.0, p=4.0, beta=2.0)
+    NON_FINITE_ENTRY_POINTS = {
+        "check_gamma2": (PLAIN, check_gamma2),
+        "check_lgamma_eps": (EPS, check_lgamma_eps),
+        "lyapunov_F": (PLAIN, lambda u, prm: lyapunov_F(u, prm, N=16)),
+        "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
+        "nonlinear flow": (NONLINEAR, lambda u, prm: run_nonlinear_flow(u, FlowConfig("nonlinear", prm))),
+        "qform_value": (PLAIN, lambda u, prm: qform_value(u, prm.beta, prm)),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", NON_FINITE_ENTRY_POINTS)
+    def test_non_finite_sample_is_rejected(self, entry, bad):
+        # NaN and +inf pass a sign test such as np.any(u <= 0), and a NaN
+        # sample turns a residual or a flow's terminal gap into nan
+        params, call = self.NON_FINITE_ENTRY_POINTS[entry]
+        u = 1.0 + 0.1 * build_quadrature(params, 16).nodes
+        u[3] = bad
+        with pytest.raises(DomainError, match="finite"):
             call(u, params)
 
 
