@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
     N = _resolve_nodes(args)
     fn = parse_function(args.fn)
     params = UltraParams(n=args.n, p=args.p)
-    q = build_quadrature(UltraParams(n=args.n), N, kind="plain")
+    q = build_quadrature(UltraParams(n=args.n), N)
     f = fn(q.nodes, args.n)
     if args.p == 2:
         rep = logsob_deficit(f, params, lam=args.lam, N=N)

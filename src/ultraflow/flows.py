@@ -458,7 +458,7 @@ def find_heat_counterexample(
     """
     params = UltraParams(n=n, p=p, beta=1.0)
     cfg = FlowConfig(kind="heat", params=params, dt=1e-3, t_end=1.0)
-    z = build_quadrature(params, N, kind="plain").nodes
+    z = build_quadrature(params, N).nodes
     best: tuple[float, np.ndarray] | None = None
 
     def consider(u: np.ndarray) -> None:

@@ -57,22 +57,21 @@ class LyapunovValue:
     lambda_used: float
 
 
-def _resampled(f: GridFn, q: Quadrature):
-    """``resample`` of f given on ``q``; the measure is q's own."""
-    return resample(f, UltraParams(n=q.n, eps=q.eps), q.order)
+def lp_norm(f: GridFn, params: UltraParams) -> float:
+    """(int |f|^p dnu)^(1/p), p = params.p, on the refined rule of the measure of ``params``.
+
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.
+    """
+    fine, _, _, ff, _, _ = resample(f, params, len(f))
+    return float(fine.integrate(np.abs(ff) ** params.p) ** (1.0 / params.p))
 
 
-def lp_norm(f: GridFn, q: Quadrature, p: float) -> float:
-    """(int |f|^p dnu)^(1/p) on the refined companion rule of ``q``."""
-    if p < 1:
-        raise DomainError(f"lp_norm requires p >= 1, got {p}")
-    fine, _, _, ff, _, _ = _resampled(f, q)
-    return float(fine.integrate(np.abs(ff) ** p) ** (1.0 / p))
+def fisher(f: GridFn, params: UltraParams) -> float:
+    """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu on the measure of ``params``.
 
-
-def fisher(f: GridFn, q: Quadrature) -> float:
-    """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu."""
-    fine, _, _, _, fp, _ = _resampled(f, q)
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.
+    """
+    fine, _, _, _, fp, _ = resample(f, params, len(f))
     return float(fine.integrate(fine.rho2 * fp**2))
 
 

@@ -12,39 +12,32 @@ interpolates toward the integer dimension d = ceil(n) via the bounded weight
 
 which is smooth on [-1, 1] for eps > 0 and collapses to dnu_n as eps -> 0.
 
-Quadrature policy.  Plain measures use the N-point Gauss-Jacobi rule with
-both exponents (n-2)/2, exact for polynomials of degree 2N-1.  Regularized
-measures use the Gauss-Jacobi rule for the (d-2)/2 weight and fold the
-bounded factor (1+eps-z^2)^{(n-d)/2} into the weights.  Functionals
-integrate on ``refined_quadrature``, good to degree 4N-1 like the 2N-node
-plain rule that it is for plain measures and at n = d.  For eps > 0 and
-n < d the folded factor has branch points about eps/2 outside [-1, 1], so
-global nodes would grow like 1/sqrt(eps).  In theta = arccos z the measure
-reads sin^{d-1}(theta) (sin^2 theta + eps)^{(n-d)/2} d theta, near-singular
-only at theta = +-i sqrt(eps), and the refined rule is composite
-Gauss-Legendre in theta, with panels halved from pi/2 toward 0 (mirrored
-toward pi) until an edge is at most sqrt(eps)/2 (Schwab, Computing 53,
-1994): O(N + log(1/eps)) nodes.
-
-The N-node regularized rule only carries samples; for eps > 0 and n < d
-its folded weights do not resolve the measure, and its ``integrate`` emits
-an ``AccuracyWarning`` that names ``refined_quadrature``.  Against the
-graded refined rule at N = 64 its error in E[z^2] is 1.4e-9 at
-(n, eps) = (2.5, 1e-2), 7.9e-6 at (2.5, 1e-4), 1.1e-5 at (2.5, 1e-6) and
-4.0e-2 at (0.300001, 1e-8).  Integrate on ``refined_quadrature`` instead.
+Quadrature policy.  GridFn samples live on the N-point Gauss-Jacobi rule of
+a plain measure dnu_m, both exponents (m-2)/2, exact for polynomials of
+degree 2N-1: m = n when eps = 0 and m = d when eps > 0, since for n < d the
+bounded factor (1+eps-z^2)^{(n-d)/2} has branch points about eps/2 outside
+[-1, 1] and no N-node Gauss rule integrates it.  Functionals integrate on
+``refined_quadrature``, good to degree 4N-1 like the 2N-node plain rule
+that it is for plain measures and at n = d.  For eps > 0 and n < d, in
+theta = arccos z the measure reads
+sin^{d-1}(theta) (sin^2 theta + eps)^{(n-d)/2} d theta, near-singular only
+at theta = +-i sqrt(eps), and the refined rule is composite Gauss-Legendre
+in theta, with panels halved from pi/2 toward 0 (mirrored toward pi) until
+an edge is at most sqrt(eps)/2 (Schwab, Computing 53, 1994):
+O(N + log(1/eps)) nodes.  So every rule integrates the measure (n, eps) it
+echoes, and the graded rule is the only one with eps > 0.
 
 Every rule carries rho^2 = 1 - z^2 at its nodes, and so zeta = rho^2 + eps,
 for integrands to read: 1 - nodes^2 on Gauss rules, sin^2 theta on the graded
 one, which keeps the digits that 1 - z^2 and 1 + eps - z^2 lose at +-1.
 
 Rules are memoized and shared read-only, 128 keys per layer: the
-Gauss-Jacobi base rule with its rho^2 per (N, a), a = (d-2)/2 for
-regularized and (n-2)/2 for plain rules, and a = 0 for the graded rule's
-Gauss-Legendre panels, few sizes per N since the panel edges pi/2^j do not
-depend on eps; the rule per (kind, n, eps, N) that ``build_quadrature``
-returns after validation, folding its factor into new weights over the base
-nodes (p, beta and a plain rule's eps do not enter it); and, 16 keys only,
-as many as the bases built on it, the graded rule per (n, eps, N).
+Gauss-Jacobi base rule with its rho^2 per (N, a), a = (n-2)/2 for plain
+rules and a = 0 for the graded rule's Gauss-Legendre panels, few sizes per
+N since the panel edges pi/2^j do not depend on eps; the rule per (n, N)
+that ``build_quadrature`` returns after validation (p, beta and, beyond
+choosing d, eps do not enter it); and, 16 keys only, as many as the bases
+built on it, the graded rule per (n, eps, N).
 
 Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
 a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
@@ -70,13 +63,12 @@ and 128: nodes within 8.0e-17 and weights within 7.3e-14 (relative) of
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
@@ -146,15 +138,14 @@ class Quadrature:
     """A positive quadrature rule normalized against its target measure.
 
     ``weights`` are strictly positive and sum to one, so ``integrate``
-    approximates integrals against a probability measure.  ``kind`` is
-    "plain" or "regularized"; ``order`` is the node count N.  ``n`` and
-    ``eps`` echo the measure the rule was built for, eps = 0 on plain rules;
+    approximates integrals against a probability measure.  ``order`` is the
+    node count.  ``n`` and ``eps`` echo the measure the rule integrates:
+    eps = 0 on the Gauss rules, eps > 0 only on the graded refined rule.
     ``rho2`` is rho^2 = 1 - z^2 at the nodes (see the module docstring).
     """
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    kind: str
     order: int
     n: float
     eps: float = 0.0
@@ -168,8 +159,7 @@ class Quadrature:
         """Integrate a function given by its values at ``nodes``.
 
         The last axis runs over the nodes.  A 1-D array gives a float; an
-        (..., N) block gives the (...) array of its rows' integrals.  On the
-        N-node regularized rule for eps > 0 and n < d it warns (module docstring).
+        (..., N) block gives the (...) array of its rows' integrals.
         """
         values = np.asarray(values, dtype=float)
         if values.shape[-1:] != self.nodes.shape:
@@ -181,19 +171,7 @@ class Quadrature:
         return values @ self.weights
 
     def __repr__(self):  # keep array dumps out of error messages
-        return (
-            f"Quadrature(kind={self.kind!r}, order={self.order}, "
-            f"n={self.n}, eps={self.eps})"
-        )
-
-
-class _FoldedQuadrature(Quadrature):
-    """The N-node regularized rule for eps > 0 and n < d: samples only (module docstring)."""
-
-    def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        msg = f"{self!r} does not resolve its folded weight; integrate on refined_quadrature"
-        warnings.warn(msg, AccuracyWarning, stacklevel=2)
-        return super().integrate(values)
+        return f"Quadrature(order={self.order}, n={self.n}, eps={self.eps})"
 
 
 def normalization_constant(n: float) -> float:
@@ -209,11 +187,16 @@ def normalization_constant(n: float) -> float:
 def build_quadrature(
     params: UltraParams, N: int = DEFAULT_NODES, kind: str | None = None
 ) -> Quadrature:
-    """Build the N-point rule for the plain or regularized measure of ``params``.
+    """The N-point Gauss rule that GridFn samples of ``params`` live on.
 
-    ``kind`` defaults to "regularized" when params.eps > 0, else "plain".
-    A regularized rule for n < d requires eps > 0; at n = d the bounded
-    factor is identically one and the rule coincides with the plain one.
+    eps = 0: the rule of the plain measure dnu_n.  eps > 0: the plain rule
+    of d = ceil(n), the same cached object as
+    ``build_quadrature(UltraParams(n=d), N)``; the regularized measure
+    itself is integrated on ``refined_quadrature`` (module docstring).
+
+    ``kind`` selects nothing: it is a checked echo, "regularized" when
+    eps > 0 and "plain" otherwise, and anything else raises DomainError.
+    It is kept only for the benchmark harness, which still passes it.
 
     Notes
     -----
@@ -224,18 +207,12 @@ def build_quadrature(
     8.0e-14 for N <= 256 and n in [1e-3, 12], and ``fisher(z)`` = n/(n+1)
     within 1.2e-14 (measured; module docstring).
     """
-    if kind is None:
-        kind = "regularized" if params.eps > 0 else "plain"
-    if kind not in ("plain", "regularized"):
-        raise DomainError(f"unknown quadrature kind {kind!r}")
+    echo = "regularized" if params.eps > 0 else "plain"
+    if kind not in (None, echo):
+        raise DomainError(f"kind={kind!r} contradicts eps={params.eps}, whose echo is {echo!r}; kind selects no rule")
     if N < 2:
         raise DomainError(f"need at least 2 nodes, got N={N}")
-    if kind == "regularized" and params.eps == 0 and params.n < params.d:
-        raise DomainError(
-            "regularized quadrature with eps=0 is only defined at integer n=d"
-        )
-    eps = float(params.eps) if kind == "regularized" else 0.0
-    return _rule(kind, float(params.n), eps, N)
+    return _rule(float(params.d if params.eps else params.n), N)
 
 
 def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -315,15 +292,9 @@ def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=128)
-def _rule(kind: str, n: float, eps: float, N: int) -> Quadrature:
-    if kind == "plain":
-        nodes, w, rho2 = _base_rule(N, (n - 2.0) / 2.0)
-    else:
-        d = math.ceil(n)
-        nodes, w, rho2 = _base_rule(N, (d - 2.0) / 2.0)
-        w = w * (rho2 + eps) ** ((n - d) / 2.0)
-    rule = _FoldedQuadrature if kind == "regularized" and n < math.ceil(n) else Quadrature
-    return rule(nodes=nodes, weights=w / w.sum(), kind=kind, order=N, n=n, eps=eps, rho2=rho2)
+def _rule(n: float, N: int) -> Quadrature:
+    nodes, w, rho2 = _base_rule(N, (n - 2.0) / 2.0)
+    return Quadrature(nodes=nodes, weights=w / w.sum(), order=N, n=n, rho2=rho2)
 
 
 @lru_cache(maxsize=16)
@@ -346,7 +317,7 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)
     z = np.cos(theta)  # descending on (0, 1); the mirror image about pi/2 gives z < 0
     nodes, w, s2 = (np.concatenate((x, y[::-1])) for x, y in ((-z, z), (w, w), (s2, s2)))
-    return Quadrature(nodes=nodes, weights=w / w.sum(), kind="regularized", order=nodes.size, n=n, eps=eps, rho2=s2)
+    return Quadrature(nodes=nodes, weights=w / w.sum(), order=nodes.size, n=n, eps=eps, rho2=s2)
 
 
 def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadrature:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import Quadrature, UltraParams, build_quadrature
-from .spectral import GridFn, _nodal_derivatives
+from .spectral import GridFn, _finite, _nodal_derivatives
 
 
 def _points(z: np.ndarray | Quadrature):
@@ -67,20 +67,23 @@ def _apply(fp: np.ndarray, fpp: np.ndarray, q: Quadrature, params: UltraParams) 
 def apply_L(f: GridFn, q: Quadrature) -> GridFn:
     """Plain operator (1 - z^2) f'' - n z f' at the nodes of ``q``.
 
-    n is taken from the rule; f must be sampled on ``q``.  Exact for
+    n is taken from the rule, so on the sample rule of a key with eps > 0
+    it is d, the rule's own measure; f must be sampled on ``q``.  Exact for
     polynomials of degree <= K up to differentiation rounding.
     """
-    return _apply(*_nodal_derivatives(f, q)[1:], q, UltraParams(n=q.n))
+    return _apply(*_nodal_derivatives(_finite(f), q)[1:], q, UltraParams(n=q.n))
 
 
 def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> GridFn:
     """Regularized operator (1 - z^2) f'' - ell(z) f' at the nodes of ``q``.
 
     Requires eps > 0 unless n = d (where it coincides with apply_L).  The
-    default rule is the N=64 regularized quadrature for ``params``.
+    default rule is ``build_quadrature(params)``, the 64-node sample rule of
+    d = ceil(n).  A non-finite sample or a graded refined rule raises
+    ``DomainError``.
     """
     if params.eps == 0 and params.n < params.d:
         raise DomainError("apply_L_eps with eps=0 is only defined at integer n=d")
     if q is None:
-        q = build_quadrature(params, kind="regularized")
-    return _apply(*_nodal_derivatives(f, q)[1:], q, params)
+        q = build_quadrature(params)
+    return _apply(*_nodal_derivatives(_finite(f), q)[1:], q, params)

@@ -48,7 +48,6 @@ eps = 1e-8).
 """
 from __future__ import annotations
 
-import math
 import warnings
 from functools import cached_property, lru_cache
 
@@ -226,8 +225,7 @@ class OrthoBasis:
 @lru_cache(maxsize=64)
 def get_basis(n: float, N: int = DEFAULT_NODES) -> OrthoBasis:
     """Shared read-only Gegenbauer basis for the plain measure dnu_n."""
-    quad = build_quadrature(UltraParams(n=n), N, kind="plain")
-    return OrthoBasis(quad, K=N - 2)
+    return OrthoBasis(build_quadrature(UltraParams(n=n), N), K=N - 2)
 
 
 @lru_cache(maxsize=16)
@@ -235,21 +233,24 @@ def get_regularized_basis(n: float, eps: float, N: int = DEFAULT_NODES) -> Ortho
     """Orthonormal basis of the regularized measure, built on its refined rule.
 
     Truncation is K = N - 2 as for plain bases, but the discrete inner
-    product uses the eps-adapted refined rule so that the folded weight is
-    integrated to full precision.  eps = 0 (any n) gives the plain basis.
+    product uses the eps-adapted refined rule, the one rule that integrates
+    the regularized weight to full precision.  eps = 0 (any n) gives the
+    plain basis.
     """
     params = UltraParams(n=n, eps=eps)
     return OrthoBasis(refined_quadrature(params, N), K=N - 2)
 
 
 def interpolation_basis(q: Quadrature) -> OrthoBasis:
-    """The polynomial family interpolating GridFn samples on ``q``.
+    """The Gegenbauer basis interpolating GridFn samples on the sample rule ``q``.
 
-    Plain rules carry the Gegenbauer basis of their own measure.  A rule
-    with eps > 0 shares its nodes with the plain rule of the ceiling
-    dimension d, so values on it are interpreted through the d-basis.
+    Sample rules are the Gauss rules of ``build_quadrature``, plain rules of
+    their own n (d = ceil(n) for a key with eps > 0).  The graded refined
+    rule, the one rule with q.eps > 0, carries no samples: ``DomainError``.
     """
-    return get_basis(float(math.ceil(q.n)) if q.eps else q.n, q.order)
+    if q.eps:
+        raise DomainError(f"{q!r} is a refined rule, not a sample rule; sample on build_quadrature")
+    return get_basis(q.n, q.order)
 
 
 @lru_cache(maxsize=1)  # most recent key only; see the module docstring
@@ -271,11 +272,26 @@ def resample(u: GridFn, params: UltraParams, N: int):
     rule, the interpolation basis, the coefficients of ``u`` in it, and the
     interpolant with its first two derivatives at ``fine.nodes``.  The
     values equal ``basis.synthesize``, ``basis.derivative_values`` and
-    ``basis.second_derivative_values`` at those nodes, bit for bit.
+    ``basis.second_derivative_values`` at those nodes, bit for bit.  A
+    sample that is not finite raises ``DomainError``.
     """
+    return _resample(_finite(u), params, N)
+
+
+def _resample(u: np.ndarray, params: UltraParams, N: int):
+    """``resample`` of checked samples."""
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), N)
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
+
+
+def _finite(u: GridFn) -> np.ndarray:
+    """``u`` as a float array; ``DomainError`` unless every sample is finite (signed
+    samples; the positive paths check ``_require_positive``, which implies it)."""
+    u = np.asarray(u, dtype=float)
+    if u.size and not -np.inf < u.min() <= u.max() < np.inf:
+        raise DomainError("the samples must be finite")
+    return u
 
 
 def _require_positive(u: np.ndarray, message: str) -> None:
@@ -289,20 +305,20 @@ def _resample_positive(u: GridFn, params: UltraParams, N: int, what: str):
     """``resample`` of samples that are, and stay, finite and strictly positive; ``what`` names them."""
     u = np.asarray(u, dtype=float)
     _require_positive(u, f"{what} must be finite and strictly positive")
-    out = resample(u, params, N)
+    out = _resample(u, params, N)
     _require_positive(out[3], f"{what} loses positivity under resampling; refine the grid")
     return out
 
 
-def _nodal_derivatives(f: GridFn, q: Quadrature):
+def _nodal_derivatives(f: np.ndarray, q: Quadrature):
     """The N-node counterpart of ``resample``: ``(c, f', f'')`` at the nodes of ``q``.
 
-    ``c`` holds the coefficients of the interpolant of f in
-    ``interpolation_basis(q)``; f' and f'' equal ``derivative_values`` and
-    ``second_derivative_values`` of c, bit for bit.
+    ``f`` is a checked float array.  ``c`` holds the coefficients of the
+    interpolant of f in ``interpolation_basis(q)``; f' and f'' equal
+    ``derivative_values`` and ``second_derivative_values`` of c, bit for bit.
     """
     basis = interpolation_basis(q)
-    c = basis.analyze(np.asarray(f, dtype=float))
+    c = basis.analyze(f)
     return c, basis.V1 @ c, basis.V1 @ (basis.D @ c)
 
 
@@ -311,11 +327,13 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
 
     Emits :class:`AccuracyWarning` when the top two modes carry more than
     ``TAIL_WARN_FRACTION`` of the coefficient energy, which signals that f
-    is not resolved on this rule and the derivative is untrustworthy.
+    is not resolved on this rule and the derivative is untrustworthy.  A
+    sample that is not finite, or a rule that is not a sample rule
+    (``interpolation_basis``), raises ``DomainError``.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    c, fp, fpp = _nodal_derivatives(f, q)
+    c, fp, fpp = _nodal_derivatives(_finite(f), q)
     total = float(np.dot(c, c))
     if total > 0:
         tail = float(np.dot(c[-2:], c[-2:])) / total

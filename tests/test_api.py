@@ -2,8 +2,9 @@
 through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
-Lyapunov functional in ``functionals.lyapunov_terms``; another keeps every
-module free of scipy and numpy.polynomial, and a fresh interpreter checks
+Lyapunov functional in ``functionals.lyapunov_terms``; another keeps
+``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
+subclasses, another every module free of scipy and numpy.polynomial, and a fresh interpreter checks
 that ``import ultraflow.cli`` loads no part of numpy.polynomial."""
 import ast
 import inspect
@@ -69,6 +70,20 @@ def test_entropy_bracket_has_one_owner():
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         rest = path.read_text().replace(owner, "")
         assert not re.search(bracket, rest), path.name
+
+
+def test_every_rule_integrates_the_measure_it_echoes():
+    # a rule is chosen by (n, eps, N) alone: no call passes the kind echo to
+    # build_quadrature, and no Quadrature subclass carries weights that do not
+    # integrate its measure
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) \
+                    == "build_quadrature":
+                assert "kind" not in {k.arg for k in node.keywords}, (path.name, node.lineno)
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+                assert "Quadrature" not in bases, (path.name, node.name)
 
 
 def test_no_module_imports_numpy_polynomial_or_scipy():

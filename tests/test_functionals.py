@@ -17,6 +17,7 @@ from ultraflow import (
     logsob_deficit,
     lp_norm,
     lyapunov_F,
+    refined_quadrature,
 )
 
 
@@ -26,47 +27,49 @@ def rule(n, N=64):
 
 class TestNorms:
     def test_constant_norm(self):
-        q = rule(3.0)
-        assert lp_norm(np.full(64, 2.0), q, 3.0) == pytest.approx(2.0, abs=1e-13)
+        assert lp_norm(np.full(64, 2.0), UltraParams(n=3.0, p=3.0)) == pytest.approx(2.0, abs=1e-13)
 
     def test_l2_of_z(self):
         n = 3.0
-        q = rule(n)
         want = (1.0 / (n + 1.0)) ** 0.5
-        assert lp_norm(q.nodes, q, 2.0) == pytest.approx(want, abs=1e-13)
+        assert lp_norm(rule(n).nodes, UltraParams(n=n)) == pytest.approx(want, abs=1e-13)
 
     def test_p4_of_z(self):
         n = 2.5
-        q = rule(n)
         want = (3.0 / ((n + 1.0) * (n + 3.0))) ** 0.25
-        assert lp_norm(q.nodes, q, 4.0) == pytest.approx(want, abs=1e-13)
+        assert lp_norm(rule(n).nodes, UltraParams(n=n, p=4.0)) == pytest.approx(want, abs=1e-13)
 
     def test_absolute_value_used(self):
-        q = rule(3.0)
-        assert lp_norm(-np.ones(64), q, 3.0) == pytest.approx(1.0, abs=1e-13)
+        assert lp_norm(-np.ones(64), UltraParams(n=3.0, p=3.0)) == pytest.approx(1.0, abs=1e-13)
 
     def test_exponent_below_one_rejected(self):
         with pytest.raises(DomainError, match="p >= 1"):
-            lp_norm(np.ones(64), rule(3.0), 0.5)
+            lp_norm(np.ones(64), UltraParams(n=3.0, p=0.5))
+
+    def test_regularized_key_integrates_on_the_graded_rule(self):
+        # 1 + z sampled on the rule of d = 3: ||1 + z||_2^2 = 1 + E[z^2] under the
+        # eps measure, about 1.134^2 (the samples read on the graded rule gave 1.240)
+        params = UltraParams(n=2.5, eps=1e-3)
+        fine = refined_quadrature(params, 16)
+        want = (1.0 + fine.integrate(fine.nodes**2)) ** 0.5
+        got = lp_norm(1.0 + build_quadrature(params, 16).nodes, params)
+        assert abs(got - want) < 1e-14 and abs(got - 1.134) < 1e-3
 
 
 class TestFisher:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.5, 3.0, 4.0])
     def test_linear_profile(self, n):
-        q = rule(n)
         want = n / (n + 1.0)  # int (1-z^2) dnu
-        assert fisher(q.nodes, q) == pytest.approx(want, abs=1e-12)
+        assert fisher(rule(n).nodes, UltraParams(n=n)) == pytest.approx(want, abs=1e-12)
 
     def test_constant_has_no_information(self):
-        q = rule(3.0)
-        assert abs(fisher(np.ones(64), q)) < 1e-20
+        assert abs(fisher(np.ones(64), UltraParams(n=3.0))) < 1e-20
 
     def test_quadratic_profile(self):
         # f = z^2: f' = 2z, int 4 z^2 (1-z^2) dnu = 4(1/(n+1) - 3/((n+1)(n+3)))
         n = 3.0
-        q = rule(n)
         want = 4.0 * (1.0 / (n + 1.0) - 3.0 / ((n + 1.0) * (n + 3.0)))
-        assert fisher(q.nodes**2, q) == pytest.approx(want, abs=1e-12)
+        assert fisher(rule(n).nodes ** 2, UltraParams(n=n)) == pytest.approx(want, abs=1e-12)
 
 
 class TestDeficit:

@@ -23,7 +23,6 @@ from scipy.special import roots_jacobi
 import ultraflow.measure as measure
 from ultraflow import (
     EPS_MIN,
-    AccuracyWarning,
     DomainError,
     Quadrature,
     ShapeError,
@@ -226,7 +225,7 @@ class TestGaussJacobi:
     def test_fisher_of_z(self, n):
         for N in (16, 64, 128, 256):
             q = build_quadrature(UltraParams(n=n), N)
-            assert abs(fisher(q.nodes, q) - n / (n + 1.0)) < 1e-13, N
+            assert abs(fisher(q.nodes, UltraParams(n=n)) - n / (n + 1.0)) < 1e-13, N
 
     def test_nodes_against_mpmath_zeros(self):
         # three Newton steps at 30 digits from the node, on P_N' = (N + 2a + 1)/2 P_{N-1}^(a+1, a+1)
@@ -287,17 +286,17 @@ class TestGaussJacobi:
 
 class TestRuleCache:
     @pytest.mark.parametrize("n, eps, kind", [(2.5, 0.0, "plain"), (2.5, 0.01, "regularized"),
-                                              (3.0, 0.0, "regularized")])
+                                              (3.0, 1e-4, "regularized")])
     def test_repeat_equals_fresh_build(self, n, eps, kind):
         first = build_quadrature(UltraParams(n=n, eps=eps), 24, kind=kind)
-        again = build_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), 24, kind=kind)
-        assert again is first  # p and beta are not part of the key
-        d = math.ceil(n) if kind == "regularized" else n
+        again = build_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), 24)
+        assert again is first  # p, beta and the kind echo are not part of the key
+        d = math.ceil(n) if eps else n
         a = (d - 2.0) / 2.0
         nodes, w = measure.gauss_jacobi(24, a)
-        fold = (1.0 - nodes**2 + eps) ** ((n - d) / 2.0)
         np.testing.assert_array_equal(again.nodes, nodes)
-        np.testing.assert_array_equal(again.weights, w * fold / (w * fold).sum())
+        np.testing.assert_array_equal(again.weights, w / w.sum())
+        assert (again.n, again.eps) == (d, 0.0)
         assert not again.nodes.flags.writeable and not again.weights.flags.writeable
         # scipy's rule, the reference: its nodes are good to about 1e-16, its end
         # weights miss Chebyshev's closed form at a = 1/2 by 2.3e-13 relative, and
@@ -307,9 +306,10 @@ class TestRuleCache:
         np.testing.assert_allclose(w, ref_w / ref_w.sum(), rtol=3e-13, atol=0)
 
     def test_plain_rule_records_eps_zero(self):
-        q = build_quadrature(UltraParams(n=2.5, eps=1e-3), 64, kind="plain")
-        assert q is build_quadrature(UltraParams(n=2.5), 64)
-        assert q.eps == 0.0 and "eps=0.0" in repr(q)
+        q = build_quadrature(UltraParams(n=2.5), 64)
+        assert q.eps == 0.0 and repr(q) == "Quadrature(order=64, n=2.5, eps=0.0)"
+        # the sample rule of an eps key is a plain rule too: it records d and eps = 0
+        assert repr(build_quadrature(UltraParams(n=2.5, eps=1e-3), 64)) == "Quadrature(order=64, n=3.0, eps=0.0)"
 
     def test_eps_zero_noninteger_rejected_after_plain_is_cached(self):
         build_quadrature(UltraParams(n=2.7), 20, kind="plain")
@@ -333,16 +333,21 @@ class TestRuleCache:
         assert {N for N, _ in calls} <= PANEL_SIZES
 
     def test_regularized_rule_shares_nodes_with_plain_rule_of_d(self):
-        reg = build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized")
-        plain = build_quadrature(UltraParams(n=3.0), 64, kind="plain")
-        assert reg.nodes is plain.nodes
+        for N in (16, 64):
+            assert build_quadrature(UltraParams(n=2.5, eps=1e-2), N) is build_quadrature(UltraParams(n=3.0), N)
+        # kind is a checked echo of eps; it selects no rule
+        assert build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized").n == 3.0
+        for params, kind in [(UltraParams(n=2.5, eps=1e-2), "plain"), (UltraParams(n=3.0), "regularized"),
+                             (UltraParams(n=3.0, eps=1e-2), "fancy")]:
+            with pytest.raises(DomainError, match="contradicts"):
+                build_quadrature(params, 64, kind=kind)
 
     @pytest.mark.parametrize("n, eps, N", [(2.5, 1e-6, 64), (0.300001, 1e-8, 32)])
     def test_graded_rule_repeat_is_same_read_only_object(self, n, eps, N):
         q = refined_quadrature(UltraParams(n=n, eps=eps), N)
         assert refined_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), N) is q
         assert get_regularized_basis(n, eps, N).quad is q
-        assert q.kind == "regularized" and q.order == q.nodes.size
+        assert q.eps == eps and q.order == q.nodes.size
         assert not q.nodes.flags.writeable and not q.weights.flags.writeable
         assert not any(a.flags.writeable for a in measure._base_rule(11, 0.0))  # shared panel rule
         assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
@@ -384,48 +389,34 @@ def test_panel_rule_against_mpmath(m):
 
 
 class TestRegularizedQuadrature:
+    """The rules of keys with eps > 0: samples on the plain rule of d, integrals on the graded rule."""
+
     def test_against_dense_oracles(self):
-        p = UltraParams(n=2.5, eps=0.1)
-        q = build_quadrature(p, 32, kind="regularized")
-        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
-            assert q.integrate(q.nodes**2) == pytest.approx(EPS_Z2_ORACLE, abs=1e-9)
-            assert q.integrate(np.exp(q.nodes)) == pytest.approx(EPS_EXP_ORACLE, abs=1e-9)
-            assert q.integrate(np.cos(3.0 * q.nodes)) == pytest.approx(EPS_COS3_ORACLE, abs=1e-9)
+        # on the graded rule; EPS_EXP_ORACLE is test_refined_agrees_with_oracle's
+        q = refined_quadrature(UltraParams(n=2.5, eps=0.1), 32)
+        assert q.integrate(q.nodes**2) == pytest.approx(EPS_Z2_ORACLE, abs=1e-10)
+        assert q.integrate(np.cos(3.0 * q.nodes)) == pytest.approx(EPS_COS3_ORACLE, abs=1e-10)
 
     def test_doubling_plateau(self):
+        # the graded rule resolves the weight at every N, so doubling moves no digit
         p = UltraParams(n=2.5, eps=0.05)
-        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
-            vals = [
-                build_quadrature(p, N, kind="regularized").integrate(
-                    np.sin(build_quadrature(p, N, kind="regularized").nodes) ** 2
-                )
-                for N in (32, 64, 128)
-            ]
-        # the folded weight needs ~24/sqrt(eps) nodes for full precision,
-        # so the first doubling still moves the 9th digit
-        assert vals[1] == pytest.approx(vals[0], abs=1e-8)
-        assert vals[2] == pytest.approx(vals[1], abs=1e-13)
+        vals = [refined_quadrature(p, N).integrate(np.sin(refined_quadrature(p, N).nodes) ** 2)
+                for N in (32, 64, 128)]
+        assert vals[1] == pytest.approx(vals[0], abs=1e-14)
+        assert vals[2] == pytest.approx(vals[1], abs=1e-14)
 
     def test_defaults_to_regularized_when_eps_positive(self):
-        q = build_quadrature(UltraParams(n=2.5, eps=0.01), 16)
-        assert q.kind == "regularized"
-
-    def test_folded_rule_warns_on_integrate(self):
-        # the N-node weights miss E[z^2] by 7.9e-6 against the graded rule
-        p = UltraParams(n=2.5, eps=1e-4)
-        q, ref = build_quadrature(p, 64), refined_quadrature(p, 64)
-        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
-            miss = abs(q.integrate(q.nodes**2) - ref.integrate(ref.nodes**2))
-        assert miss > 1e-6
-        with pytest.warns(AccuracyWarning, match="refined_quadrature"):
-            q.integrate(np.ones((3, 64)))
+        p = UltraParams(n=2.5, eps=0.01)
+        assert build_quadrature(p, 16) is build_quadrature(p, 16, kind="regularized")
+        with pytest.raises(DomainError):
+            build_quadrature(p, 16, kind="plain")
 
     @pytest.mark.parametrize(
         "rule",
         [
             lambda: build_quadrature(UltraParams(n=2.5), 64),
-            lambda: build_quadrature(UltraParams(n=2.5, eps=1e-4), 64, kind="plain"),
-            lambda: build_quadrature(UltraParams(n=3.0), 64, kind="regularized"),
+            lambda: build_quadrature(UltraParams(n=2.5), 64, kind="plain"),
+            lambda: build_quadrature(UltraParams(n=3.0), 64),
             lambda: build_quadrature(UltraParams(n=3.0, eps=1e-4), 64),
             lambda: refined_quadrature(UltraParams(n=2.5, eps=1e-4), 64),
             lambda: refined_quadrature(UltraParams(n=2.5), 64),
@@ -433,33 +424,35 @@ class TestRegularizedQuadrature:
         ids=["plain", "plain-kind", "n=d", "n=d-eps", "graded", "refined-plain"],
     )
     def test_resolved_rules_do_not_warn(self, rule):
+        # every rule integrates the measure (n, eps) it echoes, silently
         q = rule()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q.integrate(q.nodes**2)
+            got = q.integrate(q.nodes**2)
+        want = (1.0 + theta_oracle(q.n, q.eps, [2])[0]) / 2.0 if q.eps else 1.0 / (q.n + 1.0)
+        assert abs(got - want) < 1e-14
 
     def test_integer_n_matches_plain(self):
-        # at n = d the bounded factor tends to one with eps; eps = 0 is the
-        # plain rule exactly
-        plain = build_quadrature(UltraParams(n=3.0), 16, kind="plain")
-        reg = build_quadrature(UltraParams(n=3.0), 16, kind="regularized")
-        np.testing.assert_allclose(reg.nodes, plain.nodes, atol=1e-15)
-        np.testing.assert_allclose(reg.weights, plain.weights, atol=1e-15)
+        # at n = d the bounded factor is identically one: every rule of the
+        # eps key is the plain rule of d
+        for eps in (1e-2, 1e-6):
+            p = UltraParams(n=3.0, eps=eps)
+            assert build_quadrature(p, 16) is build_quadrature(UltraParams(n=3.0), 16)
+            assert refined_quadrature(p, 16) is refined_quadrature(UltraParams(n=3.0), 16)
 
     def test_eps_zero_noninteger_rejected(self):
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=2.5), 16, kind="regularized")
 
     def test_eps_to_zero_limit(self):
-        # regularized integral of a smooth function approaches the plain one
+        # the regularized integral of a smooth function approaches the plain one
         n = 2.5
-        plain = build_quadrature(UltraParams(n=n), 48, kind="plain")
+        plain = refined_quadrature(UltraParams(n=n), 48)
         target = plain.integrate(np.exp(plain.nodes))
         errs = []
         for eps in (1e-2, 1e-3, 1e-4):
-            q = build_quadrature(UltraParams(n=n, eps=eps), 48, kind="regularized")
-            with pytest.warns(AccuracyWarning, match="refined_quadrature"):
-                errs.append(abs(q.integrate(np.exp(q.nodes)) - target))
+            q = refined_quadrature(UltraParams(n=n, eps=eps), 48)
+            errs.append(abs(q.integrate(np.exp(q.nodes)) - target))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-4
 
@@ -580,10 +573,9 @@ class TestRuleRho2:
             assert abs(_gamma2_correction(fine, up, p) - g2) < 1e-14 * abs(g2), eps
             assert abs(_lgamma_correction(fine, uu, up, p) - lg) < 1e-14 * abs(lg), eps
         assert not fine.rho2.flags.writeable
-        for n, eps, kind in [(0.7, 0.0, "plain"), (2.5, 0.0, "plain"), (2.5, 1e-2, "regularized"),
-                             (3.0, 1e-6, "regularized"), (4.2, 1e-4, "regularized")]:
+        for n, eps in [(0.7, 0.0), (2.5, 0.0), (2.5, 1e-2), (3.0, 1e-6), (4.2, 1e-4)]:
             for N in (16, 64, 128):
-                q = build_quadrature(UltraParams(n=n, eps=eps), N, kind=kind)
+                q = build_quadrature(UltraParams(n=n, eps=eps), N)
                 np.testing.assert_array_equal(q.rho2, 1.0 - q.nodes**2)
                 assert not q.rho2.flags.writeable
                 with pytest.raises(ValueError):

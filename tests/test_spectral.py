@@ -21,15 +21,21 @@ from ultraflow import (
     FlowConfig,
     ShapeError,
     UltraParams,
+    apply_L,
+    apply_L_eps,
     build_quadrature,
     check_gamma2,
     check_gamma2_eps,
     check_lgamma_eps,
     dF_dt_closed_form,
+    deficit,
     eigenvalue,
+    fisher,
     get_basis,
     get_regularized_basis,
     interpolation_basis,
+    logsob_deficit,
+    lp_norm,
     lyapunov_F,
     qform_value,
     refined_quadrature,
@@ -275,14 +281,26 @@ class TestTransforms:
         np.testing.assert_allclose(basis.synthesize(c, pts), pts**4, atol=1e-12)
 
     def test_interpolation_basis_on_regularized_rule(self):
-        # regularized rules share nodes with the plain ceiling-dimension
-        # rule, so interpolation there must reproduce sampled values
-        q = build_quadrature(UltraParams(n=2.5, eps=0.1), 24, kind="regularized")
+        # the sample rule of an eps key is the plain rule of the ceiling
+        # dimension, so interpolation there must reproduce sampled values
+        q = build_quadrature(UltraParams(n=2.5, eps=0.1), 24)
         basis = interpolation_basis(q)
         f = np.exp(q.nodes)
         c = basis.analyze(f)
         np.testing.assert_allclose(basis.synthesize(c, q.nodes), f, atol=1e-12)
-        assert basis.quad.n == 3.0  # ceiling dimension
+        assert basis.quad is q and q.n == 3.0  # ceiling dimension
+
+    def test_graded_rule_is_not_a_sample_rule(self):
+        # read as samples on the 270-node rule of d = 3, z^2 on the graded rule
+        # gave a derivative off by 3.27, with no warning
+        params = UltraParams(n=2.5, eps=1e-3)
+        fine = refined_quadrature(params, 16)
+        f = fine.nodes**2
+        calls = [lambda: interpolation_basis(fine), lambda: spectral_derivative(f, fine),
+                 lambda: apply_L(f, fine), lambda: apply_L_eps(f, params, fine)]
+        for call in calls:
+            with pytest.raises(DomainError, match="not a sample rule"):
+                call()
 
     def test_caching_returns_same_object(self):
         assert get_basis(3.0, 32) is get_basis(3.0, 32)
@@ -399,6 +417,7 @@ class TestPositivityGuard:
             call(u, params)
 
     NONLINEAR = UltraParams(n=3.0, p=4.0, beta=2.0)
+    LOGSOB = UltraParams(n=3.0)
     NON_FINITE_ENTRY_POINTS = {
         "check_gamma2": (PLAIN, check_gamma2),
         "check_lgamma_eps": (EPS, check_lgamma_eps),
@@ -406,6 +425,14 @@ class TestPositivityGuard:
         "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
         "nonlinear flow": (NONLINEAR, lambda u, prm: run_nonlinear_flow(u, FlowConfig("nonlinear", prm))),
         "qform_value": (PLAIN, lambda u, prm: qform_value(u, prm.beta, prm)),
+        # signed samples: one finiteness check, on resample and the nodal derivatives
+        "deficit": (PLAIN, lambda u, prm: deficit(u, prm, N=16)),
+        "logsob_deficit": (LOGSOB, lambda u, prm: logsob_deficit(u, prm, N=16)),
+        "lp_norm": (PLAIN, lp_norm),
+        "fisher": (PLAIN, fisher),
+        "spectral_derivative": (PLAIN, lambda u, prm: spectral_derivative(u, build_quadrature(prm, 16))),
+        "apply_L": (PLAIN, lambda u, prm: apply_L(u, build_quadrature(prm, 16))),
+        "apply_L_eps": (EPS, lambda u, prm: apply_L_eps(u, prm, build_quadrature(prm, 16))),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
