@@ -54,6 +54,7 @@ from .admissibility import (
     beta_range,
     beta_window,
     delta_of_beta,
+    dissipation_witness,
     is_admissible,
     lambda_eps,
     m_of_beta,
@@ -67,7 +68,6 @@ from .flows import (
     FlowConfig,
     FlowTrace,
     dF_dt_closed_form,
-    find_heat_counterexample,
     run_heat_flow,
     run_nonlinear_flow,
     run_regularized_flow,
@@ -119,11 +119,11 @@ __all__ = [
     "dF_dt_closed_form",
     "deficit",
     "delta_of_beta",
+    "dissipation_witness",
     "drift",
     "drift_prime",
     "eigenvalue",
     "extremal_profile",
-    "find_heat_counterexample",
     "fisher",
     "get_basis",
     "get_regularized_basis",

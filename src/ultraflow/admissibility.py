@@ -9,7 +9,9 @@ Whether the flow interpolation argument closes for a given exponent pair
 which is also the reduced discriminant b^2 - c of the pointwise quadratic
 form q[u] = |u''|^2 - 2 b u'' |u'|^2 / u + c |u'|^4 / u^2 controlling the
 dissipation.  delta(beta) <= 0 makes q[u] >= 0 for every positive u, and
-that sign is exactly what the admissibility predicates here report.
+that sign is exactly what the admissibility predicates here report.  Where
+delta(beta) > 0, ``dissipation_witness`` gives a positive u with q[u] < 0
+on all of [-1, 1], in closed form.
 
 Two parametrizations coexist.  The diffusion exponent m of the evolution
 d/dt v = (1/m) L v^m relates to beta through
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measure import UltraParams, build_quadrature
+from .measure import DEFAULT_NODES, UltraParams, build_quadrature, refined_quadrature
 from .operators import _deformation, _points
 from .spectral import _nodal_derivatives, _require_positive
 
@@ -241,8 +243,8 @@ def is_admissible(beta: float, n: float, p: float, tol: float = 1e-12) -> bool:
     return bool(delta_of_beta(beta, n, p) <= tol)
 
 
-def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
-    """Pointwise q[u] = |u''|^2 - 2b u''|u'|^2/u + c|u'|^4/u^2 at the nodes.
+def qform_value(u, params: UltraParams) -> np.ndarray:
+    """Pointwise q[u] = |u''|^2 - 2b u''|u'|^2/u + c|u'|^4/u^2 at the nodes, at beta = params.beta.
 
     ``u`` is a GridFn on the rule matching ``params`` (plain when eps = 0)
     with as many nodes as len(u); derivatives are spectral.  Nonnegative
@@ -252,13 +254,48 @@ def qform_value(u, beta: float, params: UltraParams) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     _require_positive(u, "qform_value requires a finite, strictly positive function")
     _, up, upp = _nodal_derivatives(u, build_quadrature(params, len(u)))
-    return _qform(u, up, upp, beta, params)
+    return _qform(u, up, upp, params)
 
 
-def _qform(u, up, upp, beta: float, params: UltraParams) -> np.ndarray:
+def _qform(u, up, upp, params: UltraParams) -> np.ndarray:
     """q[u] = u''^2 - 2b u''u'^2/u + c u'^4/u^2 from pointwise (u, u', u'')."""
-    b, c = qform_coeffs(beta, params.n, params.p)
+    b, c = qform_coeffs(params.beta, params.n, params.p)
     return upp**2 - 2.0 * b * upp * up**2 / u + c * (up**2) ** 2 / u**2  # square, not pow()
+
+
+def dissipation_witness(n: float, p: float, beta: float = 1.0, N: int = DEFAULT_NODES) -> tuple[np.ndarray, float]:
+    """A positive u on which q[u] has the sign of -delta(beta) everywhere, and its rate.
+
+    With (b, c) = ``qform_coeffs`` and g = 1/(1 - b), u = (1 + s z)^g has
+    u''u/u'^2 = (g - 1)/g = b, the minimizer of the quadratic in q, so
+
+        q[u] = -delta(beta) (g s)^4 (1 + s z)^(2g - 4)   on all of [-1, 1];
+
+    at b = 1 the limit u = e^(z/2) (s -> 0, g s = 1/2) gives
+    q[u] = -delta (1/2)^4 u^2.  The slope s = 1/(2 max(1, |g|)) keeps u
+    within a factor of 3.  Returns u sampled on the plain N-node rule of
+    n, and rate = delta (g s)^4 int (1 + s z)^(2g - 4) rho^4 dnu_n on the
+    refined rule: the (dF/dt) / (2 beta^2) = -int q[u] rho^4 dnu_n of the
+    flow at lam = n that ``dF_dt_closed_form`` returns, here without the
+    spectral derivatives.  rate > 0 exactly when delta(beta) > 0, so u
+    shows that F can grow wherever beta is not admissible.
+    """
+    params = UltraParams(n=n, p=p, beta=beta)
+    b, _ = qform_coeffs(beta, n, p)
+    fine = refined_quadrature(params, N)
+    z = build_quadrature(params, N).nodes, fine.nodes
+    if b == 1.0:
+        gs, s = 0.5, 0.0
+        log_u = [gs * x for x in z]
+    else:
+        g = 1.0 / (1.0 - b)
+        s = 0.5 / max(1.0, abs(g))
+        gs = g * s
+        log_u = [g * np.log1p(s * x) for x in z]  # keeps its digits at large |g|
+    # (1 + s z)^(2g - 4) = u^2 / (1 + s z)^4, which is u^2 itself at b = 1
+    decay = np.exp(2.0 * log_u[1]) / ((1.0 + s * fine.nodes) ** 2) ** 2
+    rate = delta_of_beta(beta, n, p) * gs**4 * fine.integrate(decay * fine.rho2**2)
+    return np.exp(log_u[0]), float(rate)
 
 
 def regularity_coeffs(z, params: UltraParams):

@@ -52,7 +52,7 @@ from .admissibility import _qform, lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
-from .measure import Quadrature, UltraParams, build_quadrature
+from .measure import Quadrature, UltraParams
 from .spectral import GridFn, OrthoBasis, _resample_positive, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
@@ -180,7 +180,7 @@ def _dF_value(
     (uu, up, upp) are records, with one value per row.
     """
     val = (lam - params.n) * fine.integrate(fine.rho2 * up**2)
-    val -= fine.integrate(_qform(uu, up, upp, params.beta, params) * fine.rho2**2)
+    val -= fine.integrate(_qform(uu, up, upp, params) * fine.rho2**2)
     val -= _gamma2_correction(fine, up, params)
     val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params)
     return val
@@ -440,48 +440,3 @@ def run_regularized_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
             f"run_regularized_flow needs kind='regularized', got {cfg.kind!r}"
         )
     return _run_galerkin(u0, cfg)
-
-
-def find_heat_counterexample(
-    n: float,
-    p: float,
-    N: int = 64,
-    tol: float = 1e-8,
-) -> tuple[GridFn, float]:
-    """Search for a positive state with dF/dt > 0 under the heat flow.
-
-    Above the sharp exponent (2n^2+1)/(n-1)^2 the heat-flow dissipation
-    loses its sign; this scans low-degree perturbations of the constant
-    state and, failing that, profiles (1 + s z)^g whose g is tuned to make
-    the dissipation form pointwise negative.  Returns the winning GridFn
-    (on the plain N-rule) and its dF/dt value.
-    """
-    params = UltraParams(n=n, p=p, beta=1.0)
-    cfg = FlowConfig(kind="heat", params=params, dt=1e-3, t_end=1.0)
-    z = build_quadrature(params, N).nodes
-    best: tuple[float, np.ndarray] | None = None
-
-    def consider(u: np.ndarray) -> None:
-        nonlocal best
-        if np.min(u) <= 1e-9:
-            return
-        val = dF_dt_closed_form(u, cfg)
-        if best is None or val > best[0]:
-            best = (val, u)
-
-    for a in np.linspace(-0.8, 0.8, 9):
-        for b in np.linspace(-0.6, 0.6, 7):
-            consider(1.0 + a * z + b * z**2)
-    if best is None or best[0] <= tol:
-        bexp = (n - 1.0) * (p - 1.0) / (n + 2.0)
-        if bexp != 1.0:
-            g = 1.0 / (1.0 - bexp)
-            for s in np.linspace(0.05, 0.85, 17):
-                consider((1.0 + s * z) ** g)
-                consider((1.0 - s * z) ** g)
-    if best is None or best[0] <= tol:
-        raise DomainError(
-            f"no positive-derivative state found at (n, p) = ({n}, {p}); "
-            "below the sharp exponent none exists"
-        )
-    return best[1], best[0]

@@ -268,7 +268,8 @@ def resample(u: GridFn, params: UltraParams, N: int):
     """Spectral interpolant of samples on the N-node rule of ``params``, on its refined rule.
 
     The measure is regularized when params.eps > 0, plain otherwise; only
-    n and eps matter.  Returns ``(fine, basis, c, u, u', u'')``: the refined
+    n and eps matter, but ``params`` must be ``UltraParams`` (else
+    ``DomainError``).  Returns ``(fine, basis, c, u, u', u'')``: the refined
     rule, the interpolation basis, the coefficients of ``u`` in it, and the
     interpolant with its first two derivatives at ``fine.nodes``.  The
     values equal ``basis.synthesize``, ``basis.derivative_values`` and
@@ -280,6 +281,8 @@ def resample(u: GridFn, params: UltraParams, N: int):
 
 def _resample(u: np.ndarray, params: UltraParams, N: int):
     """``resample`` of checked samples."""
+    if not isinstance(params, UltraParams):  # a Quadrature echoes n and eps too, but not its sample rule
+        raise DomainError(f"resample needs UltraParams, got {params!r}")
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), N)
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)

@@ -7,14 +7,16 @@ endpoints).
 """
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ultraflow import (
     DomainError,
+    FlowConfig,
     UltraParams,
     abc,
     beta_excluded,
@@ -22,7 +24,9 @@ from ultraflow import (
     beta_range,
     beta_window,
     build_quadrature,
+    dF_dt_closed_form,
     delta_of_beta,
+    dissipation_witness,
     is_admissible,
     lambda_eps,
     m_of_beta,
@@ -302,26 +306,102 @@ class TestQformValue:
         params = UltraParams(n=n, p=p, beta=beta)
         q = build_quadrature(params, 64)
         u = np.exp(0.4 * np.sin(2.0 * q.nodes))
-        vals = qform_value(u, beta, params)
+        vals = qform_value(u, params)
         assert np.min(vals) > -1e-9
 
-    def test_negative_somewhere_for_inadmissible_beta(self):
-        # delta > 0 means some positive u makes the form negative: as a
-        # quadratic in X = u'' u / u'^2 it is negative for X near b, and
-        # the profile (1+sz)^gamma realizes X = (gamma-1)/gamma = b exactly
-        n, p, beta = 3.0, 5.0, 1.0  # p > 2^# = 4.75, heat scaling fails
+    @pytest.mark.parametrize("n, p, beta", [
+        (3.0, 5.0, 1.0),  # p > 2^# = 4.75: heat scaling fails, delta > 0
+        (3.0, 3.5, 1.0),  # b = 1 exactly: the e^(z/2) witness
+        (3.0, 5.0, 0.6),  # g = 25
+        (2.5, 5.0, 2.0),
+        (4.0, 3.8, 1.9048),
+        (1.5, 8.0, -0.5),
+    ])
+    def test_witness_form_matches_its_closed_form(self, n, p, beta):
+        # q[(1 + s z)^g] = -delta (g s)^4 (1 + s z)^(2g - 4) at every node, so q
+        # has the sign of -delta everywhere; the spectral derivatives lose
+        # digits only at the outermost nodes (measured 1.8e-10 of max|q|
+        # there, 1.2e-12 for |z| < 0.9)
         params = UltraParams(n=n, p=p, beta=beta)
+        z = build_quadrature(params, 64).nodes
         b, c = qform_coeffs(beta, n, p)
-        assert b * b - c > 0
-        gamma = 1.0 / (1.0 - b)
-        q = build_quadrature(params, 64)
-        u = (1.0 + 0.5 * q.nodes) ** gamma
-        assert np.min(qform_value(u, beta, params)) < -1e-10
+        delta = delta_of_beta(beta, n, p)
+        u, _ = dissipation_witness(n, p, beta, N=64)
+        if b == 1.0:
+            want = -delta * 0.5**4 * np.exp(z)
+        else:
+            g = 1.0 / (1.0 - b)
+            s = 0.5 / max(1.0, abs(g))
+            want = -delta * (g * s) ** 4 * (1.0 + s * z) ** (2.0 * g - 4.0)
+        got = qform_value(u, params)
+        err = np.abs(got - want) / np.abs(want).max()
+        assert err.max() < 5e-10
+        assert err[np.abs(z) < 0.9].max() < 1e-11
+        assert np.all(np.sign(got) == -np.sign(delta))
 
     def test_positivity_validation(self):
         params = UltraParams(n=3.0, p=4.0, beta=1.0)
         with pytest.raises(DomainError):
-            qform_value(np.linspace(-1, 1, 64), 1.0, params)
+            qform_value(np.linspace(-1, 1, 64), params)
+
+
+def _witness_rate_oracle(n, p, beta):
+    """delta (g s)^4 int (1 + s z)^(2g - 4) rho^4 dnu_n by mpmath at 30 digits, over
+    the closed-form Z_n; the exponent is (2g - 4) log(1 + s z), or z at b = 1."""
+    with mpmath.workdps(30):
+        n, p, beta = mpmath.mpf(n), mpmath.mpf(p), mpmath.mpf(beta)
+        kappa = beta * (p - 2) + 1
+        b = (n - 1) * (kappa + beta - 1) / (n + 2)
+        A = ((n - 1) * (p - 1) / (n + 2)) ** 2 + 2 - p
+        B = (n + 3 - p) / (n + 2)
+        delta = A * beta**2 - 2 * B * beta + 1
+        if b == 1:
+            gs, expo = mpmath.mpf(0.5), lambda z: z
+        else:
+            g = 1 / (1 - b)
+            s = 1 / (2 * max(1, abs(g)))
+            gs, expo = g * s, lambda z: (2 * g - 4) * mpmath.log1p(s * z)
+        Z = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2) / mpmath.gamma((n + 1) / 2)
+        integral = mpmath.quad(lambda z: mpmath.exp(expo(z)) * (1 - z * z) ** ((n + 2) / 2), [-1, 0, 1])
+        return float(delta * gs**4 * integral / Z)
+
+
+class TestDissipationWitness:
+    @pytest.mark.parametrize("n, p, beta", [
+        (3.0, 3.5, 1.0), (3.0, 5.0, 1.0), (3.0, 5.0, 0.6), (2.5, 5.0, 2.0),
+        (1.5, 8.0, -0.5), (0.5, 3.0, 3.0), (6.0, 2.5, 4.5),
+    ])
+    def test_rate_against_mpmath(self, n, p, beta):
+        _, rate = dissipation_witness(n, p, beta)
+        assert rate == pytest.approx(_witness_rate_oracle(n, p, beta), rel=1e-13)
+
+    def test_heat_rate_is_positive_above_the_sharp_exponent(self):
+        # (3, 5): p > 2^# = 4.75, where the heat flow can raise F
+        u, rate = dissipation_witness(3.0, 5.0)
+        assert rate > 0 and u.shape == (64,)
+        assert 1.0 / 3.0 < u.min() and u.max() < 3.0 * u.min()
+
+    def test_parameters_are_checked(self):
+        for args in ((0.0, 5.0), (3.0, 0.5), (3.0, 5.0, 0.0)):
+            with pytest.raises(DomainError):
+                dissipation_witness(*args)
+
+    @given(n=st.floats(0.3, 6.0, exclude_min=True), t=st.floats(0.0, 1.0, exclude_min=True),
+           beta=st.floats(-3.0, 5.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_sign_of_rate_is_sign_of_delta(self, n, t, beta):
+        # and the spectral path of dF/dt agrees with the closed form on the witness
+        p = 1.0 + t * (min(thresholds(n)[1], 8.0) - 1.0)
+        delta = delta_of_beta(beta, n, p)
+        assume(abs(delta) >= 1e-3)
+        try:
+            cfg = FlowConfig(kind="heat" if beta == 1.0 else "nonlinear",
+                             params=UltraParams(n=n, p=p, beta=beta))
+        except DomainError:  # beta = 0, m = 0 or beta on its excluded value
+            assume(False)
+        u, rate = dissipation_witness(n, p, beta)
+        assert np.sign(rate) == np.sign(delta)
+        assert dF_dt_closed_form(u, cfg) == pytest.approx(rate, rel=1e-12)
 
 
 class TestRegularityCoeffs:

@@ -4,7 +4,8 @@ eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional in ``functionals.lyapunov_terms``; another keeps
 ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
-subclasses, another every module free of scipy and numpy.polynomial, and a fresh interpreter checks
+subclasses, another every module's imports to the standard library and numpy
+without numpy.polynomial, and a fresh interpreter checks
 that ``import ultraflow.cli`` loads no part of numpy.polynomial."""
 import ast
 import inspect
@@ -27,8 +28,8 @@ PUBLIC_NAMES = [
     "beta_excluded", "beta_for_m", "beta_range", "beta_window",
     "build_quadrature", "check_gamma2", "check_gamma2_eps", "check_lgamma",
     "check_lgamma_eps", "dF_dt_closed_form", "deficit", "delta_of_beta",
-    "drift", "drift_prime", "eigenvalue", "extremal_profile",
-    "find_heat_counterexample", "fisher", "get_basis",
+    "dissipation_witness", "drift", "drift_prime", "eigenvalue",
+    "extremal_profile", "fisher", "get_basis",
     "get_regularized_basis", "interpolation_basis", "is_admissible",
     "lambda_eps", "logsob_deficit", "lp_norm", "lyapunov_F", "m_of_beta",
     "m_range", "make_test_function", "normalization_constant",
@@ -87,22 +88,26 @@ def test_every_rule_integrates_the_measure_it_echoes():
 
 
 def test_no_module_imports_numpy_polynomial_or_scipy():
-    # scipy is a test dependency, and numpy.polynomial costs about 2 ms of
-    # import: the Gauss rules and the test functions are built on plain arrays
-    banned = ("scipy", "numpy.polynomial")
+    # numpy is the one dependency in pyproject.toml: scipy, mpmath, sympy and
+    # hypothesis are test extras.  numpy.polynomial costs about 2 ms of import,
+    # so the Gauss rules and the test functions are built on plain arrays
+    allowed = sys.stdlib_module_names | {"numpy"}
+    banned = "numpy.polynomial"
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in ("np", "numpy"):
                 names = [f"numpy.{node.attr}"]  # np.polynomial.legendre.leggauss and the like
             else:
                 continue
             for name in names:
-                assert not any(f"{name}.".startswith(f"{b}.") for b in banned), (path.name, node.lineno, name)
+                where = (path.name, node.lineno, name)
+                assert name.split(".")[0] in allowed, where
+                assert not f"{name}.".startswith(f"{banned}."), where
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

@@ -42,7 +42,6 @@ from ultraflow.flows import (
     _initial_state,
     _Recorder,
     dF_dt_closed_form,
-    find_heat_counterexample,
     run_heat_flow,
     run_nonlinear_flow,
     run_regularized_flow,
@@ -655,21 +654,6 @@ class TestRegularizedFlow:
         tr = run_regularized_flow(self.datum(), cfg)
         messages = " | ".join(msg for _, msg in tr.bound_events)
         assert "fell below h0" in messages
-
-
-class TestCounterexampleSearch:
-    def test_finds_a_positive_rate_above_the_sharp_exponent(self):
-        u, val = find_heat_counterexample(3.0, 5.0)
-        assert val > 1.0
-        assert len(u) == 64
-        assert np.min(u) > 0
-        cfg = FlowConfig(kind="heat", params=UltraParams(n=3.0, p=5.0, beta=1.0))
-        assert dF_dt_closed_form(u, cfg) == pytest.approx(val, rel=1e-12)
-
-    def test_fails_cleanly_below_the_sharp_exponent(self):
-        # p = 4 < (2 n^2 + 1)/(n-1)^2 = 4.75 at n = 3: dissipation has a sign
-        with pytest.raises(DomainError, match="none exists"):
-            find_heat_counterexample(3.0, 4.0, N=32)
 
 
 class TestClosedFormDerivative:

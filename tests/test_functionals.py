@@ -2,8 +2,11 @@
 
 Closed-form oracles: Fisher information of f(z) = z is n/(n+1); the
 profile family a|1 - b z|^{-(n-2)/2} saturates the inequality at the
-critical pair; constants are equality cases for every p.
+critical pair; constants are equality cases for every p.  ``TestOracleLayer``
+checks lp_norm, fisher and deficit of a cubic at 1e-12 against the closed-form
+Beta moments of dnu_n, and against mpmath in theta = arccos z at non-integer p.
 """
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from ultraflow import (
     lp_norm,
     lyapunov_F,
     refined_quadrature,
+    thresholds,
 )
 
 
@@ -255,3 +259,75 @@ class TestLyapunov:
         # lam/(p-2) has no limit form here; the entropy form is logsob_deficit
         with pytest.raises(DomainError, match="p != 2"):
             lyapunov_F(1.0 + 0.1 * rule(3.0).nodes, UltraParams(n=3.0, p=2.0, beta=1.0))
+
+
+class TestOracleLayer:
+    """lp_norm, fisher and deficit of f = 1 + 0.3 z + 0.2 z^2 - 0.1 z^3 (min 1 at z = -1)
+    against oracles the package does not compute, at 1e-12 relative.
+
+    Polynomial integrands use the moments E[z^(2j)] = prod_{i<j} (i + 1/2)/(i + (n + 1)/2)
+    of dnu_n at 30 digits.  At non-integer p, int f^p dnu_n is mpmath.quad in theta,
+    sin^(n-1) theta d theta / Z_n, for n >= 1 only: where the weight is singular at
+    the ends tanh-sinh loses digits (int f^3 dnu_0.3 misses its closed form by 8.3e-6
+    in z and by 5.5e-11 in theta).  Measured worst error 2.7e-13 (n = 6, N = 256).
+    """
+
+    F = (1.0, 0.3, 0.2, -0.1)
+
+    @staticmethod
+    def integral(c, n):
+        """int sum_k c_k z^k dnu_n from the closed-form even moments."""
+        with mpmath.workdps(30):
+            total, moment, half = mpmath.mpf(0), mpmath.mpf(1), (mpmath.mpf(n) + 1) / 2
+            for j in range(0, len(c), 2):
+                total += c[j] * moment
+                moment *= (j // 2 + mpmath.mpf(0.5)) / (j // 2 + half)
+            return total
+
+    @staticmethod
+    def times(a, b):
+        out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def lpp(self, p, n):
+        """int f^p dnu_n, at 30 digits."""
+        with mpmath.workdps(30):
+            f = [mpmath.mpf(x) for x in self.F]
+            if float(p).is_integer():
+                power = [mpmath.mpf(1)]
+                for _ in range(int(p)):
+                    power = self.times(power, f)
+                return self.integral(power, n)
+            Z = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n) / 2) / mpmath.gamma((mpmath.mpf(n) + 1) / 2)
+            density = lambda t: mpmath.polyval(f[::-1], mpmath.cos(t)) ** p * mpmath.sin(t) ** (n - 1)
+            return mpmath.quad(density, [0, mpmath.pi / 2, mpmath.pi]) / Z
+
+    def fisher_oracle(self, n):
+        with mpmath.workdps(30):
+            fp = [k * mpmath.mpf(x) for k, x in enumerate(self.F)][1:]
+            return self.integral(self.times([1, 0, -1], self.times(fp, fp)), n)
+
+    @pytest.mark.parametrize("n", [0.05, 0.3, 1.0, 1.7, 2.5, 4.0, 6.0])
+    def test_against_closed_form_moments_and_mpmath(self, n):
+        ps = [1.0, 3.0, 4.0] + ([2.5] if n >= 1 else [])
+        with mpmath.workdps(30):
+            fisher_want = self.fisher_oracle(n)
+            norms = {p: self.lpp(p, n) for p in ps + [2.0]}
+            want = {p: float(norms[p] ** (1 / mpmath.mpf(p))) for p in ps}
+            bracket = {p: (norms[1.0] ** 2 if p == 1 else norms[p] ** (2 / mpmath.mpf(p))) - norms[2.0]
+                       for p in ps}
+            deficits = {p: float(fisher_want - n * bracket[p] / (p - 2)) for p in ps}
+        p_crit = thresholds(n)[1]
+        for N in (16, 64, 256):
+            z = build_quadrature(UltraParams(n=n), N).nodes
+            f = np.polyval(self.F[::-1], z)
+            assert fisher(f, UltraParams(n=n)) == pytest.approx(float(fisher_want), rel=1e-12, abs=0)
+            for p in ps:
+                params = UltraParams(n=n, p=p)
+                assert lp_norm(f, params) == pytest.approx(want[p], rel=1e-12, abs=0), (N, p)
+                if p <= p_crit:
+                    got = deficit(f, params, N=N).deficit
+                    assert got == pytest.approx(deficits[p], rel=1e-12, abs=0), (N, p)

@@ -385,6 +385,18 @@ class TestResample:
             np.testing.assert_array_equal(up, basis.derivative_values(c, fine.nodes))
             np.testing.assert_array_equal(upp, basis.second_derivative_values(c, fine.nodes))
 
+    def test_a_rule_in_place_of_params_is_rejected(self):
+        # a rule echoes n and eps, so the graded rule's samples used to be read
+        # as samples on the rule of d: fisher(g.nodes, g) gave 1.860 here
+        params = UltraParams(n=2.5, eps=1e-3)
+        g, q = refined_quadrature(params, 16), build_quadrature(params, 16)
+        assert fisher(q.nodes, params) == pytest.approx(0.7145, abs=1e-4)
+        for rule in (g, q):
+            with pytest.raises(DomainError, match="UltraParams"):
+                fisher(rule.nodes, rule)
+            with pytest.raises(DomainError, match="UltraParams"):
+                resample(rule.nodes, rule, rule.order)
+
     def test_cached_tables_are_read_only(self):
         resample(np.ones(32), UltraParams(n=2.5, eps=1e-2), 32)
         fine, basis, V, V1 = _discretization(2.5, 1e-2, 32)
@@ -424,7 +436,7 @@ class TestPositivityGuard:
         "lyapunov_F": (PLAIN, lambda u, prm: lyapunov_F(u, prm, N=16)),
         "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
         "nonlinear flow": (NONLINEAR, lambda u, prm: run_nonlinear_flow(u, FlowConfig("nonlinear", prm))),
-        "qform_value": (PLAIN, lambda u, prm: qform_value(u, prm.beta, prm)),
+        "qform_value": (PLAIN, qform_value),
         # signed samples: one finiteness check, on resample and the nodal derivatives
         "deficit": (PLAIN, lambda u, prm: deficit(u, prm, N=16)),
         "logsob_deficit": (LOGSOB, lambda u, prm: logsob_deficit(u, prm, N=16)),
