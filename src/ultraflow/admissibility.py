@@ -324,7 +324,7 @@ def regularity_coeffs(z, params: UltraParams):
     z, rho2 = _points(z)
     one_m = 1.0 - m
     a = -n * one_m * (2.0 - n * one_m) * rho2 / den**2
-    ell_n, ell_n_prime = _deformation(z, rho2, params)
+    ell_n, ell_n_prime = _deformation(z, rho2, params) or (0 * rho2,) * 2  # zeros if plain
     b_eps = 2.0 * one_m * ell_n / den
     c_eps = -(n + ell_n_prime)
     disc_eps = b_eps**2 - 4.0 * a * c_eps

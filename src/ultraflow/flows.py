@@ -53,6 +53,7 @@ from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams
+from .operators import _deformation
 from .spectral import GridFn, OrthoBasis, _resample_positive, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
@@ -181,8 +182,9 @@ def _dF_value(
     """
     val = (lam - params.n) * fine.integrate(fine.rho2 * up**2)
     val -= fine.integrate(_qform(uu, up, upp, params) * fine.rho2**2)
-    val -= _gamma2_correction(fine, up, params)
-    val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params)
+    dz = _deformation(fine.nodes, fine.rho2, params)
+    val -= _gamma2_correction(fine, up, dz)
+    val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params.n, dz)
     return val
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams
-from .spectral import GridFn, _resample_positive, resample
+from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,15 @@ def deficit(
     plain N-node rule (N defaults to the package default).  Both factors of
     the entropy term change sign across p = 2, so the report is meaningful
     on the whole range p in [1, 2) u (2, 2*].  ``params`` must be plain
-    (eps = 0) with beta = 1; anything else raises DomainError.
+    (eps = 0) with beta = 1; anything else raises DomainError.  An f the
+    rule does not resolve gets ``spectral_derivative``'s AccuracyWarning.
     """
     n, p = params.n, params.p
     _check_plain(params, "deficit")
     _check_p_range(n, p)
     lam = n if lam is None else lam
-    fine, _, _, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    fine, _, c, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    _warn_unresolved(c, "deficit")
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
     return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
 
@@ -125,14 +127,15 @@ def logsob_deficit(
 
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0.
     ``params`` must have p = 2, eps = 0 and beta = 1; anything else raises
-    DomainError.
+    DomainError.  An f the rule does not resolve warns as in ``deficit``.
     """
     n = params.n
     if params.p != 2:
         raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
     _check_plain(params, "logsob_deficit")
     lam = n / 2.0 if lam is None else lam
-    fine, _, _, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    fine, _, c, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    _warn_unresolved(c, "deficit")
     fisher_val = float(fine.integrate(fine.rho2 * fp**2))
     g = ff**2
     l2 = fine.integrate(g)

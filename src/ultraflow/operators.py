@@ -15,9 +15,11 @@ identities and the gradient bound only through the deformation of n z,
 
 0 at eps = 0 or n = d (ell' >= n for n < d).  Its one owner, ``_deformation``,
 forms zeta = rho^2 + eps from a rule's own rho^2 (exact from theta on the graded
-rule) or, at points z, from (1 - z)(1 + z) (``_points``).  Rules come from the Lu
-of ``apply_L``, ``apply_L_eps`` and the identities (through ``drift``) and from the
-identities' eps corrections; points from ``drift``, ``drift_prime``, ``regularity_coeffs``.
+rule) or, at points z, from (1 - z)(1 + z) (``_points``); it returns None in the
+plain case, where callers add nothing.  Rules come from the Lu of ``apply_L``,
+``apply_L_eps`` and the identities (through ``drift``) and from the eps corrections
+(``identities._prepared``, ``flows._dF_value``); points from ``drift``,
+``drift_prime``, ``regularity_coeffs``.
 Derivatives of the argument are spectral (see the spectral module); the
 pointwise combination makes no use of the eigendecomposition, so eigenvalue
 checks against k (k + n - 1) are a genuine cross-validation.
@@ -40,10 +42,10 @@ def _points(z: np.ndarray | Quadrature):
 
 
 def _deformation(z: np.ndarray, rho2: np.ndarray, params: UltraParams):
-    """(ell - n z, ell' - n) at z, with zeta = rho^2 + eps; zeros if plain."""
+    """(ell - n z, ell' - n) at z, with zeta = rho^2 + eps; None if plain (eps = 0 or n = d)."""
     n, d, eps = params.n, params.d, params.eps
     if eps == 0 or n == d:
-        return (0 * rho2,) * 2  # zeros shaped like rho2, at half the cost of np.zeros_like
+        return None
     zeta = rho2 + eps
     r = eps * (d - n) / zeta  # exact on rationals too
     return r * z, r * (2 * (1 + eps) - zeta) / zeta
@@ -52,12 +54,15 @@ def _deformation(z: np.ndarray, rho2: np.ndarray, params: UltraParams):
 def drift(z: np.ndarray | Quadrature, params: UltraParams) -> np.ndarray:
     """Drift ell at points z, or at a rule's nodes with zeta from its rho^2; n z at eps = 0 and for n = d."""
     z, rho2 = _points(z)
-    return params.n * z + _deformation(z, rho2, params)[0]
+    dz = _deformation(z, rho2, params)
+    return params.n * z if dz is None else params.n * z + dz[0]
 
 
 def drift_prime(z: np.ndarray, params: UltraParams) -> np.ndarray:
-    """Slope ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2."""
-    return params.n + _deformation(*_points(z), params)[1]
+    """Slope ell'(z) = n - eps (n - d)(1 + eps + z^2)/(1 + eps - z^2)^2, shaped like z."""
+    z, rho2 = _points(z)
+    dz = _deformation(z, rho2, params)
+    return np.full_like(z, params.n)[()] if dz is None else params.n + dz[1]
 
 
 def _apply(fp: np.ndarray, fpp: np.ndarray, q: Quadrature, params: UltraParams) -> np.ndarray:

@@ -40,9 +40,10 @@ refined rule: it keeps, for the key (n, eps, N), the refined rule, the
 interpolation basis and the read-only tables of Q_k and Q_k' at the
 refined nodes, built in one pass of the recurrence.  Only the most
 recent key's tables are kept, so a caller reuses them while it stays on
-one key.  One cold pass of the benchmark's identity sweep makes 392 hits
-and 8 misses, its parameter scan 0 and 62 (every key is fresh), and one
-CLI ``identities`` command 2 misses (1 at integer n without eps).  At
+one key.  One cold pass of the benchmark's identity sweep makes 192 hits
+and 8 misses (its two checks of each function share one resample, see the
+identities module), its parameter scan 0 and 62 (every key is fresh), and
+one CLI ``identities`` command 2 misses (1 at integer n without eps).  At
 N = 64 one entry holds at most about 0.8 MB (746 refined nodes at
 eps = 1e-8).
 """
@@ -337,14 +338,20 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
     c, fp, fpp = _nodal_derivatives(_finite(f), q)
+    _warn_unresolved(c, "derivative")
+    return fp if order == 1 else fpp
+
+
+def _warn_unresolved(c: np.ndarray, what: str) -> None:
+    """``AccuracyWarning`` at the caller's caller when the top two modes of ``c`` carry
+    more than ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
     total = float(np.dot(c, c))
     if total > 0:
         tail = float(np.dot(c[-2:], c[-2:])) / total
         if tail > TAIL_WARN_FRACTION:
             warnings.warn(
                 f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; "
-                "derivative accuracy is degraded",
+                f"{what} accuracy is degraded",
                 AccuracyWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    return fp if order == 1 else fpp

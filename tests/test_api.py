@@ -5,7 +5,8 @@ formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional in ``functionals.lyapunov_terms``; another keeps
 ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module's imports to the standard library and numpy
-without numpy.polynomial, and a fresh interpreter checks
+without numpy.polynomial, another every ``functools`` cache to an
+``lru_cache`` of integer size, and a fresh interpreter checks
 that ``import ultraflow.cli`` loads no part of numpy.polynomial."""
 import ast
 import inspect
@@ -108,6 +109,27 @@ def test_no_module_imports_numpy_polynomial_or_scipy():
                 where = (path.name, node.lineno, name)
                 assert name.split(".")[0] in allowed, where
                 assert not f"{name}.".startswith(f"{banned}."), where
+
+
+def test_every_cache_is_a_bounded_lru_cache():
+    # functools.cache and lru_cache(maxsize=None) grow with every key a long
+    # scan visits; each memo in the package states its size as an integer
+    caches = 0
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cache" not in {alias.name for alias in node.names}, (path.name, node.lineno)
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.Name, ast.Attribute)) and name in ("cache", "lru_cache"):
+                assert name == "lru_cache" and id(node) in calls, (path.name, node.lineno, "unsized")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lru_cache":
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant), (path.name, node.lineno)
+                assert type(sizes[0].value) is int, (path.name, node.lineno, sizes[0].value)
+                caches += 1
+    assert caches == 7  # measure 3, spectral 3, identities 1
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

@@ -280,6 +280,19 @@ class TestVerify:
         assert "error:" in err
         assert "position" in err
 
+    def test_unresolved_function_warns_on_stderr(self):
+        # a fresh interpreter, with Python's default warning filters: the
+        # deficit of 1/z is still printed, and the warning says not to trust it
+        root = os.path.dirname(os.path.dirname(ultraflow.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultraflow.cli", "verify", "--n", "3", "--p", "4", "--fn", "1/z"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0
+        assert "deficit = " in proc.stdout
+        assert "AccuracyWarning: spectral tail fraction 3.23e-02" in proc.stderr
+
     def test_deep_nesting_is_a_parse_error(self, capsys):
         code = main(["verify", "--n", "3", "--p", "4", "--fn", "(" * 2000 + "z" + ")" * 2000])
         assert code == 2
@@ -474,13 +487,14 @@ class TestIdentities:
 
     def test_each_family_resamples_on_one_key(self, capsys):
         # resample keeps the tables of one (n, eps, N) key: finishing the plain
-        # family before the eps family builds them once per family, not per trial
+        # family before the eps family builds them once per family, not per trial;
+        # both checks of a trial share one resample, so 10 functions make 10 calls
         from ultraflow.spectral import _discretization
 
         _discretization.cache_clear()
         assert main(["identities", "--n", "2.5", "--eps", "1e-2", "--trials", "5"]) == 0
         info = _discretization.cache_info()
-        assert (info.misses, info.hits) == (2, 18)
+        assert (info.misses, info.hits) == (2, 8)
 
     def test_deterministic_for_a_fixed_seed(self, capsys):
         argv = ["identities", "--n", "3", "--trials", "2", "--seed", "7", "--json"]

@@ -48,6 +48,7 @@ from ultraflow.flows import (
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
+from ultraflow.operators import _deformation
 from ultraflow.spectral import eigenvalue, get_regularized_basis
 
 
@@ -702,8 +703,9 @@ class TestBlockDissipation:
         up = a + 0.4 * z
         upp = np.full_like(uu, 0.4)
         if eps > 0:  # both corrections enter
-            assert abs(_gamma2_correction(fine, up[0], params)) > 0
-            assert abs(_lgamma_correction(fine, uu[0], up[0], params)) > 0
+            dz = _deformation(z, fine.rho2, params)
+            assert abs(_gamma2_correction(fine, up[0], dz)) > 0
+            assert abs(_lgamma_correction(fine, uu[0], up[0], n, dz)) > 0
         got = _dF_value(uu, up, upp, fine, params, 3.0)
         want = np.array([_dF_value(*rows, fine, params, 3.0) for rows in zip(uu, up, upp)])
         assert got.shape == (7,)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ultraflow import (
+    AccuracyWarning,
     DomainError,
     UltraParams,
     build_quadrature,
@@ -150,6 +151,24 @@ class TestDeficit:
         assert rep.deficit == pytest.approx(
             rep.fisher - 2.5 * rep.entropy_term, abs=1e-15
         )
+
+
+class TestUnresolvedInput:
+    # 1/z has a pole at 0, so it is not in the weighted Sobolev space; the even
+    # rules have no node at 0, so its samples are finite.  Its top two modes
+    # carry 3.2e-2 of the coefficient energy on the 64-node rule of n = 3
+    @pytest.mark.parametrize("p", [4.0, 2.0])
+    def test_pole_warns(self, p):
+        f = 1.0 / rule(3.0).nodes
+        report = logsob_deficit if p == 2 else deficit
+        with pytest.warns(AccuracyWarning, match="deficit accuracy is degraded"):
+            report(f, UltraParams(n=3.0, p=p))
+
+    def test_resolved_input_is_silent(self):
+        # pytest turns AccuracyWarning into an error, so these would fail loudly
+        q = rule(3.0)
+        deficit(1.0 + 0.3 * q.nodes, UltraParams(n=3.0, p=4.0))
+        logsob_deficit(np.exp(0.4 * q.nodes), UltraParams(n=3.0, p=2.0))
 
 
 class TestLogSobolev:

@@ -21,6 +21,8 @@ from ultraflow import (
     check_lgamma_eps,
     make_test_function,
 )
+from ultraflow.identities import _gamma2_correction, _lgamma_correction, _prepare, _prepared
+from ultraflow.spectral import _discretization
 
 
 class TestTestFunctions:
@@ -235,3 +237,74 @@ class TestRegularizedIdentities:
         rho2 = 1.0 - z**2
         plain_rhs = fine.integrate(upp**2 * rho2**2) + p.n * fine.integrate(rho2 * up**2)
         assert abs(plain_sum - plain_rhs) > 1e-6
+
+
+class TestPreparedState:
+    """Both checks of a family share one prepared state of the tested function."""
+
+    @staticmethod
+    def cold():
+        _prepared.cache_clear()
+        _discretization.cache_clear()
+
+    def test_both_checks_resample_once(self):
+        for params, checks in ((UltraParams(n=2.5), (check_gamma2, check_lgamma)),
+                               (UltraParams(n=2.5, eps=0.01), (check_gamma2_eps, check_lgamma_eps))):
+            u = make_test_function(3, params, neumann=params.eps == 0)
+            self.cold()
+            for check in checks:
+                check(u, params)
+            info = _discretization.cache_info()
+            assert (info.misses, info.hits) == (1, 0)
+            assert _prepared.cache_info().hits == 1
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_hit_equals_cold_call_bit_for_bit(self, eps):
+        params = UltraParams(n=2.5, eps=eps)
+        checks = (check_gamma2, check_lgamma) if eps == 0 else (check_gamma2_eps, check_lgamma_eps)
+        u = make_test_function(4, params, neumann=eps == 0)
+        for first, second in (checks, checks[::-1]):
+            self.cold()
+            first(u, params)
+            hit = second(u, params)
+            self.cold()
+            assert hit == second(u, params)
+            assert _prepared.cache_info().hits == 0
+
+    def test_in_place_mutation_is_a_new_function(self):
+        params = UltraParams(n=3.0)
+        u = make_test_function(5, params)
+        check_gamma2(u, params)
+        u[:] = make_test_function(6, params)
+        warm = check_lgamma(u, params)
+        self.cold()
+        assert warm == check_lgamma(u, params)
+
+    def test_neumann_is_checked_on_a_hit(self):
+        params = UltraParams(n=2.5)
+        u = make_test_function(3, params, neumann=False)
+        check_gamma2(u, params, enforce_neumann=False)
+        with pytest.raises(DomainError, match="Neumann"):
+            check_gamma2(u, params, enforce_neumann=True)
+        with pytest.raises(DomainError, match="Neumann"):
+            check_lgamma(u, params)
+        assert _prepared.cache_info().hits >= 2
+
+    def test_positivity_errors_are_not_cached(self):
+        params = UltraParams(n=2.5)
+        u = make_test_function(3, params)
+        u[7] = -1.0
+        for _ in range(2):
+            with pytest.raises(DomainError, match="the tested function must be finite and strictly positive"):
+                check_gamma2(u, params)
+
+    def test_state_is_read_only_and_plain_has_no_deformation(self):
+        for params, dz_size in ((UltraParams(n=2.5), 0), (UltraParams(n=2.5, eps=0.01), 2)):
+            state = _prepare(make_test_function(1, params, neumann=False), params, False)
+            fine, basis, arrays, dz = state[0], state[1], state[2:7], state[7]
+            assert len(dz or ()) == dz_size
+            for a in (*arrays, *(dz or ())):
+                assert not a.flags.writeable
+            if dz is None:
+                assert _gamma2_correction(fine, arrays[2], dz) == 0.0
+                assert _lgamma_correction(fine, arrays[1], arrays[2], params.n, dz) == 0.0

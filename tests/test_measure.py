@@ -35,6 +35,7 @@ from ultraflow import (
     refined_quadrature,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
+from ultraflow.operators import _deformation
 
 # adaptive-quadrature oracles for int_{-1}^{1} (1-z^2)^{(n-2)/2} dz
 Z_ORACLE = {
@@ -570,8 +571,9 @@ class TestRuleRho2:
             z = fine.nodes
             uu, up = 1.0 + 0.1 * z + 0.05 * z**2, 0.1 + 0.1 * z
             g2, lg = corrections_oracle(2.5, eps)
-            assert abs(_gamma2_correction(fine, up, p) - g2) < 1e-14 * abs(g2), eps
-            assert abs(_lgamma_correction(fine, uu, up, p) - lg) < 1e-14 * abs(lg), eps
+            dz = _deformation(z, fine.rho2, p)
+            assert abs(_gamma2_correction(fine, up, dz) - g2) < 1e-14 * abs(g2), eps
+            assert abs(_lgamma_correction(fine, uu, up, p.n, dz) - lg) < 1e-14 * abs(lg), eps
         assert not fine.rho2.flags.writeable
         for n, eps in [(0.7, 0.0), (2.5, 0.0), (2.5, 1e-2), (3.0, 1e-6), (4.2, 1e-4)]:
             for N in (16, 64, 128):

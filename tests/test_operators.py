@@ -296,8 +296,8 @@ class TestDeformationAlgebra:
         ell = sp.simplify(-sp.diff(rho2 * w, z) / w)
         params = SimpleNamespace(n=n, d=d, eps=eps)
         for z0 in (sp.Rational(-9, 10), sp.Rational(1, 3), sp.Rational(999, 1000)):
-            ell_n, ell_n_prime = _deformation(z0, rho2.subs(z, z0), params)
+            dz = _deformation(z0, rho2.subs(z, z0), params)
+            assert (dz is None) == (n == d)  # the plain signal; ell is then n z exactly
+            ell_n, ell_n_prime = dz or (0, 0)
             assert sp.simplify(ell.subs(z, z0) - n * z0 - ell_n) == 0
             assert sp.simplify(sp.diff(ell, z).subs(z, z0) - n - ell_n_prime) == 0
-            if n == d:
-                assert ell_n == 0 and ell_n_prime == 0
