@@ -16,7 +16,16 @@ zero right-hand side in row 0, so the mass int v dnu = c_0 never moves:
 conservation is structural, not a property of the stepper.  The basis is
 built on the measure's refined rule; the plain measure is the eps = 0 case.
 
-Stepping: the weak form is -a S c + N(c), with S the stiffness matrix
+Stepping: every kind steps on the 2N-node Gauss rule of its measure,
+good to degree 4N-1 (``measure._stepping_rule``): the refined rule itself
+for eps = 0, and for the regularized measure its own Gauss rule, built once
+per (n, eps, N) from the graded rule, with Q_k and Q_k' evaluated at its
+nodes once per run.  So a stage costs the same 2N nodes for every kind,
+not the graded rule's 572 to 746 at N = 64; the stiffness matrix, the stage
+tables, the positivity floor and the stiffness bound all live on it.  The
+projection of v0 and the recorder stay on the refined rule, which the
+near-singular eps corrections of dF/dt need.  The weak form is
+-a S c + N(c), with S the stiffness matrix
 int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
 (Cox & Matthews 2002) solves the linear part exactly in the eigenbasis of
 S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
@@ -26,7 +35,7 @@ dt <= 2 / that; the last step lands on t_end.  Where that stiffness is 0
 at m = 1 a step's end then only checks the positivity of v.
 Each of a step's four stages is one call of ``_galerkin_stage``: one
 product of the eigenbasis state with a (modes x 2 nodes) table gives v and
-v' on the refined rule, and the v' half of the same table projects the
+v' on the stepping rule, and the v' half of the same table projects the
 remainder back.  The step's last stage also yields the stiffness and the
 next step's first remainder.  The phi-function weights are real: closed
 forms away from hL = 0, Taylor series near it (``_etdrk4_weights``).
@@ -37,8 +46,9 @@ and u', the closed-form instantaneous dF/dt, and any violation of the
 entered h0/h1 bounds; positivity loss aborts with the failure time.
 The recorder takes the state's coefficients and evaluates everything
 itself: v, v' and v'' on the refined rule and every diagnostic, a block
-of records at a time as (records, nodes) arrays; bound violations are
-reported in record order.
+of records at a time as (records, nodes) arrays, with the eps deformation
+of the rule formed once per run; bound violations are reported in record
+order.
 """
 from __future__ import annotations
 
@@ -52,7 +62,7 @@ from .admissibility import _qform, lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
-from .measure import Quadrature, UltraParams
+from .measure import Quadrature, UltraParams, _stepping_rule
 from .operators import _deformation
 from .spectral import GridFn, OrthoBasis, _resample_positive, get_regularized_basis
 
@@ -166,6 +176,7 @@ def _dF_value(
     fine: Quadrature,
     params: UltraParams,
     lam: float,
+    dz: tuple[np.ndarray, np.ndarray] | None,
 ) -> float | np.ndarray:
     """Closed form of (dF/dt) / (2 beta^2) as a functional of the state.
 
@@ -177,12 +188,12 @@ def _dF_value(
     middle term has a sign whenever delta(beta) <= 0, and C_Gamma2 and
     C_LGamma are the eps corrections that the Gamma2 and L-Gamma
     identities add to their right-hand sides (0 on the plain measure).
-    Valid as a time derivative along the matching flow.  Leading axes of
-    (uu, up, upp) are records, with one value per row.
+    ``dz`` is ``_deformation`` of ``fine`` and ``params``.  Valid as a time
+    derivative along the matching flow.  Leading axes of (uu, up, upp) are
+    records, with one value per row.
     """
     val = (lam - params.n) * fine.integrate(fine.rho2 * up**2)
     val -= fine.integrate(_qform(uu, up, upp, params) * fine.rho2**2)
-    dz = _deformation(fine.nodes, fine.rho2, params)
     val -= _gamma2_correction(fine, up, dz)
     val -= (params.kappa + params.beta - 1.0) * _lgamma_correction(fine, uu, up, params.n, dz)
     return val
@@ -198,7 +209,7 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     params = cfg.params
     fine, _, _, uu, up, upp = _resample_positive(u, params, len(u), "the state")
     lam = _resolve_bounds_and_lambda(cfg, uu, up).lam
-    return float(_dF_value(uu, up, upp, fine, params, lam))
+    return float(_dF_value(uu, up, upp, fine, params, lam, _deformation(fine.nodes, fine.rho2, params)))
 
 
 class _Recorder:
@@ -212,6 +223,7 @@ class _Recorder:
     def __init__(self, cfg: FlowConfig, basis: OrthoBasis):
         self.cfg = cfg
         self.basis = basis
+        self.dz = _deformation(basis.quad.nodes, basis.quad.rho2, cfg.params)
         self.block = max(1, 8192 // basis.quad.nodes.size)
         self.pending: list[tuple[float, np.ndarray]] = []
         self.columns: list[np.ndarray] = []  # per block, FlowTrace's 8 arrays as rows
@@ -246,7 +258,7 @@ class _Recorder:
         F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
                                    for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
-        dF = _dF_value(uu, up, upp, fine, params, cfg.lam)
+        dF = _dF_value(uu, up, upp, fine, params, cfg.lam, self.dz)
         self.columns.append(np.array([t, mass, fb, F, umin, umax, gmax, dF]))
         # terminal gap max|u - mass^r| at the latest record (a run's last step records)
         self.gap = float(np.max(np.abs(uu[-1] - mass[-1] ** r)))
@@ -334,24 +346,34 @@ def _etdrk4_weights(z: np.ndarray, h: float):
     return E, np.exp(z / 2.0), Q, f1, f2, f3
 
 
-def _galerkin_stage(basis: OrthoBasis, U: np.ndarray, a: float, m: float):
+def _stepping_tables(basis: OrthoBasis, params: UltraParams) -> tuple[Quadrature, np.ndarray, np.ndarray]:
+    """The stepping rule of ``basis`` (``measure._stepping_rule``) with Q_k and Q_k' at its
+    nodes: the basis's own rule and tables where that rule is the refined rule (eps = 0)."""
+    rule = _stepping_rule(params, basis.K + 2)
+    if not rule.eps:
+        return basis.quad, basis.V, basis.V1
+    V, V1 = basis._tables(rule.nodes, 1)
+    return rule, V, V1
+
+
+def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarray, a: float, m: float):
     """The stage function of the stepper for the weak form in the eigenbasis U of S.
 
-    ``stage(y, t)`` returns g = v^(m-1) - a on the refined nodes and the
+    ``V`` and ``V1`` hold Q_k and Q_k' at the nodes of ``rule``.
+    ``stage(y, t)`` returns g = v^(m-1) - a on those nodes and the
     remainder -U^T V1^T (rho^2 w g v'): the weak form's -V1^T(rho^2 w v^(m-1) v')
     (the chain rule's m cancels the 1/m) less its linear part -a S c, at
     c = U y.  It raises PositivityError at time t where v reaches the floor.
     At m = 1 (the heat flow) both are exactly 0, so the stage only forms v
     and checks it.
     """
-    fine = basis.quad
-    weight = -(fine.weights * fine.rho2)
+    weight = -(rule.weights * rule.rho2)
     nodes = weight.size
     # (V0 U)^T and (V1 U)^T side by side: y @ T is v and v' on the nodes, and
     # the right half projects back
     T = np.empty((U.shape[1], 2 * nodes))
-    np.matmul(U.T, basis.V.T, out=T[:, :nodes])
-    np.matmul(U.T, basis.V1.T, out=T[:, nodes:])
+    np.matmul(U.T, V.T, out=T[:, :nodes])
+    np.matmul(U.T, V1.T, out=T[:, nodes:])
     W0T, W1T = T[:, :nodes], T[:, nodes:]
 
     if m == 1:  # g = v^0 - 1 and the remainder are exactly 0: only positivity is left
@@ -384,16 +406,17 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
         raise DomainError("the Lyapunov functional needs p != 2")
     basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
-    fine, V0, V1, m = basis.quad, basis.V, basis.V1, params.m
-    rho2w = fine.weights * fine.rho2
+    rule, V0, V1 = _stepping_tables(basis, params)
+    m = params.m
+    rho2w = rule.weights * rule.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh
     # leaves y[0] = c[0], the mass, exactly fixed.
     S = V1.T @ (rho2w[:, None] * V1)
     mu, U = np.zeros(c0.size), np.eye(c0.size)
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
     lam_top = float(mu[-1])
-    a = (c0[0] * V0[0, 0]) ** (m - 1.0)
-    stage = _galerkin_stage(basis, U, a, m)
+    a = (c0[0] * basis.V[0, 0]) ** (m - 1.0)
+    stage = _galerkin_stage(rule, V0, V1, U, a, m)
     rec = _Recorder(cfg, basis)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 

@@ -60,18 +60,22 @@ class LyapunovValue:
 def lp_norm(f: GridFn, params: UltraParams) -> float:
     """(int |f|^p dnu)^(1/p), p = params.p, on the refined rule of the measure of ``params``.
 
-    ``f`` is sampled on ``build_quadrature(params, len(f))``.
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
+    not resolve gets ``spectral_derivative``'s AccuracyWarning.
     """
-    fine, _, _, ff, _, _ = resample(f, params, len(f))
+    fine, _, c, ff, _, _ = resample(f, params, len(f))
+    _warn_unresolved(c, "lp_norm")
     return float(fine.integrate(np.abs(ff) ** params.p) ** (1.0 / params.p))
 
 
 def fisher(f: GridFn, params: UltraParams) -> float:
     """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu on the measure of ``params``.
 
-    ``f`` is sampled on ``build_quadrature(params, len(f))``.
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
+    not resolve warns as in ``lp_norm``.
     """
-    fine, _, _, _, fp, _ = resample(f, params, len(f))
+    fine, _, c, _, fp, _ = resample(f, params, len(f))
+    _warn_unresolved(c, "fisher")
     return float(fine.integrate(fine.rho2 * fp**2))
 
 
@@ -203,12 +207,14 @@ def lyapunov_F(
     """Lyapunov functional of a positive GridFn on the measure of ``params``.
 
     The measure is regularized when params.eps > 0, plain otherwise; the
-    sample grid is the corresponding N-node rule.  ``lam`` defaults to n.
+    sample grid is the corresponding N-node rule.  ``lam`` defaults to n.  A u
+    the rule does not resolve warns as in ``lp_norm``.
     """
     if lam is None:
         lam = params.n
     if N is None:
         N = DEFAULT_NODES
-    fine, _, _, uu, up, _ = _resample_positive(u, params, N, "the function")
+    fine, _, c, uu, up, _ = _resample_positive(u, params, N, "the function")
+    _warn_unresolved(c, "lyapunov_F")
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

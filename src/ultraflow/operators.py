@@ -18,7 +18,7 @@ forms zeta = rho^2 + eps from a rule's own rho^2 (exact from theta on the graded
 rule) or, at points z, from (1 - z)(1 + z) (``_points``); it returns None in the
 plain case, where callers add nothing.  Rules come from the Lu of ``apply_L``,
 ``apply_L_eps`` and the identities (through ``drift``) and from the eps corrections
-(``identities._prepared``, ``flows._dF_value``); points from ``drift``,
+(``identities._prepared``, the flow recorder, ``flows.dF_dt_closed_form``); points from ``drift``,
 ``drift_prime``, ``regularity_coeffs``.
 Derivatives of the argument are spectral (see the spectral module); the
 pointwise combination makes no use of the eigendecomposition, so eigenvalue

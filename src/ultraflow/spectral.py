@@ -246,11 +246,12 @@ def interpolation_basis(q: Quadrature) -> OrthoBasis:
     """The Gegenbauer basis interpolating GridFn samples on the sample rule ``q``.
 
     Sample rules are the Gauss rules of ``build_quadrature``, plain rules of
-    their own n (d = ceil(n) for a key with eps > 0).  The graded refined
-    rule, the one rule with q.eps > 0, carries no samples: ``DomainError``.
+    their own n (d = ceil(n) for a key with eps > 0).  The rules with
+    q.eps > 0, the graded refined rule and the regularized stepping rule,
+    carry no samples: ``DomainError``.
     """
     if q.eps:
-        raise DomainError(f"{q!r} is a refined rule, not a sample rule; sample on build_quadrature")
+        raise DomainError(f"{q!r} integrates the regularized measure, not a sample rule; sample on build_quadrature")
     return get_basis(q.n, q.order)
 
 

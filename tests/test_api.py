@@ -129,7 +129,7 @@ def test_every_cache_is_a_bounded_lru_cache():
                 assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant), (path.name, node.lineno)
                 assert type(sizes[0].value) is int, (path.name, node.lineno, sizes[0].value)
                 caches += 1
-    assert caches == 7  # measure 3, spectral 3, identities 1
+    assert caches == 8  # measure 4, spectral 3, identities 1
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

@@ -47,7 +47,7 @@ from ultraflow.flows import (
     run_regularized_flow,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
-from ultraflow.measure import UltraParams, build_quadrature, refined_quadrature
+from ultraflow.measure import UltraParams, _stepping_rule, build_quadrature, refined_quadrature
 from ultraflow.operators import _deformation
 from ultraflow.spectral import eigenvalue, get_regularized_basis
 
@@ -466,6 +466,54 @@ class TestGalerkinStepper:
         assert basis.quad is refined_quadrature(params, 32)
         assert c0.shape == (31,)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("heat", UltraParams(n=3.0, p=3.0, beta=1.0)),
+        ("nonlinear", UltraParams(n=2.5, p=5.0, beta=4.0)),
+        ("regularized", UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)),
+        ("regularized", UltraParams(n=0.300001, p=3.0, beta=2.0, eps=1e-8)),
+    ])
+    def test_every_kind_steps_on_2N_nodes(self, monkeypatch, kind, params):
+        # the stage table is (modes x 2 nodes) of the stepping rule, so (N - 1, 4N)
+        # for every kind: the regularized flow steps on the 2N-node Gauss rule of
+        # its measure, not on the 572- to 746-node graded rule
+        make, tables = flows._galerkin_stage, []
+
+        def spy(rule, V, V1, U, a, m):
+            tables.append(np.vstack((V @ U, V1 @ U)).T)
+            return make(rule, V, V1, U, a, m)
+
+        monkeypatch.setattr(flows, "_galerkin_stage", spy)
+        N = 24
+        cfg = FlowConfig(kind=kind, params=params, dt=1e-3, t_end=2e-3)
+        _run = {"heat": run_heat_flow, "nonlinear": run_nonlinear_flow,
+                "regularized": run_regularized_flow}[kind]
+        _run(1.0 + 0.1 * build_quadrature(params, N).nodes, cfg)
+        (table,) = tables
+        assert table.shape == (N - 1, 4 * N)
+
+    def test_recorder_forms_the_deformation_once_per_run(self, monkeypatch):
+        # 335 records in blocks of 8 on 976 refined nodes: one pair, bit for bit
+        # the dF/dt of the pair formed per block
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _deformation(*args)
+
+        params = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)
+        cfg = FlowConfig(kind="regularized", params=params, dt=1e-4, t_end=3e-3, record_every=1)
+        u0 = 1.0 + 0.1 * build_quadrature(params, 128).nodes
+        monkeypatch.setattr(flows, "_deformation", counted)
+        tr = run_regularized_flow(u0, cfg)
+        assert len(calls) == 1 and tr.times.size == 31
+        basis = get_regularized_basis(2.5, 1e-3, 128)
+        rec = _Recorder(tr.params_echo, basis)
+        assert rec.block == 8 and len(calls) == 2
+        fine = basis.quad
+        dz = _deformation(fine.nodes, fine.rho2, params)
+        for got, want in zip(rec.dz, dz):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("n, p, beta, a1, a2", [
         (4.0, 3.8, 1.9048, 0.01, 0.05),
         (2.5, 5.0, 4.0, 0.01, 0.05),
@@ -500,17 +548,21 @@ class TestGalerkinStepper:
     ])
     def test_stage_matches_the_weak_form(self, params, N, nodes):
         # g = v^(m-1) - a and the remainder U^T(-V1^T diag(rho^2 w) g v'), formed
-        # from the basis tables at c = U y, U the stepper's eigenbasis of S
+        # on the 2N-node stepping rule from Q_k and Q_k' evaluated there, at
+        # c = U y, U the stepper's eigenbasis of S; the basis and the datum's
+        # projection stay on the refined rule of ``nodes`` nodes
         basis = get_regularized_basis(params.n, params.eps, N)
-        fine, V0, V1, m = basis.quad, basis.V, basis.V1, params.m
-        assert fine.nodes.size == nodes
+        rule = _stepping_rule(params, N)
+        assert basis.quad.nodes.size == nodes and rule.nodes.size == 2 * N
+        V0, V1, m = basis.evaluate(rule.nodes), basis.evaluate(rule.nodes, 1), params.m
+        fine = basis.quad
         c0 = basis.analyze((1.0 + 0.1 * fine.nodes + 0.05 * fine.nodes**2) ** (params.beta * params.p))
-        rho2w = fine.weights * fine.rho2
+        rho2w = rule.weights * rule.rho2
         U = np.eye(c0.size)
         U[1:, 1:] = np.linalg.eigh((V1.T @ (rho2w[:, None] * V1))[1:, 1:])[1]
         a = (c0[0] * V0[0, 0]) ** (m - 1.0)
         y = U.T @ c0
-        g, remainder = flows._galerkin_stage(basis, U, a, m)(y, 0.0)
+        g, remainder = flows._galerkin_stage(*flows._stepping_tables(basis, params), U, a, m)(y, 0.0)
         # c is U y, not c0: V1 lifts c0's rounding in the top modes to 1e-11 of v'
         c = U @ y
         want_g = (V0 @ c) ** (m - 1.0) - a
@@ -567,7 +619,7 @@ class TestGalerkinStepper:
         basis = get_regularized_basis(3.0, 0.0, 32)
         U = np.eye(basis.K + 1)
         c = basis.analyze(1.0 + 0.1 * basis.quad.nodes)
-        stage = flows._galerkin_stage(basis, U, 1.0, 1.0)
+        stage = flows._galerkin_stage(basis.quad, basis.V, basis.V1, U, 1.0, 1.0)
         g, remainder = stage(c, 0.0)
         assert not g.any() and not remainder.any()
         assert g.shape == basis.quad.nodes.shape and remainder.shape == c.shape
@@ -702,12 +754,12 @@ class TestBlockDissipation:
         uu = 1.0 + a * z + 0.2 * z**2
         up = a + 0.4 * z
         upp = np.full_like(uu, 0.4)
+        dz = _deformation(z, fine.rho2, params)
         if eps > 0:  # both corrections enter
-            dz = _deformation(z, fine.rho2, params)
             assert abs(_gamma2_correction(fine, up[0], dz)) > 0
             assert abs(_lgamma_correction(fine, uu[0], up[0], n, dz)) > 0
-        got = _dF_value(uu, up, upp, fine, params, 3.0)
-        want = np.array([_dF_value(*rows, fine, params, 3.0) for rows in zip(uu, up, upp)])
+        got = _dF_value(uu, up, upp, fine, params, 3.0, dz)
+        want = np.array([_dF_value(*rows, fine, params, 3.0, dz) for rows in zip(uu, up, upp)])
         assert got.shape == (7,)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 

@@ -170,6 +170,23 @@ class TestUnresolvedInput:
         deficit(1.0 + 0.3 * q.nodes, UltraParams(n=3.0, p=4.0))
         logsob_deficit(np.exp(0.4 * q.nodes), UltraParams(n=3.0, p=2.0))
 
+    @pytest.mark.parametrize("name", ["lyapunov_F", "fisher", "lp_norm"])
+    def test_functionals_warn_on_the_unresolved_input_with_unchanged_values(self, name):
+        # 1/|z| is positive for lyapunov_F; its tail fraction is 3.0e-5 on this rule
+        f, params = 1.0 / np.abs(rule(3.0).nodes), UltraParams(n=3.0, p=4.0)
+        call = {"lyapunov_F": lambda: lyapunov_F(f, params).value,
+                "fisher": lambda: fisher(f, params), "lp_norm": lambda: lp_norm(f, params)}[name]
+        with pytest.warns(AccuracyWarning, match=f"{name} accuracy is degraded"):
+            got = call()
+        # the values the unchecked functions returned: the check only warns
+        want = {"lyapunov_F": 25024.462406923052, "fisher": 25486.381638810864,
+                "lp_norm": 20.87932361432897}[name]
+        assert got == pytest.approx(want, rel=1e-12)
+        q = rule(3.0)
+        lyapunov_F(1.0 + 0.3 * q.nodes, params)  # resolved inputs stay silent
+        fisher(np.exp(0.4 * q.nodes), params)
+        lp_norm(1.0 + 0.3 * q.nodes**2, params)
+
 
 class TestLogSobolev:
     def test_constant_equality(self):

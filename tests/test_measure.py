@@ -23,6 +23,7 @@ from scipy.special import roots_jacobi
 import ultraflow.measure as measure
 from ultraflow import (
     EPS_MIN,
+    AccuracyWarning,
     DomainError,
     Quadrature,
     ShapeError,
@@ -252,15 +253,36 @@ class TestGaussJacobi:
     def test_smallest_n_at_256_nodes_keeps_its_moments(self):
         # n = 1e-11 at N = 256 still builds: its largest node is 7.0e-14 from 1,
         # and its even moments meet their closed form within 3.6e-11, the floor
-        # of this n (8.0e-14 from n = 1e-3 up)
+        # of this n (8.0e-14 from n = 1e-3 up); it lies below the warning threshold
         n, N = 1e-11, 256
-        q = build_quadrature(UltraParams(n=n), N)
-        assert q.nodes[-1] < 1.0 and np.all(q.weights > 0)
+        with pytest.warns(AccuracyWarning, match="256-node"):
+            nodes, w = measure.gauss_jacobi(N, (n - 2.0) / 2.0)
+        assert nodes[-1] < 1.0 and np.all(w > 0)
         with mpmath.workdps(30):
             half = mpmath.mpf(n) / 2
             for k in (1, 2, 5, N // 2, N - 1):
                 want = float(mpmath.beta(k + 0.5, half) / mpmath.beta(0.5, half))
-                assert abs(q.integrate(q.nodes ** (2 * k)) - want) < 5e-11, k
+                assert abs(np.dot(w, nodes ** (2 * k)) - want) < 5e-11, k
+
+    @pytest.mark.parametrize("N", [16, 64, 65, 256])
+    def test_small_n_warns_below_its_threshold(self, N):
+        # a + 1 < 1e-19 N^4 warns and changes no node or weight; at twice the
+        # threshold the rule is silent and its even moments meet their closed
+        # form within 1e-12 (the largest measured n / N^4 with a larger miss
+        # is 1.3e-19, the threshold in n is 2e-19 N^4)
+        below = 0.5e-19 * N**4
+        with pytest.warns(AccuracyWarning, match=f"{N}-node"):
+            got = measure.gauss_jacobi(N, below - 1.0)
+        for x, y in zip(got, measure._golub_welsch(N, below - 1.0)):
+            np.testing.assert_array_equal(x, y)
+        a = 2e-19 * N**4 - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, w = measure.gauss_jacobi(N, a)
+        with mpmath.workdps(30):
+            for k in (1, 2, 5, N // 2, N - 1):
+                want = mpmath.beta(k + 0.5, a + 1) / mpmath.beta(0.5, a + 1)
+                assert abs(np.dot(w, nodes ** (2 * k)) - float(want)) < 1e-12, k
 
     # a + 1 >= 1e-9 (n >= 2e-9): closer to -1 the nodes next to +-1 lie within
     # rounding of +-1 (their distance is about 2 (a + 1) / N^2), so no double
@@ -582,3 +604,52 @@ class TestRuleRho2:
                 assert not q.rho2.flags.writeable
                 with pytest.raises(ValueError):
                     q.rho2[0] = 0.0
+
+
+class TestSteppingRule:
+    """The 2N-node Gauss rule of the regularized measure, which the flows step on.
+
+    Its recurrence comes from a Stieltjes pass on the graded rule, exact
+    to degree 4N - 1, so the two rules share their moments below degree 4N.
+    Measured: Chebyshev moments within 5.4e-15 of the graded rule's, and
+    1.5e-13 at the corner (0.300001, 1e-8), where the outermost node carries
+    weight 0.115 and T_k'(1) = k^2, so a node's rounding alone moves
+    T_254's moment by about 1e-13.
+    """
+
+    @pytest.mark.parametrize("n, eps, N, gate", [
+        (2.5, 1e-3, 64, 1e-14), (2.5, 1e-3, 128, 1e-14), (0.300001, 1e-8, 64, 3e-13),
+        (1.5, 1e-6, 128, 1e-14),
+    ])
+    def test_moments_below_degree_4N_match_the_graded_rule(self, n, eps, N, gate):
+        p = UltraParams(n=n, eps=eps)
+        g, fine = measure._stepping_rule(p, N), refined_quadrature(p, N)
+        assert g.nodes.size == g.order == 2 * N and (g.n, g.eps) == (n, eps)
+        assert abs(g.weights.sum() - 1.0) < 1e-15 and np.all(g.weights > 0)
+        np.testing.assert_array_equal(g.nodes, -g.nodes[::-1])
+        np.testing.assert_array_equal(g.weights, g.weights[::-1])
+        assert np.all(np.diff(g.nodes) > 0) and g.nodes[-1] < 1.0
+        np.testing.assert_array_equal(g.rho2, 1.0 - g.nodes**2)
+        for k in range(4 * N):
+            T = np.polynomial.Chebyshev.basis(k)
+            assert abs(g.integrate(T(g.nodes)) - fine.integrate(T(fine.nodes))) < gate, k
+
+    @pytest.mark.parametrize("n, eps", [(2.5, 1e-3), (0.300001, 1e-8), (1.5, 1e-6)])
+    def test_second_and_fourth_moments_against_mpmath(self, n, eps):
+        # z^2 = (1 + T_2)/2 and z^4 = (3 + 4 T_2 + T_4)/8; measured worst 3.2e-15
+        t2, t4 = theta_oracle(n, eps, [2, 4])
+        g = measure._stepping_rule(UltraParams(n=n, eps=eps), 64)
+        assert abs(g.integrate(g.nodes**2) - (1.0 + t2) / 2.0) < 1e-14
+        assert abs(g.integrate(g.nodes**4) - (3.0 + 4.0 * t2 + t4) / 8.0) < 1e-14
+
+    @pytest.mark.parametrize("n, eps", [(2.5, 0.0), (0.7, 0.0), (3.0, 0.0), (3.0, 1e-3)])
+    def test_plain_stepping_rule_is_the_refined_rule(self, n, eps):
+        p = UltraParams(n=n, eps=eps, p=4.0, beta=2.0)
+        assert measure._stepping_rule(p, 32) is refined_quadrature(p, 32)
+
+    def test_built_once_per_key_and_read_only(self):
+        p = UltraParams(n=2.5, eps=1e-3)
+        g = measure._stepping_rule(p, 32)
+        assert measure._stepping_rule(UltraParams(n=2.5, eps=1e-3, p=5.0, beta=4.0), 32) is g
+        for a in (g.nodes, g.weights, g.rho2):
+            assert not a.flags.writeable
