@@ -29,16 +29,17 @@ echoes.
 
 The flows step on ``_stepping_rule``, the 2N-node Gauss rule of the
 measure, good to degree 4N-1 as well: the refined rule itself where eps = 0
-or n = d.  Otherwise a Stieltjes pass on the graded rule, exact since that
-rule is exact to degree 4N-1 (Gautschi, Orthogonal Polynomials, OUP 2004,
-section 2.2), gives the recurrence of the regularized measure up to degree
-2N, and the eigenvalue and Newton steps of ``_golub_welsch`` its nodes; the
-Christoffel weights are summed again at the corrected nodes, since the
-Jacobi equation that carries them across the Newton step does not hold for
-this weight.  Its Chebyshev moments below degree 4N meet the graded rule's
-within 5.4e-15 (1.5e-13 at (0.300001, 1e-8), the rounding of a node next to
-1 that carries 0.115 of the mass).  The graded rule and this rule are the
-only rules with eps > 0; neither carries samples.
+or n = d.  Otherwise ``_stieltjes``, the Stieltjes pass of every basis, on
+the graded rule gives the recurrence of the regularized measure up to
+degree 2N, exact since that rule is exact to degree 4N-1 (Gautschi,
+Orthogonal Polynomials, OUP 2004, section 2.2), and the eigenvalue and
+Newton steps of ``_golub_welsch`` its nodes; the Christoffel weights are
+summed again at the corrected nodes, since the Jacobi equation that carries
+them across the Newton step does not hold for this weight.  Its Chebyshev
+moments below degree 4N meet the graded rule's within 5.0e-15 (1.6e-13 at
+(0.300001, 1e-8), the rounding of a node next to 1 that carries 0.115 of
+the mass).  The graded rule and this rule are the only rules with eps > 0;
+neither carries samples.
 
 Every rule carries rho^2 = 1 - z^2 at its nodes, and so zeta = rho^2 + eps,
 for integrands to read: 1 - nodes^2 on Gauss rules, sin^2 theta on the graded
@@ -50,7 +51,8 @@ rules and a = 0 for the graded rule's Gauss-Legendre panels, few sizes per
 N since the panel edges pi/2^j do not depend on eps; the rule per (n, N)
 that ``build_quadrature`` returns after validation (p, beta and, beyond
 choosing d, eps do not enter it); and, 16 keys only, as many as the bases
-built on it, the graded rule and the stepping rule per (n, eps, N).
+built on it, the graded rule and the stepping rule per (n, eps, N), with
+a weak registry that finds a graded rule a basis holds past its entry.
 
 Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
 a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
@@ -77,6 +79,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -348,9 +351,16 @@ def _rule(n: float, N: int) -> Quadrature:
     return Quadrature(nodes=nodes, weights=w / w.sum(), order=N, n=n, rho2=rho2)
 
 
+_LIVE_GRADED = weakref.WeakValueDictionary()  # (n, eps, N) -> the graded rule, while held
+
+
 @lru_cache(maxsize=16)
 def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
-    """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta."""
+    """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta;
+    one per key while held, since a basis can outlive this cache entry."""
+    q = _LIVE_GRADED.get((n, eps, N))
+    if q is not None:
+        return q
     d = math.ceil(n)
     edges = [math.pi / 2]
     while edges[-1] > 0.5 * math.sqrt(eps):
@@ -368,7 +378,9 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)
     z = np.cos(theta)  # descending on (0, 1); the mirror image about pi/2 gives z < 0
     nodes, w, s2 = (np.concatenate((x, y[::-1])) for x, y in ((-z, z), (w, w), (s2, s2)))
-    return Quadrature(nodes=nodes, weights=w / w.sum(), order=nodes.size, n=n, eps=eps, rho2=s2)
+    q = Quadrature(nodes=nodes, weights=w / w.sum(), order=nodes.size, n=n, eps=eps, rho2=s2)
+    _LIVE_GRADED[n, eps, N] = q
+    return q
 
 
 def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadrature:
@@ -382,32 +394,32 @@ def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadratur
 @lru_cache(maxsize=16)
 def _regularized_gauss_rule(n: float, eps: float, N: int) -> Quadrature:
     """The 2N-node Gauss rule of the regularized measure for n < d, from its graded rule."""
-    b2 = _symmetric_recurrence(_graded_rule(n, eps, N), 2 * N)
-    x, _, _ = _symmetric_nodes(b2)
+    _, b = _stieltjes(_graded_rule(n, eps, N), 2 * N)  # the a_k vanish by symmetry
+    x, _, _ = _symmetric_nodes(b * b)
     # the Jacobi equation that carries 1/S across the Newton step does not hold
     # for this weight: S is summed again at the corrected nodes
-    p = _orthonormal_values(np.sqrt(b2), x)
+    p = _orthonormal_values(b, x)
     nodes, w = _mirror(x, 1.0 / np.einsum("ij,ij->j", p[:-1], p[:-1]), 2 * N)
     return Quadrature(nodes=nodes, weights=w, order=2 * N, n=n, eps=eps, rho2=1.0 - nodes**2)
 
 
-def _symmetric_recurrence(q: Quadrature, K: int) -> np.ndarray:
-    """b_0^2 = 0, b_1^2, ..., b_K^2 of the symmetric measure that q integrates: a Stieltjes pass.
+def _stieltjes(q: Quadrature, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """a_0..a_K and b_0 = 0, b_1..b_K of the measure that q integrates, in one Stieltjes pass.
 
-    The a_k vanish by symmetry.  The pass runs on the nodes z > 0 of the
-    mirrored rule ``q`` at twice their weights, where p_k^2 is even.  It is
-    exact while q integrates p_k^2 exactly (Gautschi, Orthogonal
-    Polynomials, OUP 2004, section 2.2).
+    b_{k+1} p_{k+1} = (z - a_k) p_k - b_k p_{k-1}, with a_k and b_k discrete inner products over
+    all of q's nodes from p_0 = 1/sqrt(sum w): exact while q integrates z p_k^2 exactly (module
+    docstring).  The one place that forms a recurrence from a rule.
     """
-    half = q.nodes.size // 2
-    z, w = q.nodes[half:], 2.0 * q.weights[half:]
-    b2 = np.zeros(K + 1)
-    prev, p = np.zeros_like(z), np.ones_like(z)
-    for k in range(K):  # b_{k+1} p_{k+1} = z p_k - b_k p_{k-1}
-        prev, p = p, z * p - math.sqrt(b2[k]) * prev
-        b2[k + 1] = np.dot(w, p * p)
-        p /= math.sqrt(b2[k + 1])
-    return b2
+    z, w = q.nodes, q.weights
+    a, b = np.zeros(K + 1), np.zeros(K + 1)
+    prev, p = np.zeros_like(z), np.full_like(z, 1.0 / np.sqrt(w.sum()))
+    for k in range(K):
+        a[k] = np.dot(w, z * p**2)
+        prev, p = p, (z - a[k]) * p - b[k] * prev
+        b[k + 1] = np.sqrt(np.dot(w, p * p))
+        p /= b[k + 1]
+    a[K] = np.dot(w, z * p**2)
+    return a, b
 
 
 def _stepping_rule(params: UltraParams, N: int) -> Quadrature:

@@ -6,11 +6,12 @@ polynomials P_k with P_0 = 1, P_1 proportional to z, satisfying
     L P_k = -k (k + n - 1) P_k,
 
 so the operator module diagonalizes in this basis.  The recurrence
-coefficients are computed by the Stieltjes procedure directly on the Gauss
-rule (discrete inner products), which reproduces the classical three-term
-recurrence to rounding for every real n > 0 and extends verbatim to the
-regularized measures, whose orthonormal families have no classical closed
-form.
+coefficients come from ``measure._stieltjes``, the Stieltjes procedure on
+the basis's rule (discrete inner products), which reproduces the classical
+three-term recurrence to rounding for every real n > 0 and extends verbatim
+to the regularized measures, whose orthonormal families have no classical
+closed form; the stepping rule of those measures takes its recurrence from
+the same pass.
 
 A function on [-1, 1] is carried as a ``GridFn``, its values at the nodes
 of a quadrature rule; ``OrthoBasis.analyze`` and ``synthesize`` map it to
@@ -21,16 +22,16 @@ Derivatives are computed in spectral space; second derivatives apply the
 first-derivative operator twice, so the top two modes carry no accuracy
 guarantee.
 
-Building.  ``OrthoBasis`` takes Q_k and Q_k' in one pass of the Stieltjes
-loop, and ``evaluate`` all derivative orders in one pass of the recurrence:
-each degree is one contiguous (orders x nodes) block, and the blocks of
-eight degrees are written into the column tables at once.  The arithmetic
-and its order are those of a column-at-a-time recurrence, so the tables
-equal it bit for bit.  Medians on a 2-core x86-64 host at N = 64, against
-column-wise with a second pass for Q_k': a basis on the 128-node plain
-refined rule 0.6-1.0 ms (1.4-1.6), on a 572- to 746-node graded rule
-1.3-2.2 ms (2.6-3.3); Q_k and Q_k' at those nodes 0.6-0.9 ms (0.9-1.9),
-at +-1 0.23-0.42 ms (0.52-0.70).
+Building.  ``OrthoBasis`` takes (a_k, b_k) from one values-only Stieltjes
+pass, then Q_k and Q_k' from one pass of the recurrence, as ``evaluate``
+takes all derivative orders: each degree is one contiguous (orders x nodes)
+block, and the blocks of eight degrees are written into the column tables
+at once.  The arithmetic and its order are those of a column-at-a-time
+recurrence, so the tables equal it bit for bit.  Medians on a 2-core x86-64
+host at N = 64: a basis on the 128-node plain refined rule 0.9-1.0 ms, on a
+530- to 746-node graded rule 1.8-2.4 ms (forming the tables inside the
+Stieltjes loop gives 0.73-0.79 and 1.45-2.2 ms, too little to keep a second
+copy of it); Q_k and Q_k' at those nodes 0.37-0.72 ms, at +-1 0.29-0.33 ms.
 
 Caching.  ``get_basis`` and ``get_regularized_basis`` memoize bases per
 (n, N) and (n, eps, N); eps = 0 gives the plain basis on the refined
@@ -54,6 +55,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import measure
 from .errors import AccuracyWarning, AliasingError, DomainError, ShapeError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature, refined_quadrature
 
@@ -95,38 +97,18 @@ def _flush(tables: list[np.ndarray], ring: np.ndarray, k: int) -> None:
         T[:, k - s : k + 1] = ring[: s + 1, j].T
 
 
-def _stieltjes(z: np.ndarray, w: np.ndarray, K: int):
-    """(a, b, Q_k, Q_k'), k <= K, of the measure (z, w) in one pass; the ring is freed before D is formed."""
-    a, b = np.zeros(K + 1), np.zeros(K + 1)  # b[0] unused
-    V, V1 = np.empty((z.size, K + 1)), np.empty((z.size, K + 1))
-    P = np.zeros((_RING, 2, z.size))  # rows (Q, Q') of degree k in slot k % _RING
-    S, Z = list(P), np.tile(z, (2, 1))
-    P[0, 0] = 1.0 / np.sqrt(w.sum())
-    for k in range(K):
-        s = k % _RING
-        if s == _RING - 1:
-            _flush([V, V1], P, k)
-        Pk, Pn = S[s], S[(s + 1) % _RING]
-        a[k] = np.dot(w, z * Pk[0] ** 2)
-        _recur(Pk, S[s - 1], Z - a[k], b[k], Pn)
-        b[k + 1] = np.sqrt(np.dot(w, Pn[0] * Pn[0]))
-        Pn /= b[k + 1]
-    _flush([V, V1], P, K)
-    a[K] = np.dot(w, z * S[K % _RING][0] ** 2)
-    return a, b, V, V1
-
-
 class OrthoBasis:
     """Orthonormal polynomials of a discrete measure, with derivatives.
 
-    Built by the Stieltjes recurrence on ``quad``: with b_0 = 0,
+    Built on the recurrence of ``quad``: with b_0 = 0,
 
         b_{k+1} Q_{k+1}(z) = (z - a_k) Q_k(z) - b_k Q_{k-1}(z),
 
-    where a_k and b_k are discrete inner products against ``quad``.  The
+    where a_k (``alpha``) and b_k (``offdiag``) are discrete inner products
+    against ``quad``, from the Stieltjes pass ``measure._stieltjes``.  The
     same recurrence, differentiated once and twice, evaluates Q_k' and
-    Q_k'' anywhere without finite differencing; ``V`` and ``V1`` come out of
-    one pass of the Stieltjes loop (see the module docstring).
+    Q_k'' anywhere without finite differencing; ``V`` and ``V1`` are Q_k and
+    Q_k' at the rule's nodes, from one such pass (see the module docstring).
 
     Parameters
     ----------
@@ -144,8 +126,9 @@ class OrthoBasis:
             )
         self.quad = quad
         self.K = K
-        z, w = quad.nodes, quad.weights
-        self.alpha, self.offdiag, self.V, self.V1 = _stieltjes(z, w, K)
+        w = quad.weights
+        self.alpha, self.offdiag = measure._stieltjes(quad, K)
+        self.V, self.V1 = self._tables(quad.nodes, 1, 1.0 / np.sqrt(w.sum()))
         # coefficient-space first-derivative operator; second derivatives
         # apply it twice, so modes K-1 and K are outside accuracy claims
         self.D = self.V.T @ (w[:, None] * self.V1)
@@ -173,12 +156,13 @@ class OrthoBasis:
         T.setflags(write=False)
         return T
 
-    def _tables(self, z: np.ndarray, order: int) -> list[np.ndarray]:
-        """[Q_k, Q_k', ...] up to derivative ``order`` at the 1-D float nodes ``z``, in one recurrence pass."""
+    def _tables(self, z: np.ndarray, order: int, q0: float = 1.0) -> list[np.ndarray]:
+        """[Q_k, Q_k', ...] up to derivative ``order`` at the 1-D float nodes ``z``, in one
+        recurrence pass from Q_0 = ``q0``: the constructor starts where ``measure._stieltjes`` does."""
         T = [np.empty((z.size, self.K + 1)) for _ in range(order + 1)]
         P = np.zeros((_RING, order + 1, z.size))  # the block of degree k in slot k % _RING
         S, Z = list(P), np.tile(z, (order + 1, 1))
-        P[0, 0] = 1.0
+        P[0, 0] = q0
         b = self.offdiag.tolist()
         for k, ak in enumerate(self.alpha[:-1].tolist()):
             s = k % _RING

@@ -2,7 +2,8 @@
 through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
-Lyapunov functional in ``functionals.lyapunov_terms``; another keeps
+Lyapunov functional in ``functionals.lyapunov_terms``, and the Stieltjes
+pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another keeps
 ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module's imports to the standard library and numpy
 without numpy.polynomial, another every ``functools`` cache to an
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import ultraflow
 from ultraflow.functionals import lyapunov_terms
+from ultraflow.measure import _stieltjes
 from ultraflow.operators import _deformation, _points
 
 PUBLIC_NAMES = [
@@ -72,6 +74,19 @@ def test_entropy_bracket_has_one_owner():
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         rest = path.read_text().replace(owner, "")
         assert not re.search(bracket, rest), path.name
+
+
+def test_stieltjes_pass_has_one_owner():
+    # recurrence coefficients are formed from a rule only in measure._stieltjes,
+    # which every basis and the stepping rule share: the discrete inner product
+    # b_{k+1}^2 = <q, q> against the weights w, spelled np.dot(w, q * q), is
+    # taken nowhere else (under np.sqrt or not)
+    norm = r"dot\(\s*w\s*,\s*([][\w.]+)\s*\*\s*\1\b"
+    owner = inspect.getsource(_stieltjes)
+    assert re.search(norm, owner)
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        rest = path.read_text().replace(owner, "")
+        assert not re.search(norm, rest), path.name
 
 
 def test_every_rule_integrates_the_measure_it_echoes():

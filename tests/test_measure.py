@@ -4,10 +4,12 @@ Oracle values were computed independently of the package: normalization
 constants with adaptive quadrature of the density (scipy.integrate.quad),
 regularized-measure integrals the same way at tight tolerance.  The refined
 regularized rules are checked against ``theta_oracle``, mpmath.quad at 30
-digits of the measure written in theta = arccos z, and the eps corrections
+digits of the measure written in theta = arccos z, the eps corrections
 on them against ``corrections_oracle``, the same integrals at 40 digits,
-and their Gauss-Legendre panels against ``legendre_oracle``, Newton on the
-Legendre recurrence at 30 digits.
+their Gauss-Legendre panels against ``legendre_oracle``, Newton on the
+Legendre recurrence at 30 digits, and the recurrence coefficients of the
+regularized bases against ``stieltjes_oracle``, a Stieltjes pass at 30
+digits on ``theta_oracle``'s moments.
 """
 import functools
 import math
@@ -34,6 +36,7 @@ from ultraflow import (
     lyapunov_F,
     normalization_constant,
     refined_quadrature,
+    resample,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.operators import _deformation
@@ -68,20 +71,51 @@ def theta_oracle(n, eps, ks):
     tanh-sinh on the oscillating cos(k theta).
     """
     with mpmath.workdps(30):
-        d, e = math.ceil(n), mpmath.mpf(eps)
-        a = (mpmath.mpf(n) - d) / 2
+        return [float(m) for m in theta_moments(n, eps, ks)]
 
-        @functools.lru_cache(maxsize=None)  # every moment samples the same nodes
-        def density(t):
-            s = mpmath.sin(t)
-            return s ** (d - 1) * (s * s + e) ** a
 
-        def integral(f):
-            return mpmath.quad(f, pts, method="gauss-legendre")
+def theta_moments(n, eps, ks):
+    """``theta_oracle``'s moments as mpf, to be used inside ``mpmath.workdps(30)``."""
+    d, e = math.ceil(n), mpmath.mpf(eps)
+    a = (mpmath.mpf(n) - d) / 2
 
-        pts = [0, *(mpmath.sqrt(e) * 2**j for j in range(40) if mpmath.sqrt(e) * 2**j < 1), mpmath.pi / 2]
-        mass = integral(density)
-        return [0.0 if k % 2 else float(integral(lambda t: density(t) * mpmath.cos(k * t)) / mass) for k in ks]
+    @functools.lru_cache(maxsize=None)  # every moment samples the same nodes
+    def density(t):
+        s = mpmath.sin(t)
+        return s ** (d - 1) * (s * s + e) ** a
+
+    def integral(f):
+        return mpmath.quad(f, pts, method="gauss-legendre")
+
+    pts = [0, *(mpmath.sqrt(e) * 2**j for j in range(40) if mpmath.sqrt(e) * 2**j < 1), mpmath.pi / 2]
+    mass = integral(density)
+    return [mpmath.mpf(0) if k % 2 else integral(lambda t: density(t) * mpmath.cos(k * t)) / mass for k in ks]
+
+
+def stieltjes_oracle(n, eps, K):
+    """b_1, ..., b_K of the regularized measure of (n, eps): a Stieltjes pass at 30 digits.
+
+    Polynomials are Chebyshev series, so z T_j = (T_{j+1} + T_{|j-1|}) / 2
+    and <T_i, T_j> = (m_{i+j} + m_{|i-j|}) / 2 with m_k = E[T_k] from
+    ``theta_moments``.  The measure is symmetric, so the a_k vanish.
+    """
+    with mpmath.workdps(30):
+        m = theta_moments(n, eps, range(2 * K + 1))
+
+        def dot(p, q):
+            return sum(x * y * (m[i + j] + m[abs(i - j)]) / 2 for i, x in enumerate(p) for j, y in enumerate(q))
+
+        b, prev, p = [mpmath.mpf(0)], [mpmath.mpf(0)], [mpmath.mpf(1)]
+        for k in range(K):
+            q = [mpmath.mpf(0)] * (k + 2)
+            for j, x in enumerate(p):  # z p_k
+                q[j + 1] += x / 2
+                q[abs(j - 1)] += x / 2
+            for j, x in enumerate(prev):
+                q[j] -= b[k] * x
+            b.append(mpmath.sqrt(dot(q, q)))
+            prev, p = p, [x / b[-1] for x in q]
+        return np.array([float(x) for x in b[1:]])
 
 
 class TestParams:
@@ -376,6 +410,17 @@ class TestRuleCache:
         assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
         np.testing.assert_array_equal(q.nodes, -q.nodes[::-1])
 
+    def test_graded_rule_outlives_its_cache_entry_in_a_basis(self):
+        # 17 other regularized keys through resample and the rule caches drop
+        # the key's cache entries, but not its basis, which holds the rule
+        params = UltraParams(n=2.5, eps=1e-6)
+        get_regularized_basis(2.5, 1e-6, 64)
+        for j in range(17):
+            other = UltraParams(n=1.5 + j / 64, eps=1e-3)
+            resample(np.ones(8), other, 8)
+            measure._stepping_rule(other, 8)
+        assert get_regularized_basis(2.5, 1e-6, 64).quad is refined_quadrature(params, 64)
+
 
 def legendre_oracle(m):
     """Nodes and weights (sum 2) of the m-point Gauss-Legendre rule, ascending:
@@ -611,8 +656,8 @@ class TestSteppingRule:
 
     Its recurrence comes from a Stieltjes pass on the graded rule, exact
     to degree 4N - 1, so the two rules share their moments below degree 4N.
-    Measured: Chebyshev moments within 5.4e-15 of the graded rule's, and
-    1.5e-13 at the corner (0.300001, 1e-8), where the outermost node carries
+    Measured: Chebyshev moments within 5.0e-15 of the graded rule's, and
+    1.6e-13 at the corner (0.300001, 1e-8), where the outermost node carries
     weight 0.115 and T_k'(1) = k^2, so a node's rounding alone moves
     T_254's moment by about 1e-13.
     """
@@ -653,3 +698,11 @@ class TestSteppingRule:
         assert measure._stepping_rule(UltraParams(n=2.5, eps=1e-3, p=5.0, beta=4.0), 32) is g
         for a in (g.nodes, g.weights, g.rho2):
             assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("n, eps", [(2.5, 1e-3), (0.300001, 1e-8)])
+def test_regularized_recurrence_against_mpmath(n, eps):
+    # the b_k of the basis on the graded rule, k <= 6; measured worst 4.4e-16
+    # relative (N = 16 to 128)
+    got = get_regularized_basis(n, eps, 64).offdiag[1:7]
+    np.testing.assert_allclose(got, stieltjes_oracle(n, eps, 6), rtol=2e-15, atol=0)

@@ -5,8 +5,9 @@ weight (1-z^2)^((n-2)/2): the squared off-diagonal entries must equal
 k (k + n - 2) / ((2k + n - 3)(2k + n - 1)); the Stieltjes construction
 is tested against it.  Derivative oracles are analytic.  The basis itself,
 with its first two derivatives, is checked against the orthonormal Jacobi
-polynomials evaluated at 30 digits with mpmath, and the one-pass builder
-is pinned bit for bit to a column-at-a-time reference recurrence.
+polynomials evaluated at 30 digits with mpmath, and the builder, one
+Stieltjes pass and one table pass, is pinned bit for bit to a
+column-at-a-time reference recurrence.
 """
 import warnings
 
@@ -14,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import ultraflow.measure as measure
 from ultraflow import (
     AccuracyWarning,
     AliasingError,
@@ -215,7 +217,7 @@ def assert_same_bits(got, want):
 
 
 class TestOnePassBuild:
-    """The one-pass builder reproduces the column recurrence bit for bit."""
+    """One Stieltjes pass and one table pass reproduce the column recurrence bit for bit."""
 
     KEYS = [(3.0, 0.0, 64), (2.5, 1e-3, 64)]  # plain; graded (eps > 0, n < d)
 
@@ -242,14 +244,23 @@ class TestOnePassBuild:
         assert_same_bits(OrthoBasis(basis.quad, basis.K).end_slopes, want)
 
     def test_constructor_makes_one_pass(self, monkeypatch):
-        # Q_k' comes from the Stieltjes loop itself, not from a second
-        # recurrence pass over the rule's nodes
-        def second_pass(*args, **kwargs):
-            raise AssertionError("the constructor evaluated the recurrence again")
+        # the recurrence comes from one measure._stieltjes call on the rule, and
+        # Q_k with Q_k' from one _tables pass over its nodes
+        calls, stieltjes, tables = [], measure._stieltjes, OrthoBasis._tables
 
-        monkeypatch.setattr(OrthoBasis, "_tables", second_pass)
+        def counting_stieltjes(q, K):
+            calls.append(("stieltjes", q, K))
+            return stieltjes(q, K)
+
+        def counting_tables(self, z, order, *rest):
+            calls.append(("tables", z, order))
+            return tables(self, z, order, *rest)
+
+        monkeypatch.setattr(measure, "_stieltjes", counting_stieltjes)
+        monkeypatch.setattr(OrthoBasis, "_tables", counting_tables)
         quad = refined_quadrature(UltraParams(n=2.5, eps=1e-3), 32)
         basis = OrthoBasis(quad, 30)
+        assert calls == [("stieltjes", quad, 30), ("tables", quad.nodes, 1)]
         assert basis.V1.shape == (quad.nodes.size, 31)
 
 
