@@ -132,12 +132,6 @@ class FlowConfig:
         if self.h1 is not None and self.h1 <= 0:
             raise DomainError(f"h1 must be positive, got {self.h1}")
 
-    @property
-    def alpha(self) -> float:
-        """Scaling constant 2/((n+2)m - n) of the gradient-bound argument."""
-        p = self.params
-        return 2.0 / ((p.n + 2.0) * p.m - p.n)
-
 
 @dataclass(frozen=True)
 class FlowTrace:
@@ -402,8 +396,6 @@ def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarr
 
 def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     params = cfg.params
-    if params.p == 2:  # lyapunov_terms would raise it only at the first flush
-        raise DomainError("the Lyapunov functional needs p != 2")
     basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     rule, V0, V1 = _stepping_tables(basis, params)

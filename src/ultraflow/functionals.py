@@ -6,11 +6,12 @@ The central object is the deficit
                          - lambda * (||f||_p^2 - ||f||_2^2) / (p - 2),
 
 which the sharp inequality makes nonnegative for lambda = n on the range
-p in [1, 2) u (2, 2*], with 2* = 2n/(n-2) enforced only when n > 2.  At
-p = 2 the entropy term degenerates to the logarithmic form handled by
-``logsob_deficit`` with the sharp constant n/2.  The deficit is the flow
-Lyapunov functional F at beta = 1, taken of |f|, or of the signed f at
-p = 1; ``lyapunov_terms`` is the one body of both.
+p in [1, 2*], with 2* = 2n/(n-2) enforced only when n > 2.  At p = 2 the
+entropy term is its limit (1/2) int f^2 log(f^2 / ||f||_2^2) dnu, the
+logarithmic Sobolev case; ``logsob_deficit`` reports it on the full log
+entropy with the sharp constant n/2.  The deficit is the flow Lyapunov
+functional F at beta = 1, taken of |f|, or of the signed f at p = 1;
+``lyapunov_terms`` is the one body of both.
 
 Conventions at the endpoints:
 
@@ -27,12 +28,13 @@ All integrals run on the internally refined rule of the relevant measure
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
-from .measure import DEFAULT_NODES, Quadrature, UltraParams
+from .errors import AccuracyWarning, DomainError
+from .measure import Quadrature, UltraParams
 from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
 
 
@@ -80,8 +82,6 @@ def fisher(f: GridFn, params: UltraParams) -> float:
 
 
 def _check_p_range(n: float, p: float) -> None:
-    if p == 2:
-        raise DomainError("p = 2 is the logarithmic case; use logsob_deficit")
     if n > 2:
         p_crit = 2.0 * n / (n - 2.0)
         if p > p_crit * (1.0 + 1e-12):
@@ -105,17 +105,19 @@ def deficit(
     """Deficit of the sharp interpolation inequality on the plain measure.
 
     ``lam`` defaults to the sharp constant n.  ``f`` is sampled on the
-    plain N-node rule (N defaults to the package default).  Both factors of
-    the entropy term change sign across p = 2, so the report is meaningful
-    on the whole range p in [1, 2) u (2, 2*].  ``params`` must be plain
-    (eps = 0) with beta = 1; anything else raises DomainError.  An f the
-    rule does not resolve gets ``spectral_derivative``'s AccuracyWarning.
+    plain N-node rule; N defaults to len(f), and another N raises
+    ShapeError.  Both factors of the entropy term change sign across p = 2,
+    and at p = 2 the term is its limit, half the log entropy of
+    ``logsob_deficit``, so the report is meaningful on the whole range
+    p in [1, 2*].  ``params`` must be plain (eps = 0) with beta = 1;
+    anything else raises DomainError.  An f the rule does not resolve gets
+    ``spectral_derivative``'s AccuracyWarning.
     """
     n, p = params.n, params.p
     _check_plain(params, "deficit")
     _check_p_range(n, p)
     lam = n if lam is None else lam
-    fine, _, c, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
+    fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
     _warn_unresolved(c, "deficit")
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
     return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
@@ -129,33 +131,18 @@ def logsob_deficit(
 ) -> DeficitReport:
     """Deficit of the logarithmic endpoint p = 2, sharp constant n/2.
 
-    The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0.
-    ``params`` must have p = 2, eps = 0 and beta = 1; anything else raises
-    DomainError.  An f the rule does not resolve warns as in ``deficit``.
+    The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0: twice
+    ``deficit``'s entropy term at p = 2, so this is ``deficit`` at 2 lam,
+    reported with lam and the full entropy.  ``params`` must have p = 2,
+    eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  N
+    and an f the rule does not resolve behave as in ``deficit``.
     """
-    n = params.n
     if params.p != 2:
         raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
     _check_plain(params, "logsob_deficit")
-    lam = n / 2.0 if lam is None else lam
-    fine, _, c, ff, fp, _ = resample(f, params, DEFAULT_NODES if N is None else N)
-    _warn_unresolved(c, "deficit")
-    fisher_val = float(fine.integrate(fine.rho2 * fp**2))
-    g = ff**2
-    l2 = fine.integrate(g)
-    if l2 <= 0:
-        raise DomainError("logsob_deficit requires a nonzero function")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(g > 0, g * np.log(g / l2), 0.0)
-    entropy = fine.integrate(integrand)
-    return DeficitReport(
-        n=n,
-        p=2.0,
-        lambda_used=float(lam),
-        fisher=fisher_val,
-        entropy_term=float(entropy),
-        deficit=float(fisher_val - lam * entropy),
-    )
+    lam = params.n / 2.0 if lam is None else lam
+    rep = deficit(f, params, 2 * lam, N)
+    return replace(rep, lambda_used=float(lam), entropy_term=2 * rep.entropy_term)
 
 
 def extremal_profile(n: float, b: float, nodes: np.ndarray, a: float = 1.0) -> np.ndarray:
@@ -181,16 +168,28 @@ def lyapunov_terms(
     """(F, mass, fisher_beta, entropy) from values of u and u' on a refined rule.
 
     With w = u^beta: F = fisher_beta - lam * entropy, fisher_beta = int (1-z^2) |w'|^2 dnu,
-    entropy = (||w||_p^2 - ||w||_2^2)/(p-2) and mass = int w^p dnu.  The one body of F, for
-    the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
+    entropy = (||w||_p^2 - ||w||_2^2)/(p-2) and mass = int w^p dnu.  At p = 2 the entropy is
+    the limit (1/2) int w^2 log(w^2 / ||w||_2^2) dnu, with 0 log 0 = 0, and w = 0 raises
+    DomainError.  Within 1e-2 of p = 2 the quotient loses digits like 1e-16/|p - 2|
+    (above 1e-12 relative within 3e-3), so it warns with AccuracyWarning there.  The one
+    body of F, for the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|,
+    or f at p = 1).
     """
     beta, p = params.beta, params.p
-    if p == 2:
-        raise DomainError("the Lyapunov functional needs p != 2")
+    if 0 < abs(p - 2.0) < 1e-2:
+        warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
+                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=3)
     ub = u**beta
     ubp = beta * u ** (beta - 1.0) * up
     fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))
-    l2 = fine.integrate(ub**2)
+    g = ub**2
+    l2 = fine.integrate(g)
+    if p == 2:
+        if l2 <= 0:
+            raise DomainError("the entropy at p = 2 requires a nonzero function")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            entropy = 0.5 * float(fine.integrate(np.where(g > 0, g * np.log(g / l2), 0.0)))
+        return float(fisher_beta - lam * entropy), float(l2), fisher_beta, entropy
     lpp = fine.integrate(ub**p)
     lp2 = lpp ** (2.0 / p)
     F = fisher_beta + lam / (p - 2.0) * (l2 - lp2)
@@ -207,14 +206,13 @@ def lyapunov_F(
     """Lyapunov functional of a positive GridFn on the measure of ``params``.
 
     The measure is regularized when params.eps > 0, plain otherwise; the
-    sample grid is the corresponding N-node rule.  ``lam`` defaults to n.  A u
-    the rule does not resolve warns as in ``lp_norm``.
+    sample grid is the corresponding N-node rule, N = len(u) by default
+    (another N raises ShapeError).  ``lam`` defaults to n.  A u the rule
+    does not resolve warns as in ``lp_norm``.
     """
     if lam is None:
         lam = params.n
-    if N is None:
-        N = DEFAULT_NODES
-    fine, _, c, uu, up, _ = _resample_positive(u, params, N, "the function")
+    fine, _, c, uu, up, _ = _resample_positive(u, params, len(u) if N is None else N, "the function")
     _warn_unresolved(c, "lyapunov_F")
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

@@ -128,7 +128,8 @@ class OrthoBasis:
         self.K = K
         w = quad.weights
         self.alpha, self.offdiag = measure._stieltjes(quad, K)
-        self.V, self.V1 = self._tables(quad.nodes, 1, 1.0 / np.sqrt(w.sum()))
+        self._q0 = 1.0 / np.sqrt(w.sum())  # Q_0, where measure._stieltjes starts
+        self.V, self.V1 = self._tables(quad.nodes, 1)
         # coefficient-space first-derivative operator; second derivatives
         # apply it twice, so modes K-1 and K are outside accuracy claims
         self.D = self.V.T @ (w[:, None] * self.V1)
@@ -156,13 +157,13 @@ class OrthoBasis:
         T.setflags(write=False)
         return T
 
-    def _tables(self, z: np.ndarray, order: int, q0: float = 1.0) -> list[np.ndarray]:
+    def _tables(self, z: np.ndarray, order: int) -> list[np.ndarray]:
         """[Q_k, Q_k', ...] up to derivative ``order`` at the 1-D float nodes ``z``, in one
-        recurrence pass from Q_0 = ``q0``: the constructor starts where ``measure._stieltjes`` does."""
+        recurrence pass from the constructor's Q_0, so every table meets ``V`` bit for bit."""
         T = [np.empty((z.size, self.K + 1)) for _ in range(order + 1)]
         P = np.zeros((_RING, order + 1, z.size))  # the block of degree k in slot k % _RING
         S, Z = list(P), np.tile(z, (order + 1, 1))
-        P[0, 0] = q0
+        P[0, 0] = self._q0
         b = self.offdiag.tolist()
         for k, ak in enumerate(self.alpha[:-1].tolist()):
             s = k % _RING

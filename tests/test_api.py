@@ -2,7 +2,8 @@
 through a deliberate edit of this list.  A source check keeps the drift's
 eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
-Lyapunov functional in ``functionals.lyapunov_terms``, and the Stieltjes
+Lyapunov functional and its p = 2 limit, the log entropy, in
+``functionals.lyapunov_terms``, and the Stieltjes
 pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another keeps
 ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module's imports to the standard library and numpy
@@ -66,14 +67,17 @@ def test_eps_deformation_has_one_owner():
 
 
 def test_entropy_bracket_has_one_owner():
-    # F's bracket ||w||_p^2 = (int w^p)^(2/p) is formed only in lyapunov_terms,
-    # which deficit, lyapunov_F and the flow recorder share
+    # F's bracket ||w||_p^2 = (int w^p)^(2/p) and its p = 2 limit, the log entropy
+    # log(g / l2), are formed only in lyapunov_terms, which deficit, logsob_deficit,
+    # lyapunov_F and the flow recorder share
     bracket = r"\*\*\s*\(2(\.0)?\s*/\s*p\)"
+    log_entropy = r"\bnp\.log\(\s*\w+\s*/"  # a code spelling: the docstrings say log(f^2 / ...)
     owner = inspect.getsource(lyapunov_terms)
-    assert re.search(bracket, owner)
-    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
-        rest = path.read_text().replace(owner, "")
-        assert not re.search(bracket, rest), path.name
+    for pattern in (bracket, log_entropy):
+        assert re.search(pattern, owner)
+        for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+            rest = path.read_text().replace(owner, "")
+            assert not re.search(pattern, rest), (pattern, path.name)
 
 
 def test_stieltjes_pass_has_one_owner():

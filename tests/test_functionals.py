@@ -4,7 +4,8 @@ Closed-form oracles: Fisher information of f(z) = z is n/(n+1); the
 profile family a|1 - b z|^{-(n-2)/2} saturates the inequality at the
 critical pair; constants are equality cases for every p.  ``TestOracleLayer``
 checks lp_norm, fisher and deficit of a cubic at 1e-12 against the closed-form
-Beta moments of dnu_n, and against mpmath in theta = arccos z at non-integer p.
+Beta moments of dnu_n, and against mpmath in theta = arccos z at non-integer p
+and for the log entropy of the p = 2 endpoint.
 """
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from ultraflow import (
     AccuracyWarning,
     DomainError,
+    ShapeError,
     UltraParams,
     build_quadrature,
     deficit,
@@ -115,9 +117,41 @@ class TestDeficit:
         rep = deficit(np.ones(64) + 0.1 * rule(3.0).nodes, UltraParams(n=3.0, p=3.0))
         assert rep.lambda_used == 3.0
 
-    def test_p2_routed_to_logsob(self):
-        with pytest.raises(DomainError):
-            deficit(np.ones(64), UltraParams(n=3.0, p=2.0))
+    @pytest.mark.parametrize("n", [1.5, 3.0, 4.2])
+    def test_p2_is_logsob_on_half_the_entropy(self, n):
+        # the p -> 2 limit of the bracket is half the log entropy, so lam = n on it
+        # is logsob_deficit's n/2 on the whole
+        z = rule(n).nodes
+        for f in (1.0 + 0.3 * z, np.exp(0.4 * z), (1.0 + z) / 2.0):
+            rep = deficit(f, UltraParams(n=n, p=2.0))
+            log = logsob_deficit(f, UltraParams(n=n))
+            assert rep.deficit == log.deficit
+            assert rep.entropy_term == 0.5 * log.entropy_term
+            assert rep.fisher == log.fisher
+            assert rep.lambda_used == n == 2.0 * log.lambda_used
+
+    @pytest.mark.parametrize("p", [2.0 - 1e-3, 2.0 + 1e-6, 2.0 + 1e-12])
+    def test_entropy_quotient_warns_near_two(self, p):
+        # the quotient loses digits like 1e-16/|p - 2| (3.0e-3 relative at 1e-12)
+        u = 1.0 + 0.3 * rule(3.0).nodes
+        with pytest.warns(AccuracyWarning, match="within 1e-2 of 2"):
+            deficit(u, UltraParams(n=3.0, p=p))
+        with pytest.warns(AccuracyWarning, match="within 1e-2 of 2"):
+            lyapunov_F(u, UltraParams(n=3.0, p=p, beta=2.0))
+        for q in (2.0, 2.5):  # silent: pytest turns the warning into an error
+            deficit(u, UltraParams(n=3.0, p=q))
+            lyapunov_F(u, UltraParams(n=3.0, p=q, beta=2.0))
+
+    @pytest.mark.parametrize("name", ["deficit", "logsob_deficit", "lyapunov_F"])
+    def test_sample_count_sets_N(self, name):
+        # 32 samples used to raise "expected 64 node values" unless N=32 was passed
+        call = {"deficit": lambda f, **kw: deficit(f, UltraParams(n=3.0, p=3.0), **kw).deficit,
+                "logsob_deficit": lambda f, **kw: logsob_deficit(f, UltraParams(n=3.0), **kw).deficit,
+                "lyapunov_F": lambda f, **kw: lyapunov_F(f, UltraParams(n=3.0, p=3.0), **kw).value}[name]
+        f = 1.0 + 0.3 * rule(3.0, 32).nodes
+        assert call(f) == call(f, N=32)
+        with pytest.raises(ShapeError, match="expected 64 node values"):
+            call(f, N=64)
 
     def test_supercritical_rejected(self):
         # p > 2n/(n-2) for n > 2 is outside the inequality's range
@@ -291,10 +325,15 @@ class TestLyapunov:
         with pytest.raises(DomainError):
             lyapunov_F(np.linspace(-1, 1, 64), p)
 
-    def test_quadratic_exponent_rejected(self):
-        # lam/(p-2) has no limit form here; the entropy form is logsob_deficit
-        with pytest.raises(DomainError, match="p != 2"):
-            lyapunov_F(1.0 + 0.1 * rule(3.0).nodes, UltraParams(n=3.0, p=2.0, beta=1.0))
+    def test_quadratic_exponent_takes_the_log_entropy(self):
+        # p = 2: F at beta = 1 is the deficit, and the mass is int u^(2 beta)
+        q = rule(3.0)
+        u = 1.0 + 0.1 * q.nodes
+        F = lyapunov_F(u, UltraParams(n=3.0, p=2.0, beta=1.0))
+        assert F.value == deficit(u, UltraParams(n=3.0, p=2.0)).deficit > 0
+        G = lyapunov_F(u, UltraParams(n=3.0, p=2.0, beta=2.0))
+        assert G.value > 0
+        assert G.mass == pytest.approx(q.integrate(u**4), rel=1e-13)
 
 
 class TestOracleLayer:
@@ -340,6 +379,25 @@ class TestOracleLayer:
             Z = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n) / 2) / mpmath.gamma((mpmath.mpf(n) + 1) / 2)
             density = lambda t: mpmath.polyval(f[::-1], mpmath.cos(t)) ** p * mpmath.sin(t) ** (n - 1)
             return mpmath.quad(density, [0, mpmath.pi / 2, mpmath.pi]) / Z
+
+    def log_entropy(self, n):
+        """int f^2 log(f^2 / int f^2) dnu_n, mpmath.quad in theta at 30 digits."""
+        with mpmath.workdps(30):
+            f = [mpmath.mpf(x) for x in self.F]
+            Z = mpmath.sqrt(mpmath.pi) * mpmath.gamma(mpmath.mpf(n) / 2) / mpmath.gamma((mpmath.mpf(n) + 1) / 2)
+            g = lambda t: mpmath.polyval(f[::-1], mpmath.cos(t)) ** 2
+            m2 = self.lpp(2.0, n)
+            density = lambda t: g(t) * mpmath.log(g(t) / m2) * mpmath.sin(t) ** (n - 1)
+            return mpmath.quad(density, [0, mpmath.pi / 2, mpmath.pi]) / Z
+
+    @pytest.mark.parametrize("n", [1.0, 1.7, 2.5, 4.0, 6.0])
+    def test_log_entropy_against_mpmath(self, n):
+        # measured worst 5.6e-15 relative (n = 1.7, N = 16)
+        want = float(self.log_entropy(n))
+        for N in (16, 64, 256):
+            f = np.polyval(self.F[::-1], build_quadrature(UltraParams(n=n), N).nodes)
+            got = logsob_deficit(f, UltraParams(n=n)).entropy_term
+            assert got == pytest.approx(want, rel=1e-14, abs=0), N
 
     def fisher_oracle(self, n):
         with mpmath.workdps(30):

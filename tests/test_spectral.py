@@ -236,12 +236,21 @@ class TestOnePassBuild:
         for nodes in (refined_quadrature(UltraParams(n=n, eps=eps), N).nodes, ends):
             for order in range(3):
                 got = basis._tables(nodes, order)
-                want = reference_tables(basis.alpha, basis.offdiag, basis.K, nodes, order)
+                want = reference_tables(basis.alpha, basis.offdiag, basis.K, nodes, order, basis.V[0, 0])
                 assert len(got) == order + 1
                 for g, w in zip(got, want):
                     assert_same_bits(g, w)
-        want = reference_tables(basis.alpha, basis.offdiag, basis.K, ends, 1)[1]
+        want = reference_tables(basis.alpha, basis.offdiag, basis.K, ends, 1, basis.V[0, 0])[1]
         assert_same_bits(OrthoBasis(basis.quad, basis.K).end_slopes, want)
+
+    @pytest.mark.parametrize("n", [2.75, 3.45])
+    def test_evaluate_at_the_nodes_is_V(self, n):
+        # weights summing to 1 - 2^-52: evaluate used to start at Q_0 = 1.0, not
+        # where V starts, and missed V by 1.9e-14 (n = 2.75) and 5.7e-14 (n = 3.45)
+        basis = get_basis(n, 64)
+        assert basis.quad.weights.sum() != 1.0
+        assert_same_bits(basis.evaluate(basis.quad.nodes), basis.V)
+        assert_same_bits(basis.evaluate(basis.quad.nodes, order=1), basis.V1)
 
     def test_constructor_makes_one_pass(self, monkeypatch):
         # the recurrence comes from one measure._stieltjes call on the rule, and
