@@ -19,14 +19,16 @@ built on the measure's refined rule; the plain measure is the eps = 0 case.
 Stepping: every kind steps on the 2N-node Gauss rule of its measure,
 good to degree 4N-1 (``measure._stepping_rule``): the refined rule itself
 for eps = 0, and for the regularized measure its own Gauss rule, built once
-per (n, eps, N) from the graded rule, with Q_k and Q_k' evaluated at its
-nodes once per run.  So a stage costs the same 2N nodes for every kind,
-not the graded rule's 572 to 746 at N = 64; the stiffness matrix, the stage
-tables, the positivity floor and the stiffness bound all live on it.  The
-projection of v0 and the recorder stay on the refined rule, which the
-near-singular eps corrections of dF/dt need.  The weak form is
--a S c + N(c), with S the stiffness matrix
-int Q_j' Q_k' rho^2 dnu and a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
+per (n, eps, N) from the graded rule.  One ``_tables`` pass of the basis
+evaluates Q_k and Q_k' at its nodes once per run, for every kind; at eps = 0
+it is the pass that built the basis's V and V1, on the same nodes, so the
+tables equal them bit for bit.  So a stage costs the same 2N nodes for
+every kind, not the graded rule's 572 to 746 at N = 64; the stiffness
+matrix, the stage tables, the positivity floor and the stiffness bound all
+live on it.  The projection of v0 and the recorder stay on the refined
+rule, which the near-singular eps corrections of dF/dt need.  The weak form
+is -a S c + N(c), with S the stiffness matrix int Q_j' Q_k' rho^2 dnu and
+a = vbar^(m-1) at the equilibrium vbar.  ETDRK4
 (Cox & Matthews 2002) solves the linear part exactly in the eigenbasis of
 S.  The step is ``cfg.dt`` unless the remainder's stiffness, lam_top
 max|v^(m-1) - a| max(1, |m|) with lam_top the top eigenvalue of S, needs
@@ -340,16 +342,6 @@ def _etdrk4_weights(z: np.ndarray, h: float):
     return E, np.exp(z / 2.0), Q, f1, f2, f3
 
 
-def _stepping_tables(basis: OrthoBasis, params: UltraParams) -> tuple[Quadrature, np.ndarray, np.ndarray]:
-    """The stepping rule of ``basis`` (``measure._stepping_rule``) with Q_k and Q_k' at its
-    nodes: the basis's own rule and tables where that rule is the refined rule (eps = 0)."""
-    rule = _stepping_rule(params, basis.K + 2)
-    if not rule.eps:
-        return basis.quad, basis.V, basis.V1
-    V, V1 = basis._tables(rule.nodes, 1)
-    return rule, V, V1
-
-
 def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarray, a: float, m: float):
     """The stage function of the stepper for the weak form in the eigenbasis U of S.
 
@@ -398,7 +390,8 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     params = cfg.params
     basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
-    rule, V0, V1 = _stepping_tables(basis, params)
+    rule = _stepping_rule(params, len(u0))
+    V0, V1 = basis._tables(rule.nodes, 1)
     m = params.m
     rho2w = rule.weights * rule.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh

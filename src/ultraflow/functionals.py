@@ -113,14 +113,7 @@ def deficit(
     anything else raises DomainError.  An f the rule does not resolve gets
     ``spectral_derivative``'s AccuracyWarning.
     """
-    n, p = params.n, params.p
-    _check_plain(params, "deficit")
-    _check_p_range(n, p)
-    lam = n if lam is None else lam
-    fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
-    _warn_unresolved(c, "deficit")
-    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
-    return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
+    return _deficit(f, params, params.n if lam is None else lam, N, "deficit")
 
 
 def logsob_deficit(
@@ -139,10 +132,21 @@ def logsob_deficit(
     """
     if params.p != 2:
         raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
-    _check_plain(params, "logsob_deficit")
     lam = params.n / 2.0 if lam is None else lam
-    rep = deficit(f, params, 2 * lam, N)
+    rep = _deficit(f, params, 2 * lam, N, "logsob_deficit")
     return replace(rep, lambda_used=float(lam), entropy_term=2 * rep.entropy_term)
+
+
+def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: str) -> DeficitReport:
+    """The body of ``deficit`` and ``logsob_deficit`` (``what``).  Both call it directly,
+    so its warnings, at stacklevel 4, name the line that called them."""
+    n, p = params.n, params.p
+    _check_plain(params, what)
+    _check_p_range(n, p)
+    fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
+    _warn_unresolved(c, "deficit", stacklevel=4)
+    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam, stacklevel=4)
+    return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
 
 
 def extremal_profile(n: float, b: float, nodes: np.ndarray, a: float = 1.0) -> np.ndarray:
@@ -164,6 +168,7 @@ def lyapunov_terms(
     fine: Quadrature,
     params: UltraParams,
     lam: float,
+    stacklevel: int = 3,
 ) -> tuple[float, float, float, float]:
     """(F, mass, fisher_beta, entropy) from values of u and u' on a refined rule.
 
@@ -171,14 +176,14 @@ def lyapunov_terms(
     entropy = (||w||_p^2 - ||w||_2^2)/(p-2) and mass = int w^p dnu.  At p = 2 the entropy is
     the limit (1/2) int w^2 log(w^2 / ||w||_2^2) dnu, with 0 log 0 = 0, and w = 0 raises
     DomainError.  Within 1e-2 of p = 2 the quotient loses digits like 1e-16/|p - 2|
-    (above 1e-12 relative within 3e-3), so it warns with AccuracyWarning there.  The one
-    body of F, for the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|,
-    or f at p = 1).
+    (above 1e-12 relative within 3e-3), so it warns with AccuracyWarning there,
+    ``stacklevel`` frames up (3: the line that called its caller).  The one body of F, for
+    the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
     """
     beta, p = params.beta, params.p
     if 0 < abs(p - 2.0) < 1e-2:
         warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
-                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=3)
+                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=stacklevel)
     ub = u**beta
     ubp = beta * u ** (beta - 1.0) * up
     fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))

@@ -51,8 +51,9 @@ rules and a = 0 for the graded rule's Gauss-Legendre panels, few sizes per
 N since the panel edges pi/2^j do not depend on eps; the rule per (n, N)
 that ``build_quadrature`` returns after validation (p, beta and, beyond
 choosing d, eps do not enter it); and, 16 keys only, as many as the bases
-built on it, the graded rule and the stepping rule per (n, eps, N), with
-a weak registry that finds a graded rule a basis holds past its entry.
+built on it, the graded rule and the stepping rule per (n, eps, N).  These
+caches are the only memo: a rule rebuilt after its entry is dropped is a
+new object with the same arrays, and no code compares rules by identity.
 
 Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
 a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
@@ -79,7 +80,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -156,15 +156,14 @@ class Quadrature:
 
     ``weights`` are strictly positive and sum to one, so ``integrate``
     approximates integrals against a probability measure.  ``order`` is the
-    node count.  ``n`` and ``eps`` echo the measure the rule integrates:
-    eps = 0 on the Gauss-Jacobi rules, eps > 0 only on the graded refined
-    rule and the stepping rule of the regularized measure.
+    node count, read off ``nodes``.  ``n`` and ``eps`` echo the measure the
+    rule integrates: eps = 0 on the Gauss-Jacobi rules, eps > 0 only on the
+    graded refined rule and the stepping rule of the regularized measure.
     ``rho2`` is rho^2 = 1 - z^2 at the nodes (see the module docstring).
     """
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    order: int
     n: float
     eps: float = 0.0
     rho2: np.ndarray = field(repr=False, kw_only=True)
@@ -172,6 +171,10 @@ class Quadrature:
     def __post_init__(self):
         for a in (self.nodes, self.weights, self.rho2):
             a.setflags(write=False)
+
+    @property
+    def order(self) -> int:
+        return self.nodes.size
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Integrate a function given by its values at ``nodes``.
@@ -238,14 +241,18 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     (1 - x^2)^a, a > -1: Chebyshev's closed forms at a = -1/2 and 1/2, else
     ``_golub_welsch`` (module docstring).
 
-    Emits :class:`AccuracyWarning` where a + 1 < 1e-19 N^4 (n < 2e-19 N^4 on
-    the plain measure): the nodes next to +-1 lie within about 2 (a + 1) / N^2
-    of them, the Newton step there loses digits, and the even moments can
-    miss their closed form by more than 1e-12.  Measured over n in
-    [1e-16, 1e-6] and N <= 256, the largest n / N^4 with a miss above 1e-12
-    is 1.3e-19 (at N = 256, 3.2e-12 at n = 4.1e-10 and 3.6e-11 at n = 1e-11).
-    The warning comes with each build; ``build_quadrature`` memoizes rules, so
-    a repeated key warns once.
+    Emits :class:`AccuracyWarning` where a + 1 < 1.8e-19 N^4 s^3,
+    s = max(1, min(N, 1024) / 256) (n < 3.6e-19 N^4 s^3 on the plain measure):
+    the nodes next to +-1 lie within about 2 (a + 1) / N^2 of them, the Newton
+    step there loses digits, and the even moments can miss their closed form
+    by more than 1e-12.  Measured against 30-digit moments at 16 sizes from
+    N = 192 to 1024 (40 points a decade of n / N^4 in [10^-19.6, 10^-16.5] and
+    40 random ones), the largest n / N^4 with a miss above 1e-12 is 2.8e-19 at
+    N = 256, 6.7e-19 at 384 and 1.6e-18 at 512, the most up to 1024: faster
+    than N^4.  Above the threshold (34 sizes from 16 to 1024, n up to 30 times
+    it) no miss exceeds 7.9e-13.  Past N = 1024, s stays 4 (the worst n / N^4
+    at 2048 is 1.7e-18).  Each build warns; ``build_quadrature`` memoizes
+    rules, so a repeated key warns once.
     """
     if not a > -1.0:
         raise DomainError(f"the Gauss rule of (1 - z^2)^a needs a > -1, got {a} (on the plain "
@@ -257,11 +264,11 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
         w = np.sin(k * (math.pi / (N + 1))) ** 2
         return np.cos(k * (math.pi / (N + 1))), w / w.sum()
     rule = _golub_welsch(N, a)
-    if a + 1.0 < 1e-19 * N**4:
+    if a + 1.0 < 1.8e-19 * N**4 * max(1.0, min(N, 1024) / 256) ** 3:
         warnings.warn(
             f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure of "
-            f"n = {2.0 * a + 2.0:.3g}) is below 1e-19 N^4: its moments can miss by more than 1e-12; "
-            "use fewer nodes",
+            f"n = {2.0 * a + 2.0:.3g}) is below the measured threshold of gauss_jacobi: its moments "
+            "can miss by more than 1e-12; use fewer nodes",
             AccuracyWarning,
             stacklevel=2,
         )
@@ -348,19 +355,12 @@ def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @lru_cache(maxsize=128)
 def _rule(n: float, N: int) -> Quadrature:
     nodes, w, rho2 = _base_rule(N, (n - 2.0) / 2.0)
-    return Quadrature(nodes=nodes, weights=w / w.sum(), order=N, n=n, rho2=rho2)
-
-
-_LIVE_GRADED = weakref.WeakValueDictionary()  # (n, eps, N) -> the graded rule, while held
+    return Quadrature(nodes=nodes, weights=w / w.sum(), n=n, rho2=rho2)
 
 
 @lru_cache(maxsize=16)
 def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
-    """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta;
-    one per key while held, since a basis can outlive this cache entry."""
-    q = _LIVE_GRADED.get((n, eps, N))
-    if q is not None:
-        return q
+    """The refined rule of the regularized measure for n < d: graded Gauss-Legendre in theta."""
     d = math.ceil(n)
     edges = [math.pi / 2]
     while edges[-1] > 0.5 * math.sqrt(eps):
@@ -378,9 +378,7 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)
     z = np.cos(theta)  # descending on (0, 1); the mirror image about pi/2 gives z < 0
     nodes, w, s2 = (np.concatenate((x, y[::-1])) for x, y in ((-z, z), (w, w), (s2, s2)))
-    q = Quadrature(nodes=nodes, weights=w / w.sum(), order=nodes.size, n=n, eps=eps, rho2=s2)
-    _LIVE_GRADED[n, eps, N] = q
-    return q
+    return Quadrature(nodes=nodes, weights=w / w.sum(), n=n, eps=eps, rho2=s2)
 
 
 def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadrature:
@@ -400,7 +398,7 @@ def _regularized_gauss_rule(n: float, eps: float, N: int) -> Quadrature:
     # for this weight: S is summed again at the corrected nodes
     p = _orthonormal_values(b, x)
     nodes, w = _mirror(x, 1.0 / np.einsum("ij,ij->j", p[:-1], p[:-1]), 2 * N)
-    return Quadrature(nodes=nodes, weights=w, order=2 * N, n=n, eps=eps, rho2=1.0 - nodes**2)
+    return Quadrature(nodes=nodes, weights=w, n=n, eps=eps, rho2=1.0 - nodes**2)
 
 
 def _stieltjes(q: Quadrature, K: int) -> tuple[np.ndarray, np.ndarray]:

@@ -328,9 +328,9 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
     return fp if order == 1 else fpp
 
 
-def _warn_unresolved(c: np.ndarray, what: str) -> None:
-    """``AccuracyWarning`` at the caller's caller when the top two modes of ``c`` carry
-    more than ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
+def _warn_unresolved(c: np.ndarray, what: str, stacklevel: int = 3) -> None:
+    """``AccuracyWarning`` at the caller's caller (``stacklevel`` 3) when the top two modes
+    of ``c`` carry more than ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
     total = float(np.dot(c, c))
     if total > 0:
         tail = float(np.dot(c[-2:], c[-2:])) / total
@@ -339,5 +339,5 @@ def _warn_unresolved(c: np.ndarray, what: str) -> None:
                 f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; "
                 f"{what} accuracy is degraded",
                 AccuracyWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )

@@ -8,8 +8,9 @@ pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another kee
 ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module's imports to the standard library and numpy
 without numpy.polynomial, another every ``functools`` cache to an
-``lru_cache`` of integer size, and a fresh interpreter checks
-that ``import ultraflow.cli`` loads no part of numpy.polynomial."""
+``lru_cache`` of integer size, with no ``weakref`` registry beside them, and
+a fresh interpreter checks that ``import ultraflow.cli`` loads no part of
+numpy.polynomial."""
 import ast
 import inspect
 import os
@@ -132,12 +133,17 @@ def test_no_module_imports_numpy_polynomial_or_scipy():
 
 def test_every_cache_is_a_bounded_lru_cache():
     # functools.cache and lru_cache(maxsize=None) grow with every key a long
-    # scan visits; each memo in the package states its size as an integer
+    # scan visits; each memo in the package states its size as an integer,
+    # and no weakref registry keeps objects beside the caches
     caches = 0
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "weakref" not in {alias.name.split(".")[0] for alias in node.names}, (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "weakref", (path.name, node.lineno)
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 assert "cache" not in {alias.name for alias in node.names}, (path.name, node.lineno)
             name = getattr(node, "id", getattr(node, "attr", None))

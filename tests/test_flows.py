@@ -550,7 +550,7 @@ class TestGalerkinStepper:
         U[1:, 1:] = np.linalg.eigh((V1.T @ (rho2w[:, None] * V1))[1:, 1:])[1]
         a = (c0[0] * V0[0, 0]) ** (m - 1.0)
         y = U.T @ c0
-        g, remainder = flows._galerkin_stage(*flows._stepping_tables(basis, params), U, a, m)(y, 0.0)
+        g, remainder = flows._galerkin_stage(rule, *basis._tables(rule.nodes, 1), U, a, m)(y, 0.0)
         # c is U y, not c0: V1 lifts c0's rounding in the top modes to 1e-11 of v'
         c = U @ y
         want_g = (V0 @ c) ** (m - 1.0) - a

@@ -24,6 +24,7 @@ from ultraflow import (
     lp_norm,
     lyapunov_F,
     refined_quadrature,
+    spectral_derivative,
     thresholds,
 )
 
@@ -220,6 +221,25 @@ class TestUnresolvedInput:
         lyapunov_F(1.0 + 0.3 * q.nodes, params)  # resolved inputs stay silent
         fisher(np.exp(0.4 * q.nodes), params)
         lp_norm(1.0 + 0.3 * q.nodes**2, params)
+
+    @pytest.mark.parametrize("name", ["deficit", "logsob_deficit", "lyapunov_F", "fisher", "lp_norm",
+                                      "spectral_derivative", "deficit near 2", "lyapunov_F near 2"])
+    def test_warnings_name_the_callers_line(self, name):
+        # every entry point warns at the line that called it, in this file;
+        # logsob_deficit's unresolved-input warning used to name functionals.py
+        q = rule(3.0)
+        f, u, near = 1.0 / np.abs(q.nodes), 1.0 + 0.3 * q.nodes, 2.0 + 1e-3
+        call = {"deficit": lambda: deficit(f, UltraParams(n=3.0, p=4.0)),
+                "logsob_deficit": lambda: logsob_deficit(f, UltraParams(n=3.0)),
+                "lyapunov_F": lambda: lyapunov_F(f, UltraParams(n=3.0, p=4.0)),
+                "fisher": lambda: fisher(f, UltraParams(n=3.0)),
+                "lp_norm": lambda: lp_norm(f, UltraParams(n=3.0, p=4.0)),
+                "spectral_derivative": lambda: spectral_derivative(f, q),
+                "deficit near 2": lambda: deficit(u, UltraParams(n=3.0, p=near)),
+                "lyapunov_F near 2": lambda: lyapunov_F(u, UltraParams(n=3.0, p=near, beta=2.0))}[name]
+        with pytest.warns(AccuracyWarning) as record:
+            call()
+        assert [w.filename for w in record] == [__file__] * len(record)
 
 
 class TestLogSobolev:

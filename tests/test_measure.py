@@ -36,7 +36,6 @@ from ultraflow import (
     lyapunov_F,
     normalization_constant,
     refined_quadrature,
-    resample,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.operators import _deformation
@@ -300,10 +299,10 @@ class TestGaussJacobi:
 
     @pytest.mark.parametrize("N", [16, 64, 65, 256])
     def test_small_n_warns_below_its_threshold(self, N):
-        # a + 1 < 1e-19 N^4 warns and changes no node or weight; at twice the
-        # threshold the rule is silent and its even moments meet their closed
-        # form within 1e-12 (the largest measured n / N^4 with a larger miss
-        # is 1.3e-19, the threshold in n is 2e-19 N^4)
+        # a + 1 = 0.5e-19 N^4 warns and changes no node or weight; at
+        # a + 1 = 2e-19 N^4, above the threshold 1.8e-19 N^4 of N <= 256, the
+        # rule is silent and these even moments meet their closed form within
+        # 1e-12 (the largest measured n / N^4 with a larger miss is 2.8e-19)
         below = 0.5e-19 * N**4
         with pytest.warns(AccuracyWarning, match=f"{N}-node"):
             got = measure.gauss_jacobi(N, below - 1.0)
@@ -317,6 +316,21 @@ class TestGaussJacobi:
             for k in (1, 2, 5, N // 2, N - 1):
                 want = mpmath.beta(k + 0.5, a + 1) / mpmath.beta(0.5, a + 1)
                 assert abs(np.dot(w, nodes ** (2 * k)) - float(want)) < 1e-12, k
+
+    def test_small_n_warns_at_512_nodes(self):
+        # measured: this rule misses an even moment by 3.2e-12 and used to build
+        # silently, since n / N^4 = 2.2e-19 lay above the old threshold 2e-19;
+        # past N = 256 the threshold grows like N^7 (gauss_jacobi)
+        n, N = 1.5e-8, 512
+        with pytest.warns(AccuracyWarning, match="512-node"):
+            nodes, w = measure.gauss_jacobi(N, (n - 2.0) / 2.0)
+        with mpmath.workdps(30):
+            m, a1, want = mpmath.mpf(1), mpmath.mpf(n) / 2, [1.0]
+            for k in range(1, N):  # B(k + 1/2, a + 1) / B(1/2, a + 1), a + 1 = n/2
+                m *= (k - mpmath.mpf(0.5)) / (k + a1 - mpmath.mpf(0.5))
+                want.append(float(m))
+        got = [np.dot(w, nodes ** (2 * k)) for k in range(N)]
+        assert np.max(np.abs(np.array(got) - want)) > 1e-12
 
     # a + 1 >= 1e-9 (n >= 2e-9): closer to -1 the nodes next to +-1 lie within
     # rounding of +-1 (their distance is about 2 (a + 1) / N^2), so no double
@@ -403,23 +417,14 @@ class TestRuleCache:
     def test_graded_rule_repeat_is_same_read_only_object(self, n, eps, N):
         q = refined_quadrature(UltraParams(n=n, eps=eps), N)
         assert refined_quadrature(UltraParams(n=n, eps=eps, p=4.0, beta=0.5), N) is q
-        assert get_regularized_basis(n, eps, N).quad is q
+        basis_rule = get_regularized_basis(n, eps, N).quad  # equal content: identity is not promised
+        for name in ("nodes", "weights", "rho2"):
+            np.testing.assert_array_equal(getattr(basis_rule, name), getattr(q, name))
         assert q.eps == eps and q.order == q.nodes.size
         assert not q.nodes.flags.writeable and not q.weights.flags.writeable
         assert not any(a.flags.writeable for a in measure._base_rule(11, 0.0))  # shared panel rule
         assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
         np.testing.assert_array_equal(q.nodes, -q.nodes[::-1])
-
-    def test_graded_rule_outlives_its_cache_entry_in_a_basis(self):
-        # 17 other regularized keys through resample and the rule caches drop
-        # the key's cache entries, but not its basis, which holds the rule
-        params = UltraParams(n=2.5, eps=1e-6)
-        get_regularized_basis(2.5, 1e-6, 64)
-        for j in range(17):
-            other = UltraParams(n=1.5 + j / 64, eps=1e-3)
-            resample(np.ones(8), other, 8)
-            measure._stepping_rule(other, 8)
-        assert get_regularized_basis(2.5, 1e-6, 64).quad is refined_quadrature(params, 64)
 
 
 def legendre_oracle(m):

@@ -251,6 +251,14 @@ class TestOnePassBuild:
         assert basis.quad.weights.sum() != 1.0
         assert_same_bits(basis.evaluate(basis.quad.nodes), basis.V)
         assert_same_bits(basis.evaluate(basis.quad.nodes, order=1), basis.V1)
+        # the flows' stage tables: one pass at the stepping rule's nodes, which
+        # at eps = 0 are the nodes of the basis's refined rule, is V and V1
+        basis = get_regularized_basis(n, 0.0, 64)
+        nodes = measure._stepping_rule(UltraParams(n=n), 64).nodes
+        V, V1 = basis._tables(nodes, 1)
+        assert_same_bits(V, basis.V)
+        assert_same_bits(V1, basis.V1)
+        assert_same_bits(basis.evaluate(nodes, 1), basis.V1)
 
     def test_constructor_makes_one_pass(self, monkeypatch):
         # the recurrence comes from one measure._stieltjes call on the rule, and
