@@ -36,21 +36,25 @@ dt <= 2 / that; the last step lands on t_end.  Where that stiffness is 0
 (at m = 1 always) the remainder vanishes and the step is y = e^(-a h S) y;
 at m = 1 a step's end then only checks the positivity of v.
 Each of a step's four stages is one call of ``_galerkin_stage``: one
-product of the eigenbasis state with a (modes x 2 nodes) table gives v and
-v' on the stepping rule, and the v' half of the same table projects the
-remainder back.  The step's last stage also yields the stiffness and the
-next step's first remainder.  The phi-function weights are real: closed
-forms away from hL = 0, Taylor series near it (``_etdrk4_weights``).
+product of the eigenbasis state with a (modes x 2 nodes) table, into a
+buffer kept for the run, gives v and v' on the stepping rule, and a
+(modes x nodes) table, the v' half with the node weight -rho^2 w folded in
+once per run, projects the remainder back.  The step's last stage also
+yields the stiffness and the next step's first remainder.  Each new stage
+state and step end is a fresh array, so the states the recorder holds never
+change.  The phi-function weights are real: closed forms away from hL = 0,
+Taylor series near it (``_etdrk4_weights``).
 
 A run records, at every ``record_every``-th step, the mass, the
 beta-Dirichlet energy, the Lyapunov functional F, extremal values of u
 and u', the closed-form instantaneous dF/dt, and any violation of the
 entered h0/h1 bounds; positivity loss aborts with the failure time.
-The recorder takes the state's coefficients and evaluates everything
-itself: v, v' and v'' on the refined rule and every diagnostic, a block
-of records at a time as (records, nodes) arrays, with the eps deformation
-of the rule formed once per run; bound violations are reported in record
-order.
+The recorder takes the eigenbasis state y and evaluates everything
+itself: the coefficients U y of a block of records in one product, then
+v, v' and v'' on the refined rule, u, u' and u'' from the one power
+v^(r-1), and every diagnostic, as (records, nodes) arrays, with the eps
+deformation of the rule formed once per run; bound violations are
+reported in record order.
 """
 from __future__ import annotations
 
@@ -209,24 +213,28 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
 
 
 class _Recorder:
-    """Accumulates per-time diagnostics from the coefficients of the v-state.
+    """Accumulates per-time diagnostics from the stepper's eigenbasis state.
 
-    ``record`` buffers (t, c), c the coefficients of v in ``basis``;
-    ``flush`` evaluates the buffer as one (records, nodes) block on the
-    basis's refined rule every ``block`` records and in ``finish``.
+    ``record`` buffers (t, y), y the state in the eigenbasis ``U`` of the
+    stiffness matrix, so c = U y are the coefficients of v in ``basis``
+    (U = I records coefficients directly).  The buffered y must not change
+    afterwards.  ``flush`` converts the buffer with one Y @ U^T and
+    evaluates it as one (records, nodes) block on the basis's refined rule,
+    every ``block`` records and in ``finish``.
     """
 
-    def __init__(self, cfg: FlowConfig, basis: OrthoBasis):
+    def __init__(self, cfg: FlowConfig, basis: OrthoBasis, U: np.ndarray):
         self.cfg = cfg
         self.basis = basis
+        self.U = U
         self.dz = _deformation(basis.quad.nodes, basis.quad.rho2, cfg.params)
         self.block = max(1, 8192 // basis.quad.nodes.size)
         self.pending: list[tuple[float, np.ndarray]] = []
         self.columns: list[np.ndarray] = []  # per block, FlowTrace's 8 arrays as rows
         self.events: list[tuple[float, str]] = []
 
-    def record(self, t: float, c: np.ndarray) -> None:
-        self.pending.append((t, c))
+    def record(self, t: float, y: np.ndarray) -> None:
+        self.pending.append((t, y))
         if len(self.pending) == self.block:
             self.flush()
 
@@ -234,23 +242,23 @@ class _Recorder:
         if not self.pending:
             return
         cfg, params, basis, fine = self.cfg, self.cfg.params, self.basis, self.basis.quad
-        t, C = (np.array(col) for col in zip(*self.pending))
+        t, Y = (np.array(col) for col in zip(*self.pending))
         self.pending = []
+        C = Y @ self.U.T
         vv, vp, vpp = C @ basis.V.T, C @ basis.V1.T, (C @ basis.D.T) @ basis.V1.T
         r = 1.0 / (params.beta * params.p)
-        # u = v^r, u' = r v^(r-1) v' and u'' = r(r-1) v^(r-2) v'^2 + r v^(r-1) v'',
-        # in place and in that operation order
-        uu = vv**r
-        up = vv ** (r - 1.0)
-        up *= r
-        vpp *= up
-        up *= vp
-        upp = vv
-        upp **= r - 2.0
-        upp *= r * (r - 1.0)
-        vp **= 2
-        upp *= vp
-        upp += vpp
+        # from the one power w = v^(r-1): u = w v, u' = r w v' and
+        # u'' = r(r-1) v^(r-2) v'^2 + r w v'' = (r-1) u' v' / v + r w v'', in place
+        w = vv ** (r - 1.0)
+        uu = w * vv
+        w *= r
+        up = vp * w
+        vpp *= w
+        vp *= up
+        vp /= vv
+        vp *= r - 1.0
+        upp = vpp
+        upp += vp
         F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
                                    for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
@@ -350,20 +358,18 @@ def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarr
     remainder -U^T V1^T (rho^2 w g v'): the weak form's -V1^T(rho^2 w v^(m-1) v')
     (the chain rule's m cancels the 1/m) less its linear part -a S c, at
     c = U y.  It raises PositivityError at time t where v reaches the floor.
-    At m = 1 (the heat flow) both are exactly 0, so the stage only forms v
-    and checks it.
+    g lives in a buffer that the next call overwrites; the remainder is a
+    fresh array.  At m = 1 (the heat flow) both are exactly 0, so the stage
+    only forms v and checks it.
     """
-    weight = -(rule.weights * rule.rho2)
-    nodes = weight.size
-    # (V0 U)^T and (V1 U)^T side by side: y @ T is v and v' on the nodes, and
-    # the right half projects back
+    nodes = rule.nodes.size
+    # (V0 U)^T and (V1 U)^T side by side: y @ T is v and v' on the nodes
     T = np.empty((U.shape[1], 2 * nodes))
     np.matmul(U.T, V.T, out=T[:, :nodes])
     np.matmul(U.T, V1.T, out=T[:, nodes:])
-    W0T, W1T = T[:, :nodes], T[:, nodes:]
 
     if m == 1:  # g = v^0 - 1 and the remainder are exactly 0: only positivity is left
-        zeros = np.zeros(nodes), np.zeros(U.shape[1])
+        W0T, zeros = T[:, :nodes], (np.zeros(nodes), np.zeros(U.shape[1]))
 
         def stage(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
             if np.minimum.reduce(y @ W0T) <= _POSITIVITY_FLOOR:
@@ -372,16 +378,19 @@ def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarr
 
         return stage
 
+    # (V1 U)^T diag(-rho^2 w) projects g v' back, the node weight folded in once
+    P = T[:, nodes:] * -(rule.weights * rule.rho2)
+    vd = np.empty(2 * nodes)
+    v, dv = vd[:nodes], vd[nodes:]
+
     def stage(y: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        vd = y @ T
-        v, dv = vd[:nodes], vd[nodes:]
+        np.dot(y, T, out=vd)
         if np.minimum.reduce(v) <= _POSITIVITY_FLOOR:
             raise PositivityError(t, "v reached the positivity floor")
-        v **= m - 1.0  # g = v^(m-1) - a, in place
-        v -= a
-        dv *= v
-        dv *= weight
-        return v, W1T @ dv
+        np.power(v, m - 1.0, out=v)  # g = v^(m-1) - a, in place
+        np.subtract(v, a, out=v)
+        np.multiply(dv, v, out=dv)
+        return v, np.dot(P, dv)
 
     return stage
 
@@ -399,37 +408,40 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     S = V1.T @ (rho2w[:, None] * V1)
     mu, U = np.zeros(c0.size), np.eye(c0.size)
     mu[1:], U[1:, 1:] = np.linalg.eigh(S[1:, 1:])
-    lam_top = float(mu[-1])
+    stiff_scale = float(mu[-1]) * max(1.0, abs(m))  # lam_top max(1, |m|)
     a = (c0[0] * basis.V[0, 0]) ** (m - 1.0)
     stage = _galerkin_stage(rule, V0, V1, U, a, m)
-    rec = _Recorder(cfg, basis)
+    rec = _Recorder(cfg, basis, U)
     t_now, h, step, y = 0.0, None, 0, U.T @ c0
 
     try:
         g, Nu = stage(y, t_now)
-        rec.record(0.0, U @ y)
+        rec.record(0.0, y)
         while t_now < cfg.t_end:
-            stiff = lam_top * float(np.abs(g).max()) * max(1.0, abs(m))
+            stiff = stiff_scale * float(np.maximum.reduce(np.abs(g)))
             dt = min(cfg.dt, 2.0 / stiff) if stiff > 0 else cfg.dt
             last = cfg.t_end - t_now <= dt * (1.0 + _SNAP)
             dt = cfg.t_end - t_now if last else dt
             if dt != h:
                 h, (E, E2, Q, f1, f2, f3) = dt, _etdrk4_weights(-a * dt * mu, dt)
+                Q2 = 2.0 * Q
+            # every state below is a fresh array: the recorder holds a recorded
+            # y until its block is flushed
             if stiff == 0:  # v^(m-1) = a on the nodes (m = 1: the heat flow)
                 y = E * y
             else:
-                E2y = E2 * y
-                ya = E2y + Q * Nu
+                E2y, QNu = E2 * y, Q * Nu
+                ya = E2y + QNu
                 Na = stage(ya, t_now)[1]
                 yb = E2y + Q * Na
                 Nb = stage(yb, t_now)[1]
-                yc = E2 * ya + Q * (2.0 * Nb - Nu)
+                yc = E2 * ya + Q2 * Nb - QNu  # E2 ya + Q (2 Nb - Nu)
                 y = E * y + f1 * Nu + f2 * (Na + Nb) + f3 * stage(yc, t_now)[1]
             t_now = cfg.t_end if last else t_now + dt
             step += 1
             g, Nu = stage(y, t_now)
             if step % cfg.record_every == 0 or last:
-                rec.record(t_now, U @ y)
+                rec.record(t_now, y)
     except PositivityError as err:
         err.partial = rec.finish()
         raise

@@ -179,13 +179,17 @@ def lyapunov_terms(
     (above 1e-12 relative within 3e-3), so it warns with AccuracyWarning there,
     ``stacklevel`` frames up (3: the line that called its caller).  The one body of F, for
     the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
+    Off beta = 1, w' = beta w u'/u needs u > 0, as the flows and ``lyapunov_F`` ensure.
     """
     beta, p = params.beta, params.p
     if 0 < abs(p - 2.0) < 1e-2:
         warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
                       f"1e-16/|p - 2|", AccuracyWarning, stacklevel=stacklevel)
-    ub = u**beta
-    ubp = beta * u ** (beta - 1.0) * up
+    if beta == 1:  # u and u' as they are: deficit's |f| may be 0 at a node
+        ub, ubp = u, up
+    else:  # (u^beta)' = beta u^beta u'/u: one pow
+        ub = u**beta
+        ubp = beta * ub * up / u
     fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))
     g = ub**2
     l2 = fine.integrate(g)

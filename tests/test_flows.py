@@ -73,7 +73,7 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
     def rhs(c):
         return -(V1.T @ (rho2w * (V0 @ c) ** (m - 1.0) * (V1 @ c)))
 
-    rec = _Recorder(cfg, basis)
+    rec = _Recorder(cfg, basis, np.eye(c0.size))
     c, t = c0.copy(), 0.0
     for t_next in tr.times:
         vpow = float(np.max((V0 @ c) ** (m - 1.0)))
@@ -322,7 +322,7 @@ class TestHeatFlow:
         tr = run_heat_flow(u0, cfg)
         basis, c0, _, _ = _initial_state(u0, tr.params_echo)
         lams = np.array([eigenvalue(n, k) for k in range(c0.size)])
-        rec = _Recorder(tr.params_echo, basis)
+        rec = _Recorder(tr.params_echo, basis, np.eye(c0.size))
         for t in [j * cfg.dt for j in range(0, 200, cfg.record_every)] + [cfg.t_end]:
             rec.record(t, c0 * np.exp(-lams * t))
         exact = rec.finish()
@@ -495,7 +495,7 @@ class TestGalerkinStepper:
         tr = run_regularized_flow(u0, cfg)
         assert len(calls) == 1 and tr.times.size == 31
         basis = get_regularized_basis(2.5, 1e-3, 128)
-        rec = _Recorder(tr.params_echo, basis)
+        rec = _Recorder(tr.params_echo, basis, np.eye(basis.K + 1))
         assert rec.block == 8 and len(calls) == 2
         fine = basis.quad
         dz = _deformation(fine.nodes, fine.rho2, params)
@@ -555,7 +555,7 @@ class TestGalerkinStepper:
         c = U @ y
         want_g = (V0 @ c) ** (m - 1.0) - a
         want = U.T @ -(V1.T @ (rho2w * want_g * (V1 @ c)))
-        # measured: 2.6e-14 on g and 6.7e-15 on the remainder
+        # measured: 1.9e-14 on g and 6.5e-15 on the remainder
         assert np.max(np.abs(g - want_g)) <= 1e-13 * np.max(np.abs(want_g))
         assert np.max(np.abs(remainder - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -613,6 +613,45 @@ class TestGalerkinStepper:
         assert g.shape == basis.quad.nodes.shape and remainder.shape == c.shape
         with pytest.raises(PositivityError):
             stage(-c, 0.5)
+
+    def test_buffered_records_do_not_alias_the_stepped_state(self):
+        # the recorder holds every y of a block until it flushes, so a step that
+        # updated y in place would rewrite the buffered records; the same run at
+        # record_every 1 and 3 flushes different blocks at different steps
+        params = UltraParams(n=2.5, p=5.0, beta=4.0)
+        z = plain_nodes(2.5, 48)
+        u0 = 1.0 + 0.08 * z + 0.04 * z**2
+        traces = [run_nonlinear_flow(u0, FlowConfig(kind="nonlinear", params=params, dt=1e-3,
+                                                    t_end=0.3, record_every=every))
+                  for every in (1, 3)]
+        every1, every3 = traces
+        shared = np.flatnonzero(np.isin(every1.times, every3.times))
+        # both runs flush more than one block (8192 // 96 = 85 records)
+        assert shared.size == every3.times.size > 8192 // refined_quadrature(params, 48).nodes.size
+        for name in ("u_min", "u_max", "grad_max"):
+            got, want = getattr(every1, name)[shared], getattr(every3, name)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), name
+        F1, F3 = every1.F_values[shared], every3.F_values
+        # measured: 4e-16 on grad_max, 0 on the extremes and 3.8e-14 of max|F| on F
+        assert np.max(np.abs(F1 - F3)) <= 1e-12 * np.max(np.abs(F3))
+
+    def test_recorder_calls_lyapunov_terms_once_per_record(self, monkeypatch):
+        # bench/spans.py counts a run's records as its lyapunov_terms calls
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return flows_lyapunov_terms(*args, **kw)
+
+        flows_lyapunov_terms = flows.lyapunov_terms
+        monkeypatch.setattr(flows, "lyapunov_terms", counted)
+        z = plain_nodes(4.0, 32)
+        for every in (1, 3):
+            calls.clear()
+            cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.05,
+                             record_every=every)
+            tr = run_nonlinear_flow(1.0 + 0.1 * z, cfg)
+            assert len(calls) == tr.times.size
 
 
 class TestEtdrk4Weights:
@@ -757,7 +796,7 @@ class TestPartialTraceAttachment:
         params = UltraParams(n=3.0, p=4.0, beta=2.0)
         cfg = FlowConfig(kind="nonlinear", params=params, lam=3.0)
         basis = get_regularized_basis(3.0, 0.0, 32)
-        return cfg, basis, _Recorder(cfg, basis)
+        return cfg, basis, _Recorder(cfg, basis, np.eye(basis.K + 1))
 
     def test_attaches_the_recorded_prefix(self):
         cfg, basis, rec = self.make_recorder()

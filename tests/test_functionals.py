@@ -7,6 +7,8 @@ checks lp_norm, fisher and deficit of a cubic at 1e-12 against the closed-form
 Beta moments of dnu_n, and against mpmath in theta = arccos z at non-integer p
 and for the log entropy of the p = 2 endpoint.
 """
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ultraflow import (
     spectral_derivative,
     thresholds,
 )
+from ultraflow.functionals import lyapunov_terms
 
 
 def rule(n, N=64):
@@ -445,3 +448,88 @@ class TestOracleLayer:
                 if p <= p_crit:
                     got = deficit(f, params, N=N).deficit
                     assert got == pytest.approx(deficits[p], rel=1e-12, abs=0), (N, p)
+
+
+class TestLyapunovTerms:
+    """``lyapunov_terms`` on values of u and u' handed in directly.
+
+    Off beta = 1 it forms (u^beta)' = beta u^beta u'/u; the oracle is mpmath.quad
+    in theta = arccos z at 30 digits, with dnu_n = sin^(n-1) theta d theta / Z_n and
+    1 - z^2 = sin^2 theta.  At beta = 1 it passes u and u' through.
+    """
+
+    F = TestOracleLayer.F
+
+    def oracle(self, n, p, beta):
+        """(fisher_beta, mass, entropy) of u = 1 + 0.3 z + 0.2 z^2 - 0.1 z^3."""
+        with mpmath.workdps(30):
+            n, p, beta = mpmath.mpf(n), mpmath.mpf(p), mpmath.mpf(beta)
+            f = [mpmath.mpf(x) for x in self.F]
+            fp = [k * c for k, c in enumerate(f)][1:]
+            Z = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n / 2) / mpmath.gamma((n + 1) / 2)
+
+            def integral(g):
+                density = lambda t: g(mpmath.cos(t)) * mpmath.sin(t) ** (n - 1)
+                return mpmath.quad(density, [0, mpmath.pi / 2, mpmath.pi]) / Z
+
+            u = lambda z: mpmath.polyval(f[::-1], z)
+            up = lambda z: mpmath.polyval(fp[::-1], z)
+            fb = integral(lambda z: (1 - z**2) * (beta * u(z) ** (beta - 1) * up(z)) ** 2)
+            mass = integral(lambda z: u(z) ** (beta * p))
+            l2 = integral(lambda z: u(z) ** (2 * beta))
+            return fb, mass, (mass ** (2 / p) - l2) / (p - 2)
+
+    @pytest.mark.parametrize("n, p, beta", [
+        (2.5, 5.0, 4.0), (4.0, 3.8, 1.9048), (3.0, 1.5, -0.5), (1.7, 3.0, 0.3),
+    ])
+    def test_off_unit_beta_against_mpmath(self, n, p, beta):
+        # measured worst 2.8e-16 relative on fisher_beta and mass, and 6.6e-14 on the
+        # entropy, a difference of near-equal norms
+        fine = refined_quadrature(UltraParams(n=n), 64)
+        z = fine.nodes
+        u = np.polyval(self.F[::-1], z)
+        up = np.polyval(np.polyder(self.F[::-1]), z)
+        F, mass, fb, entropy = lyapunov_terms(u, up, fine, UltraParams(n=n, p=p, beta=beta), 1.3)
+        want_fb, want_mass, want_entropy = (float(x) for x in self.oracle(n, p, beta))
+        assert fb == pytest.approx(want_fb, rel=1e-14, abs=0)
+        assert mass == pytest.approx(want_mass, rel=1e-14, abs=0)
+        assert entropy == pytest.approx(want_entropy, rel=1e-12, abs=0)
+        assert F == pytest.approx(fb - 1.3 * entropy, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0])
+    def test_unit_beta_keeps_the_two_pow_body_bit_for_bit(self, p):
+        # at beta = 1 the former body's u^1 and 1 u^0 u' are u and u' exactly,
+        # zeros included (deficit hands in |f|), so every output is unchanged
+        fine = refined_quadrature(UltraParams(n=3.0), 32)
+        z = fine.nodes
+        for u, up in ((np.abs(z - 0.3), np.sign(z - 0.3)), (np.abs(z - z[5]), np.sign(z - z[5])),
+                      (1.0 + 0.4 * z**2, 0.8 * z)):
+            params = UltraParams(n=3.0, p=p)
+            ub, ubp = u**1.0, 1.0 * u**0.0 * up
+            fb = float(fine.integrate(fine.rho2 * ubp**2))
+            g = ub**2
+            l2 = fine.integrate(g)
+            if p == 2:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    entropy = 0.5 * float(fine.integrate(np.where(g > 0, g * np.log(g / l2), 0.0)))
+                want = (float(fb - 3.0 * entropy), float(l2), fb, entropy)
+            else:
+                lpp = fine.integrate(ub**p)
+                lp2 = lpp ** (2.0 / p)
+                want = (float(fb + 3.0 / (p - 2.0) * (l2 - lp2)), float(lpp), fb,
+                        float((lp2 - l2) / (p - 2.0)))
+            assert lyapunov_terms(u, up, fine, params, 3.0) == want
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_deficit_of_a_function_with_zero_nodes_is_finite(self, p):
+        # f = 0 resamples to exact zeros on every refined node; |f| and f' pass
+        # through untouched, so no 0/0 and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = deficit(np.zeros(32), UltraParams(n=3.0, p=p))
+            fine = refined_quadrature(UltraParams(n=3.0), 32)
+            u = np.abs(fine.nodes - fine.nodes[7])
+            F, mass, fb, entropy = lyapunov_terms(u, np.sign(fine.nodes - fine.nodes[7]), fine,
+                                                  UltraParams(n=3.0, p=p), 3.0)
+        assert rep.deficit == rep.fisher == rep.entropy_term == 0.0
+        assert u[7] == 0.0 and np.isfinite([F, mass, fb, entropy]).all()
