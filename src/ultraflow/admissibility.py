@@ -38,12 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measure import DEFAULT_NODES, UltraParams, build_quadrature, refined_quadrature
+from .measure import DEFAULT_NODES, UltraParams, _critical_exponent, build_quadrature, refined_quadrature
 from .operators import _deformation, _points
 from .spectral import _nodal_derivatives, _require_positive
-
-# Relative tolerance declaring the discriminant a double root.
-_DEGENERATE_TOL = 1e-13
 
 
 def thresholds(n: float) -> tuple[float, float]:
@@ -56,8 +53,7 @@ def thresholds(n: float) -> tuple[float, float]:
     if not (n > 0 and math.isfinite(n)):
         raise DomainError(f"thresholds requires a finite n > 0, got {n}")
     p_sharp = math.inf if n == 1 else (2.0 * n * n + 1.0) / (n - 1.0) ** 2
-    p_crit = math.inf if n <= 2 else 2.0 * n / (n - 2.0)
-    return p_sharp, p_crit
+    return p_sharp, _critical_exponent(n)
 
 
 def abc(n: float, p: float) -> tuple[float, float, float]:
@@ -167,6 +163,12 @@ def _radicand(n: float, p: float) -> float:
     return n * (p - 1.0) * (2.0 * n - (n - 2.0) * p)
 
 
+def _discriminant(n: float, p: float) -> tuple[float, float, float, float]:
+    """(A, B, B^2 - A, tol) of delta, C = 1: within tol, 1e-13 relative, B^2 - A is a double root."""
+    A, B, _ = abc(n, p)
+    return A, B, B * B - A, 1e-13 * (1.0 + B * B + abs(A))
+
+
 def _beta_intervals(n: float, p: float) -> tuple[tuple[float, float], ...]:
     """{beta != 0 : delta(beta) <= 0} via the reciprocal substitution.
 
@@ -175,9 +177,7 @@ def _beta_intervals(n: float, p: float) -> tuple[tuple[float, float], ...]:
     at beta = 0 (s -> +-inf) is what splits the set in two when the
     s-interval straddles zero.
     """
-    A, B, _ = abc(n, p)
-    disc = B * B - A
-    scale = _DEGENERATE_TOL * (1.0 + B * B + abs(A))
+    _, B, disc, scale = _discriminant(n, p)
     if disc < -scale:
         return ()
     if disc <= scale:
@@ -203,9 +203,7 @@ def m_range(n: float, p: float) -> AdmissibleRange:
     if not (p > 1 and math.isfinite(p)):
         raise DomainError(f"m_range requires a finite p > 1, got {p}")
     p_sharp, p_crit = thresholds(n)
-    A, B, C = abc(n, p)
-    disc = B * B - A * C
-    scale = _DEGENERATE_TOL * (1.0 + B * B + abs(A * C))
+    A, B, disc, scale = _discriminant(n, p)
     rad = _radicand(n, p)
     if rad >= 0:
         root = math.sqrt(rad)
@@ -220,7 +218,7 @@ def m_range(n: float, p: float) -> AdmissibleRange:
         p_crit=p_crit,
         A=A,
         B=B,
-        C=C,
+        C=1.0,
         disc=disc,
         m_minus=m_minus,
         m_plus=m_plus,
@@ -229,6 +227,22 @@ def m_range(n: float, p: float) -> AdmissibleRange:
         degenerate=abs(disc) <= scale,
         constant_delta=abs(A) <= scale and abs(B) <= scale,
     )
+
+
+def _scaling_denominator(params: UltraParams) -> float:
+    """(n+2)m - n of the scaling constant 2/((n+2)m - n); DomainError at its pole, the excluded beta."""
+    den = (params.n + 2.0) * params.m - params.n
+    if abs(den) < 1e-12:
+        raise DomainError("beta sits on the excluded value (n+2)m = n of the exponent relation")
+    return den
+
+
+def _check_bounds(h0: float | None, h1: float | None) -> None:
+    """DomainError unless h0 < u < 1/h0 and |u'| <= h1 are bounds: 0 < h0 < 1, h1 > 0; None skips one."""
+    if h0 is not None and not 0 < h0 < 1:
+        raise DomainError(f"h0 must lie in (0, 1), got {h0}")
+    if h1 is not None and h1 <= 0:
+        raise DomainError(f"h1 must be positive, got {h1}")
 
 
 def beta_range(n: float, p: float) -> tuple[tuple[float, float], ...]:
@@ -315,12 +329,7 @@ def regularity_coeffs(z, params: UltraParams):
     disc_0 = -4 n^2 (1-m)(2-n(1-m))(1-z^2) / ((n+2)m - n)^2.
     """
     n, m = params.n, params.m
-    den = (n + 2.0) * m - n
-    if abs(den) < 1e-12:
-        raise DomainError(
-            "regularity_coeffs: (n+2)m = n puts the scaling constant on its pole; "
-            "this beta is the excluded value of the exponent relation"
-        )
+    den = _scaling_denominator(params)
     z, rho2 = _points(z)
     one_m = 1.0 - m
     a = -n * one_m * (2.0 - n * one_m) * rho2 / den**2
@@ -351,9 +360,6 @@ def lambda_eps(params: UltraParams, h0: float, h1: float) -> float:
             "lambda_eps needs non-integer n (n < ceil(n)); the integer case "
             "does not take a regularization correction"
         )
-    if not 0 < h0 < 1:
-        raise DomainError(f"h0 must lie in (0, 1), got {h0}")
-    if h1 <= 0:
-        raise DomainError(f"h1 must be positive, got {h1}")
+    _check_bounds(h0, h1)
     factor = params.beta * (params.p - 1.0) * h1 / ((n + 2.0) * h0)
     return float(n + eps * (n - d) * factor**2)

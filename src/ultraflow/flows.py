@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissibility import _qform, lambda_eps
+from .admissibility import _check_bounds, _qform, _scaling_denominator, lambda_eps
 from .errors import DomainError, PositivityError
 from .functionals import lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
@@ -115,17 +115,11 @@ class FlowConfig:
         if not (self.record_every >= 1 and float(self.record_every).is_integer()):
             raise DomainError(f"record_every must be an integer >= 1, got {self.record_every}")
         p = self.params
-        if self.kind == "heat":
-            if p.beta != 1.0:
-                raise DomainError("the heat flow runs at beta = 1; use the nonlinear kind otherwise")
-        else:
-            m = p.m
-            if m == 0:
-                raise DomainError("diffusion exponent m = 0 is degenerate")
-            if abs((p.n + 2.0) * m - p.n) < 1e-12:
-                raise DomainError(
-                    "beta sits on the excluded value (n+2)m = n of the exponent relation"
-                )
+        if self.kind == "heat" and p.beta != 1.0:
+            raise DomainError("the heat flow runs at beta = 1; use the nonlinear kind otherwise")
+        if p.m == 0:  # at beta = 1, m = 1 passes this and the next check
+            raise DomainError("diffusion exponent m = 0 is degenerate")
+        _scaling_denominator(p)  # DomainError on the excluded beta
         if self.kind != "regularized" and p.eps != 0:
             raise DomainError(f"the {self.kind} flow runs on the plain measure; eps must be 0")
         if self.kind == "regularized":
@@ -133,10 +127,7 @@ class FlowConfig:
                 raise DomainError("the regularized flow needs eps > 0")
             if p.n >= p.d:
                 raise DomainError("the regularized flow needs non-integer n (n < ceil(n))")
-        if self.h0 is not None and not 0 < self.h0 < 1:
-            raise DomainError(f"h0 must lie in (0, 1), got {self.h0}")
-        if self.h1 is not None and self.h1 <= 0:
-            raise DomainError(f"h1 must be positive, got {self.h1}")
+        _check_bounds(self.h0, self.h1)
 
 
 @dataclass(frozen=True)
@@ -248,17 +239,11 @@ class _Recorder:
         vv, vp, vpp = C @ basis.V.T, C @ basis.V1.T, (C @ basis.D.T) @ basis.V1.T
         r = 1.0 / (params.beta * params.p)
         # from the one power w = v^(r-1): u = w v, u' = r w v' and
-        # u'' = r(r-1) v^(r-2) v'^2 + r w v'' = (r-1) u' v' / v + r w v'', in place
+        # u'' = r(r-1) v^(r-2) v'^2 + r w v'' = (r-1) u' v' / v + r w v''
         w = vv ** (r - 1.0)
-        uu = w * vv
-        w *= r
-        up = vp * w
-        vpp *= w
-        vp *= up
-        vp /= vv
-        vp *= r - 1.0
-        upp = vpp
-        upp += vp
+        uu, rw = w * vv, w * r
+        up = vp * rw
+        upp = vpp * rw + vp * up / vv * (r - 1.0)
         F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
                                    for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
@@ -317,9 +302,7 @@ def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig
 
 def run_heat_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     """The heat flow (v = u^p linear): the m = 1 case of the Galerkin stepper."""
-    if cfg.kind != "heat":
-        raise DomainError(f"run_heat_flow needs kind='heat', got {cfg.kind!r}")
-    return _run_galerkin(u0, cfg)
+    return _run_galerkin(u0, cfg, "heat")
 
 
 def _etdrk4_weights(z: np.ndarray, h: float):
@@ -395,7 +378,10 @@ def _galerkin_stage(rule: Quadrature, V: np.ndarray, V1: np.ndarray, U: np.ndarr
     return stage
 
 
-def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
+def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
+    """The run of every ``run_<kind>_flow``; DomainError unless cfg.kind is ``kind``."""
+    if cfg.kind != kind:
+        raise DomainError(f"run_{kind}_flow needs kind={kind!r}, got {cfg.kind!r}")
     params = cfg.params
     basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
@@ -450,15 +436,9 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
 
 def run_nonlinear_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     """Weak-form integration of the nonlinear flow on the plain measure."""
-    if cfg.kind != "nonlinear":
-        raise DomainError(f"run_nonlinear_flow needs kind='nonlinear', got {cfg.kind!r}")
-    return _run_galerkin(u0, cfg)
+    return _run_galerkin(u0, cfg, "nonlinear")
 
 
 def run_regularized_flow(u0: GridFn, cfg: FlowConfig) -> FlowTrace:
     """Weak-form integration of the eps-flow, with bound monitoring."""
-    if cfg.kind != "regularized":
-        raise DomainError(
-            f"run_regularized_flow needs kind='regularized', got {cfg.kind!r}"
-        )
-    return _run_galerkin(u0, cfg)
+    return _run_galerkin(u0, cfg, "regularized")

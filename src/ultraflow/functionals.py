@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .measure import Quadrature, UltraParams
+from .measure import Quadrature, UltraParams, _critical_exponent
 from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
 
 
@@ -79,21 +79,6 @@ def fisher(f: GridFn, params: UltraParams) -> float:
     fine, _, c, _, fp, _ = resample(f, params, len(f))
     _warn_unresolved(c, "fisher")
     return float(fine.integrate(fine.rho2 * fp**2))
-
-
-def _check_p_range(n: float, p: float) -> None:
-    if n > 2:
-        p_crit = 2.0 * n / (n - 2.0)
-        if p > p_crit * (1.0 + 1e-12):
-            raise DomainError(f"p={p} exceeds the critical exponent {p_crit} for n={n}")
-
-
-def _check_plain(params: UltraParams, what: str) -> None:
-    if params.eps != 0 or params.beta != 1:
-        raise DomainError(
-            f"{what} is defined on the plain measure at beta = 1, "
-            f"got eps={params.eps}, beta={params.beta}"
-        )
 
 
 def deficit(
@@ -141,8 +126,11 @@ def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: st
     """The body of ``deficit`` and ``logsob_deficit`` (``what``).  Both call it directly,
     so its warnings, at stacklevel 4, name the line that called them."""
     n, p = params.n, params.p
-    _check_plain(params, what)
-    _check_p_range(n, p)
+    if params.eps != 0 or params.beta != 1:
+        raise DomainError(f"{what} is defined on the plain measure at beta = 1, got eps={params.eps}, "
+                          f"beta={params.beta}")
+    if p > _critical_exponent(n) * (1.0 + 1e-12):
+        raise DomainError(f"p={p} exceeds the critical exponent {_critical_exponent(n)} for n={n}")
     fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
     _warn_unresolved(c, "deficit", stacklevel=4)
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam, stacklevel=4)

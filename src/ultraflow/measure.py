@@ -45,15 +45,15 @@ Every rule carries rho^2 = 1 - z^2 at its nodes, and so zeta = rho^2 + eps,
 for integrands to read: 1 - nodes^2 on Gauss rules, sin^2 theta on the graded
 one, which keeps the digits that 1 - z^2 and 1 + eps - z^2 lose at +-1.
 
-Rules are memoized and shared read-only, 128 keys per layer: the
-Gauss-Jacobi base rule with its rho^2 per (N, a), a = (n-2)/2 for plain
-rules and a = 0 for the graded rule's Gauss-Legendre panels, few sizes per
-N since the panel edges pi/2^j do not depend on eps; the rule per (n, N)
-that ``build_quadrature`` returns after validation (p, beta and, beyond
-choosing d, eps do not enter it); and, 16 keys only, as many as the bases
-built on it, the graded rule and the stepping rule per (n, eps, N).  These
-caches are the only memo: a rule rebuilt after its entry is dropped is a
-new object with the same arrays, and no code compares rules by identity.
+Rules are memoized and shared read-only: 128 keys of the Gauss rule per
+(n, N) that ``build_quadrature`` returns after validation (p, beta and,
+beyond choosing d, eps do not enter it), whose n = 2 rules are the graded
+rule's Gauss-Legendre panels, few sizes per N since the panel edges pi/2^j
+do not depend on eps; and, 16 keys only, as many as the bases built on it,
+the graded rule and the stepping rule per (n, eps, N).  These caches are
+the only memo: a rule rebuilt after its entry is dropped is a new object
+with the same arrays, and no code compares rules by identity.  Warnings
+are not memoized: each ``build_quadrature`` call gives its own.
 
 Gauss-Jacobi rules come from ``gauss_jacobi``, with numpy alone.  At
 a = -1/2 and 1/2 it takes Chebyshev's closed forms: nodes cos((2k-1) pi/2N)
@@ -73,7 +73,7 @@ a in {-0.35, 0.25, 1}: 0.14-0.22 ms at N = 64 and 0.33-0.47 ms at N = 128,
 against 0.19-0.26 and 0.57-0.73 ms for ``scipy.special.roots_jacobi`` on the
 same 2-core x86-64 host; a closed form takes under 0.01 ms.  For the
 11- to 212-node Gauss-Legendre panels (a = 0) of the graded rule at N = 64
-and 128: nodes within 8.0e-17 and weights within 7.3e-14 (relative) of
+and 128: nodes within 1.1e-16 and weights within 7.3e-14 (relative) of
 30-digit mpmath, where numpy's ``leggauss`` misses the weights by 8.9e-12.
 """
 from __future__ import annotations
@@ -205,6 +205,11 @@ def normalization_constant(n: float) -> float:
     return math.sqrt(math.pi) * math.gamma(n / 2.0) / math.gamma((n + 1) / 2.0)
 
 
+def _critical_exponent(n: float) -> float:
+    """The Sobolev endpoint 2n/(n-2) of p on dnu_n, +inf for n <= 2."""
+    return math.inf if n <= 2 else 2.0 * n / (n - 2.0)
+
+
 def build_quadrature(
     params: UltraParams, N: int = DEFAULT_NODES, kind: str | None = None
 ) -> Quadrature:
@@ -226,14 +231,18 @@ def build_quadrature(
     rules meet every even moment they integrate exactly,
     B(k + 1/2, a + 1) / B(1/2, a + 1) with a = (n-2)/2 and k < N, within
     8.0e-14 for N <= 256 and n in [1e-3, 12], and ``fisher(z)`` = n/(n+1)
-    within 1.2e-14 (measured; module docstring).
+    within 1.2e-14 (measured; module docstring).  Below ``gauss_jacobi``'s
+    threshold every call warns, at the caller's line, cached rule or not.
     """
     echo = "regularized" if params.eps > 0 else "plain"
     if kind not in (None, echo):
         raise DomainError(f"kind={kind!r} contradicts eps={params.eps}, whose echo is {echo!r}; kind selects no rule")
     if N < 2:
         raise DomainError(f"need at least 2 nodes, got N={N}")
-    return _rule(float(params.d if params.eps else params.n), N)
+    n = float(params.d if params.eps else params.n)
+    rule = _rule(n, N)
+    _warn_small_n(N, (n - 2.0) / 2.0)
+    return rule
 
 
 def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +260,16 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     N = 256, 6.7e-19 at 384 and 1.6e-18 at 512, the most up to 1024: faster
     than N^4.  Above the threshold (34 sizes from 16 to 1024, n up to 30 times
     it) no miss exceeds 7.9e-13.  Past N = 1024, s stays 4 (the worst n / N^4
-    at 2048 is 1.7e-18).  Each build warns; ``build_quadrature`` memoizes
-    rules, so a repeated key warns once.
+    at 2048 is 1.7e-18).  Each call warns, at the caller's line, as does
+    each ``build_quadrature`` call of such a rule.
     """
+    rule = _gauss_jacobi(N, a)
+    _warn_small_n(N, a)
+    return rule
+
+
+def _gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gauss_jacobi`` without its warning, which the rule cache's callers give on every call."""
     if not a > -1.0:
         raise DomainError(f"the Gauss rule of (1 - z^2)^a needs a > -1, got {a} (on the plain "
                           "measure, n below 1.1e-16 rounds a = (n - 2)/2 to -1)")
@@ -263,16 +279,19 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     if a == 0.5:
         w = np.sin(k * (math.pi / (N + 1))) ** 2
         return np.cos(k * (math.pi / (N + 1))), w / w.sum()
-    rule = _golub_welsch(N, a)
-    if a + 1.0 < 1.8e-19 * N**4 * max(1.0, min(N, 1024) / 256) ** 3:
+    return _golub_welsch(N, a)
+
+
+def _warn_small_n(N: int, a: float) -> None:
+    """``gauss_jacobi``'s warning (none on a closed form) at the line that called it or ``build_quadrature``."""
+    if abs(a) != 0.5 and a + 1.0 < 1.8e-19 * N**4 * max(1.0, min(N, 1024) / 256) ** 3:
         warnings.warn(
             f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure of "
             f"n = {2.0 * a + 2.0:.3g}) is below the measured threshold of gauss_jacobi: its moments "
             "can miss by more than 1e-12; use fewer nodes",
             AccuracyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return rule
 
 
 def _golub_welsch(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -343,19 +362,10 @@ def _mirror(x: np.ndarray, w: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarra
 
 
 @lru_cache(maxsize=128)
-def _base_rule(N: int, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only nodes, weights and 1 - nodes^2 of the N-point Gauss-Jacobi rule (a, a)."""
-    nodes, w = gauss_jacobi(N, a)
-    rule = nodes, w, 1.0 - nodes**2
-    for x in rule:
-        x.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=128)
 def _rule(n: float, N: int) -> Quadrature:
-    nodes, w, rho2 = _base_rule(N, (n - 2.0) / 2.0)
-    return Quadrature(nodes=nodes, weights=w / w.sum(), n=n, rho2=rho2)
+    """The N-point Gauss rule of dnu_n, read-only; at n = 2 Gauss-Legendre, the graded rule's panels."""
+    nodes, w = _gauss_jacobi(N, (n - 2.0) / 2.0)
+    return Quadrature(nodes=nodes, weights=w / w.sum(), n=n, rho2=1.0 - nodes**2)
 
 
 @lru_cache(maxsize=16)
@@ -370,9 +380,9 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     for lo, hi in zip(edges, edges[1:]):
         # 2N (hi - lo) nodes resolve cos(k theta), k < 4N; 10 more resolve the
         # weight, whose branch points lie about a panel width away
-        x, wx, _ = _base_rule(10 + math.ceil(2 * N * (hi - lo)), 0.0)  # Gauss-Legendre
-        theta.append(lo + (hi - lo) * (x + 1) / 2)
-        w.append(wx * (hi - lo))
+        panel = _rule(2.0, 10 + math.ceil(2 * N * (hi - lo)))  # Gauss-Legendre
+        theta.append(lo + (hi - lo) * (panel.nodes + 1) / 2)
+        w.append(panel.weights * (hi - lo))
     theta, w = np.concatenate(theta), np.concatenate(w)
     s2 = np.sin(theta) ** 2
     w = w * np.sin(theta) ** (d - 1) * (s2 + eps) ** ((n - d) / 2)
@@ -422,7 +432,6 @@ def _stieltjes(q: Quadrature, K: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _stepping_rule(params: UltraParams, N: int) -> Quadrature:
     """The 2N-node Gauss rule of the measure of ``params``, good to degree 4N-1: the
-    refined rule itself where eps = 0 or n = d, else ``_regularized_gauss_rule``."""
-    if params.eps == 0 or params.n == params.d:
-        return refined_quadrature(params, N)
-    return _regularized_gauss_rule(float(params.n), float(params.eps), N)
+    refined rule itself where that is a Gauss rule (eps = 0 or n = d), else ``_regularized_gauss_rule``."""
+    fine = refined_quadrature(params, N)
+    return _regularized_gauss_rule(fine.n, fine.eps, N) if fine.eps else fine

@@ -261,7 +261,8 @@ def resample(u: GridFn, params: UltraParams, N: int):
     interpolant with its first two derivatives at ``fine.nodes``.  The
     values equal ``basis.synthesize``, ``basis.derivative_values`` and
     ``basis.second_derivative_values`` at those nodes, bit for bit.  A
-    sample that is not finite raises ``DomainError``.
+    sample that is not finite raises ``DomainError``.  Rules below
+    ``gauss_jacobi``'s threshold warn only when the key changes (one is kept), not per call.
     """
     return _resample(_finite(u), params, N)
 

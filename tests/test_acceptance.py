@@ -75,7 +75,7 @@ def verdict(num: int, ok: bool, summary: str) -> None:
 
 
 def nodes_of(n: float, N: int = 64) -> np.ndarray:
-    return build_quadrature(UltraParams(n=n), N, kind="plain").nodes
+    return build_quadrature(UltraParams(n=n), N).nodes
 
 
 def neumann_free_exponent(seed: int, degree: int = 6) -> Polynomial:
@@ -196,7 +196,7 @@ def test_03_operator_eigenrelation_and_integration_by_parts():
     worst_ibp = 0.0
     rng = np.random.default_rng(303)
     for n in (0.5, 1.7, 3.0, 4.2):
-        q = build_quadrature(UltraParams(n=n), 64, kind="plain")
+        q = build_quadrature(UltraParams(n=n), 64)
         basis = get_basis(n, 64)
         for k in range(21):
             c = np.zeros(basis.K + 1)
@@ -467,7 +467,7 @@ def test_09_regularized_flow_bounds_and_derivative():
     lam = lambda_eps(params, h0, h1)
     problems = []
 
-    q = build_quadrature(params, 64, kind="regularized")
+    q = build_quadrature(params, 64)
     cfg = FlowConfig(kind="regularized", params=params, dt=1e-3, t_end=0.5,
                      record_every=50, lam=lam, h0=h0, h1=h1)
     tr = run_regularized_flow(1.0 + 0.1 * q.nodes, cfg)
@@ -481,7 +481,7 @@ def test_09_regularized_flow_bounds_and_derivative():
         problems.append("F not non-increasing under lambda_eps")
 
     # derivative matching needs the finer 128-node basis (see module notes)
-    q128 = build_quadrature(params, 128, kind="regularized")
+    q128 = build_quadrature(params, 128)
     cfg_short = FlowConfig(kind="regularized", params=params, dt=3e-5,
                            t_end=0.01, record_every=1, lam=lam, h0=h0, h1=h1)
     trs = run_regularized_flow(1.0 + 0.1 * q128.nodes, cfg_short)

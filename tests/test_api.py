@@ -4,8 +4,11 @@ eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional and its p = 2 limit, the log entropy, in
 ``functionals.lyapunov_terms``, and the Stieltjes
-pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another keeps
-``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
+pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another
+keeps each domain fact of the parameters in one private owner: the
+critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
+h0 and h1, the discriminant B^2 - A and the small-n threshold of the Gauss
+rules; another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module's imports to the standard library and numpy
 without numpy.polynomial, another every ``functools`` cache to an
 ``lru_cache`` of integer size, with no ``weakref`` registry beside them, and
@@ -20,8 +23,9 @@ import sys
 from pathlib import Path
 
 import ultraflow
+from ultraflow.admissibility import _check_bounds, _discriminant, _scaling_denominator
 from ultraflow.functionals import lyapunov_terms
-from ultraflow.measure import _stieltjes
+from ultraflow.measure import _critical_exponent, _stieltjes, _warn_small_n
 from ultraflow.operators import _deformation, _points
 
 PUBLIC_NAMES = [
@@ -94,6 +98,25 @@ def test_stieltjes_pass_has_one_owner():
         assert not re.search(norm, rest), path.name
 
 
+def test_parameter_domain_facts_have_one_owner():
+    # each fact is formed or checked only in its owner (code spellings: the
+    # docstrings write 2n/(n-2), (n+2)m and B^2); every other module calls it
+    owners = {
+        r"2(\.0)? \* n / \(n - 2": _critical_exponent,
+        r"\(\s*(\w+\.)?n \+ 2(\.0)?\s*\)\s*\*\s*(\w+\.)?m\b": _scaling_denominator,
+        r"0 < (\w+\.)?h0 < 1|(\w+\.)?h1 <= 0": _check_bounds,
+        r"\bB \* B - A\b": _discriminant,
+        r"1\.8e-19": _warn_small_n,
+    }
+    for pattern, owner in owners.items():
+        source = inspect.getsource(owner)
+        assert re.search(pattern, source), pattern
+        for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+            rest = path.read_text().replace(source, "")
+            code = re.sub(r'"""[\s\S]*?"""', "", rest)  # the docstrings may cite the fact
+            assert not re.search(pattern, code), (pattern, path.name)
+
+
 def test_every_rule_integrates_the_measure_it_echoes():
     # a rule is chosen by (n, eps, N) alone: no call passes the kind echo to
     # build_quadrature, and no Quadrature subclass carries weights that do not
@@ -154,7 +177,7 @@ def test_every_cache_is_a_bounded_lru_cache():
                 assert len(sizes) == 1 and isinstance(sizes[0], ast.Constant), (path.name, node.lineno)
                 assert type(sizes[0].value) is int, (path.name, node.lineno, sizes[0].value)
                 caches += 1
-    assert caches == 8  # measure 4, spectral 3, identities 1
+    assert caches == 7  # measure 3, spectral 3, identities 1
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():

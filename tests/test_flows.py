@@ -53,7 +53,7 @@ from ultraflow.spectral import eigenvalue, get_regularized_basis
 
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
-    return build_quadrature(UltraParams(n=n), N, kind="plain").nodes
+    return build_quadrature(UltraParams(n=n), N).nodes
 
 
 def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
@@ -687,7 +687,7 @@ class TestRegularizedFlow:
     PARAMS = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)
 
     def datum(self, N=64):
-        q = build_quadrature(self.PARAMS, N, kind="regularized")
+        q = build_quadrature(self.PARAMS, N)
         return 1.0 + 0.1 * q.nodes
 
     def test_wrong_kind_rejected(self):
@@ -764,7 +764,7 @@ class TestClosedFormDerivative:
     def test_unset_lambda_resolves_as_the_regularized_run(self):
         # lam = None is lambda_eps (2.49991 here), not n, as in the run itself
         params = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)
-        u0 = 1.0 + 0.1 * build_quadrature(params, 64, kind="regularized").nodes
+        u0 = 1.0 + 0.1 * build_quadrature(params, 64).nodes
         cfg = FlowConfig(kind="regularized", params=params, dt=1e-3, t_end=1e-3)
         want = run_regularized_flow(u0, cfg).dF_closed[0]
         assert dF_dt_closed_form(u0, cfg) == pytest.approx(want, rel=1e-12)

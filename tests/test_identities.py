@@ -226,7 +226,7 @@ class TestRegularizedIdentities:
         # break the identity; verify the correction is nonzero
         from ultraflow import build_quadrature, refined_quadrature, interpolation_basis
 
-        q = build_quadrature(p, 64, kind="regularized")
+        q = build_quadrature(p, 64)
         fine = refined_quadrature(p, 64)
         basis = interpolation_basis(q)
         c = basis.analyze(u)

@@ -317,6 +317,14 @@ class TestGaussJacobi:
                 want = mpmath.beta(k + 0.5, a + 1) / mpmath.beta(0.5, a + 1)
                 assert abs(np.dot(w, nodes ** (2 * k)) - float(want)) < 1e-12, k
 
+    def test_small_n_warns_on_every_build_quadrature_call(self):
+        # the rule is memoized, its warning is not: a fresh build and a cached
+        # repeat each warn once, at the caller's line
+        for _ in range(2):
+            with pytest.warns(AccuracyWarning, match="256-node") as record:
+                build_quadrature(UltraParams(n=1.25e-9), 256)
+            assert [w.filename for w in record] == [__file__]
+
     def test_small_n_warns_at_512_nodes(self):
         # measured: this rule misses an even moment by 3.2e-12 and used to build
         # silently, since n / N^4 = 2.2e-19 lay above the old threshold 2e-19;
@@ -388,26 +396,26 @@ class TestRuleCache:
             build_quadrature(UltraParams(n=2.7), 20, kind="regularized")
 
     def test_graded_rule_is_not_a_folded_gauss_jacobi_rule(self, monkeypatch):
-        # its panels are Gauss-Legendre (a = 0), never the base rule of (d - 2)/2;
-        # the base-rule cache is left warm, as other tests pin its shared arrays
-        calls, build = [], measure._base_rule
+        # its panels are the Gauss-Legendre rules (n = 2, a = 0), never the rule of d;
+        # the rule cache is left warm, as other tests pin its shared arrays
+        calls, build = [], measure._rule
 
-        def counting(N, a):
-            calls.append((N, a))
-            return build(N, a)
+        def counting(n, N):
+            calls.append((n, N))
+            return build(n, N)
 
-        monkeypatch.setattr(measure, "_base_rule", counting)
+        monkeypatch.setattr(measure, "_rule", counting)
         measure._graded_rule.cache_clear()
         for n, eps in [(2.5, 1e-6), (2.2, 4e-6), (0.300001, 1e-8)]:
             refined_quadrature(UltraParams(n=n, eps=eps), 64)
-        assert calls and {a for _, a in calls} == {0.0}
-        assert {N for N, _ in calls} <= PANEL_SIZES
+        assert calls and {n for n, _ in calls} == {2.0}
+        assert {N for _, N in calls} <= PANEL_SIZES
 
     def test_regularized_rule_shares_nodes_with_plain_rule_of_d(self):
         for N in (16, 64):
             assert build_quadrature(UltraParams(n=2.5, eps=1e-2), N) is build_quadrature(UltraParams(n=3.0), N)
+        assert build_quadrature(UltraParams(n=2.5, eps=1e-2), 64).n == 3.0
         # kind is a checked echo of eps; it selects no rule
-        assert build_quadrature(UltraParams(n=2.5, eps=1e-2), 64, kind="regularized").n == 3.0
         for params, kind in [(UltraParams(n=2.5, eps=1e-2), "plain"), (UltraParams(n=3.0), "regularized"),
                              (UltraParams(n=3.0, eps=1e-2), "fancy")]:
             with pytest.raises(DomainError, match="contradicts"):
@@ -422,7 +430,9 @@ class TestRuleCache:
             np.testing.assert_array_equal(getattr(basis_rule, name), getattr(q, name))
         assert q.eps == eps and q.order == q.nodes.size
         assert not q.nodes.flags.writeable and not q.weights.flags.writeable
-        assert not any(a.flags.writeable for a in measure._base_rule(11, 0.0))  # shared panel rule
+        panel = measure._rule(2.0, 11)  # a shared panel rule
+        assert (panel.n, panel.eps) == (2.0, 0.0)
+        assert not any(a.flags.writeable for a in (panel.nodes, panel.weights, panel.rho2))
         assert np.all(np.diff(q.nodes) > 0) and np.all(np.abs(q.nodes) < 1.0)
         np.testing.assert_array_equal(q.nodes, -q.nodes[::-1])
 
@@ -454,8 +464,9 @@ PANEL_SIZES = {10 + math.ceil(2 * N * math.pi / 2**j) for N in (64, 128) for j i
 
 @pytest.mark.parametrize("m", sorted(PANEL_SIZES))
 def test_panel_rule_against_mpmath(m):
-    # measured: nodes within 8.0e-17, weights within 7.3e-14 relative (m = 212)
-    x, w, _ = measure._base_rule(m, 0.0)
+    # measured: nodes within 1.1e-16, weights within 7.3e-14 relative (m = 212)
+    panel = measure._rule(2.0, m)
+    x, w = panel.nodes, panel.weights
     want_x, want_w = legendre_oracle(m)
     np.testing.assert_allclose(x, want_x, rtol=0, atol=2e-16)
     np.testing.assert_allclose(2.0 * w, want_w, rtol=2e-13, atol=0)
