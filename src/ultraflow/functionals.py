@@ -168,30 +168,37 @@ def lyapunov_terms(
     ``stacklevel`` frames up (3: the line that called its caller).  The one body of F, for
     the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
     Off beta = 1, w' = beta w u'/u needs u > 0, as the flows and ``lyapunov_F`` ensure.
+    u and u' are 1-D float arrays at the nodes of ``fine``, and each integral is one
+    ``weights.dot`` with Python-float scalars: the recorder calls it once per record.
     """
     beta, p = params.beta, params.p
-    if 0 < abs(p - 2.0) < 1e-2:
-        warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
-                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=stacklevel)
+    _warn_near_two(p, stacklevel)
+    w = fine.weights  # the integrals are weight dot products of 1-D node values
     if beta == 1:  # u and u' as they are: deficit's |f| may be 0 at a node
         ub, ubp = u, up
-    else:  # (u^beta)' = beta u^beta u'/u: one pow
+    else:  # (u^beta)' = beta u^beta u'/u: one pow, beta^2 taken out of the integral
         ub = u**beta
-        ubp = beta * ub * up / u
-    fisher_beta = float(fine.integrate(fine.rho2 * ubp**2))
+        ubp = ub * up / u
+    fisher_beta = beta * beta * float(w.dot(fine.rho2 * ubp**2))
     g = ub**2
-    l2 = fine.integrate(g)
+    l2 = float(w.dot(g))
     if p == 2:
         if l2 <= 0:
             raise DomainError("the entropy at p = 2 requires a nonzero function")
         with np.errstate(divide="ignore", invalid="ignore"):
-            entropy = 0.5 * float(fine.integrate(np.where(g > 0, g * np.log(g / l2), 0.0)))
-        return float(fisher_beta - lam * entropy), float(l2), fisher_beta, entropy
-    lpp = fine.integrate(ub**p)
+            entropy = 0.5 * float(w.dot(np.where(g > 0, g * np.log(g / l2), 0.0)))
+        return float(fisher_beta - lam * entropy), l2, fisher_beta, entropy
+    lpp = float(w.dot(ub**p))  # the mass: int u^(beta p) = int (u^beta)^p
     lp2 = lpp ** (2.0 / p)
-    F = fisher_beta + lam / (p - 2.0) * (l2 - lp2)
-    mass = float(lpp)  # int u^(beta p) = int (u^beta)^p
-    return float(F), mass, fisher_beta, float((lp2 - l2) / (p - 2.0))
+    return float(fisher_beta + lam / (p - 2.0) * (l2 - lp2)), lpp, fisher_beta, (lp2 - l2) / (p - 2.0)
+
+
+def _warn_near_two(p: float, stacklevel: int) -> None:
+    """``lyapunov_terms``' AccuracyWarning where 0 < |p - 2| < 1e-2, ``stacklevel`` frames up
+    from the line that called this, as if that line had warned."""
+    if 0 < abs(p - 2.0) < 1e-2:
+        warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
+                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=stacklevel + 1)
 
 
 def lyapunov_F(

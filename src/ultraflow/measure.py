@@ -79,6 +79,7 @@ and 128: nodes within 1.1e-16 and weights within 7.3e-14 (relative) of
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -180,15 +181,18 @@ class Quadrature:
         """Integrate a function given by its values at ``nodes``.
 
         The last axis runs over the nodes.  A 1-D array gives a float; an
-        (..., N) block gives the (...) array of its rows' integrals.
+        (..., N) block gives the (...) array of its rows' integrals.  Values
+        are taken as float64.  An array of the nodes' shape, tested first, is
+        one ``weights.dot``, bit for bit ``float(weights.dot(values))``; any
+        other shape must end in the node count, else ``ShapeError``.
         """
         values = np.asarray(values, dtype=float)
+        if values.shape == self.nodes.shape:
+            return float(self.weights.dot(values))
         if values.shape[-1:] != self.nodes.shape:
             raise ShapeError(
                 f"expected {self.nodes.shape[0]} node values, got shape {values.shape}"
             )
-        if values.ndim == 1:
-            return float(np.dot(self.weights, values))
         return values @ self.weights
 
     def __repr__(self):  # keep array dumps out of error messages
@@ -261,7 +265,9 @@ def gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     than N^4.  Above the threshold (34 sizes from 16 to 1024, n up to 30 times
     it) no miss exceeds 7.9e-13.  Past N = 1024, s stays 4 (the worst n / N^4
     at 2048 is 1.7e-18).  Each call warns, at the caller's line, as does
-    each ``build_quadrature`` call of such a rule.
+    each ``build_quadrature`` call of such a rule; a rule built inside the package
+    (``refined_quadrature``, ``get_basis``, ``resample``) warns at the innermost line
+    outside it.
     """
     rule = _gauss_jacobi(N, a)
     _warn_small_n(N, a)
@@ -283,14 +289,18 @@ def _gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warn_small_n(N: int, a: float) -> None:
-    """``gauss_jacobi``'s warning (none on a closed form) at the line that called it or ``build_quadrature``."""
+    """``gauss_jacobi``'s warning (none on a closed form), at the innermost line outside the
+    package: the line that called ``gauss_jacobi``, ``build_quadrature`` or whatever built the rule."""
     if abs(a) != 0.5 and a + 1.0 < 1.8e-19 * N**4 * max(1.0, min(N, 1024) / 256) ** 3:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure of "
             f"n = {2.0 * a + 2.0:.3g}) is below the measured threshold of gauss_jacobi: its moments "
             "can miss by more than 1e-12; use fewer nodes",
             AccuracyWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -422,11 +432,11 @@ def _stieltjes(q: Quadrature, K: int) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.zeros(K + 1), np.zeros(K + 1)
     prev, p = np.zeros_like(z), np.full_like(z, 1.0 / np.sqrt(w.sum()))
     for k in range(K):
-        a[k] = np.dot(w, z * p**2)
+        a[k] = w.dot(z * p**2)
         prev, p = p, (z - a[k]) * p - b[k] * prev
-        b[k + 1] = np.sqrt(np.dot(w, p * p))
+        b[k + 1] = math.sqrt(w.dot(p * p))
         p /= b[k + 1]
-    a[K] = np.dot(w, z * p**2)
+    a[K] = w.dot(z * p**2)
     return a, b
 
 

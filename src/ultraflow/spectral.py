@@ -243,8 +243,12 @@ def interpolation_basis(q: Quadrature) -> OrthoBasis:
 @lru_cache(maxsize=1)  # most recent key only; see the module docstring
 def _discretization(n: float, eps: float, N: int) -> tuple:
     params = UltraParams(n=n, eps=eps)
-    basis = interpolation_basis(build_quadrature(params, N))
+    # the one small-n warning of a key: the 2N-node refined rule warns wherever the
+    # N-node sample rule would, since the threshold grows with N
     fine = refined_quadrature(params, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        basis = interpolation_basis(build_quadrature(params, N))
     V, V1 = basis._tables(fine.nodes, 1)
     V.setflags(write=False)
     V1.setflags(write=False)
@@ -261,8 +265,9 @@ def resample(u: GridFn, params: UltraParams, N: int):
     interpolant with its first two derivatives at ``fine.nodes``.  The
     values equal ``basis.synthesize``, ``basis.derivative_values`` and
     ``basis.second_derivative_values`` at those nodes, bit for bit.  A
-    sample that is not finite raises ``DomainError``.  Rules below
-    ``gauss_jacobi``'s threshold warn only when the key changes (one is kept), not per call.
+    sample that is not finite raises ``DomainError``.  A key whose rules lie
+    below ``gauss_jacobi``'s threshold warns once, at the caller's line, when the key
+    changes (one is kept), not per call.
     """
     return _resample(_finite(u), params, N)
 
@@ -332,9 +337,9 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
 def _warn_unresolved(c: np.ndarray, what: str, stacklevel: int = 3) -> None:
     """``AccuracyWarning`` at the caller's caller (``stacklevel`` 3) when the top two modes
     of ``c`` carry more than ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
-    total = float(np.dot(c, c))
+    total = float(c.dot(c))
     if total > 0:
-        tail = float(np.dot(c[-2:], c[-2:])) / total
+        tail = float(c[-2:].dot(c[-2:])) / total
         if tail > TAIL_WARN_FRACTION:
             warnings.warn(
                 f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; "

@@ -9,7 +9,8 @@ keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
 h0 and h1, the discriminant B^2 - A and the small-n threshold of the Gauss
 rules; another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
-subclasses, another every module's imports to the standard library and numpy
+subclasses, another every module free of ``np.dot`` calls (``ndarray.dot`` is the same
+routine without the dispatcher), another every module's imports to the standard library and numpy
 without numpy.polynomial, another every ``functools`` cache to an
 ``lru_cache`` of integer size, with no ``weakref`` registry beside them, and
 a fresh interpreter checks that ``import ultraflow.cli`` loads no part of
@@ -88,9 +89,9 @@ def test_entropy_bracket_has_one_owner():
 def test_stieltjes_pass_has_one_owner():
     # recurrence coefficients are formed from a rule only in measure._stieltjes,
     # which every basis and the stepping rule share: the discrete inner product
-    # b_{k+1}^2 = <q, q> against the weights w, spelled np.dot(w, q * q), is
-    # taken nowhere else (under np.sqrt or not)
-    norm = r"dot\(\s*w\s*,\s*([][\w.]+)\s*\*\s*\1\b"
+    # b_{k+1}^2 = <q, q> against the weights w, spelled w.dot(q * q) or
+    # np.dot(w, q * q), is taken nowhere else (under a square root or not)
+    norm = r"(?:\bw\.dot\(|dot\(\s*w\s*,)\s*([][\w.]+)\s*\*\s*\1\b"
     owner = inspect.getsource(_stieltjes)
     assert re.search(norm, owner)
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
@@ -129,6 +130,18 @@ def test_every_rule_integrates_the_measure_it_echoes():
             if isinstance(node, ast.ClassDef):
                 bases = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
                 assert "Quadrature" not in bases, (path.name, node.name)
+
+
+def test_no_module_calls_np_dot():
+    # ndarray.dot is the C routine of np.dot without its Python-level
+    # dispatcher, so the same bits for about 0.25 µs less a call; the stage
+    # products and the integrals run tens of thousands of times a flow
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert f"{node.value.id}.{node.attr}" not in ("np.dot", "numpy.dot"), (path.name, node.lineno)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert "dot" not in {alias.name for alias in node.names}, (path.name, node.lineno)
 
 
 def test_no_module_imports_numpy_polynomial_or_scipy():

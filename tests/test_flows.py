@@ -33,7 +33,7 @@ import pytest
 
 import ultraflow.flows as flows
 from ultraflow.admissibility import lambda_eps
-from ultraflow.errors import DomainError, PositivityError
+from ultraflow.errors import AccuracyWarning, DomainError, PositivityError
 from ultraflow.flows import (
     _BOUND_TOL,
     FlowConfig,
@@ -635,23 +635,56 @@ class TestGalerkinStepper:
         # measured: 4e-16 on grad_max, 0 on the extremes and 3.8e-14 of max|F| on F
         assert np.max(np.abs(F1 - F3)) <= 1e-12 * np.max(np.abs(F3))
 
-    def test_recorder_calls_lyapunov_terms_once_per_record(self, monkeypatch):
-        # bench/spans.py counts a run's records as its lyapunov_terms calls
-        calls = []
+    @staticmethod
+    def _counted_lyapunov_terms(monkeypatch) -> list:
+        """A list that gains an entry per ``flows.lyapunov_terms`` call from now on."""
+        calls, wrapped = [], flows.lyapunov_terms
 
         def counted(*args, **kw):
             calls.append(1)
-            return flows_lyapunov_terms(*args, **kw)
+            return wrapped(*args, **kw)
 
-        flows_lyapunov_terms = flows.lyapunov_terms
         monkeypatch.setattr(flows, "lyapunov_terms", counted)
-        z = plain_nodes(4.0, 32)
-        for every in (1, 3):
-            calls.clear()
-            cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.05,
-                             record_every=every)
-            tr = run_nonlinear_flow(1.0 + 0.1 * z, cfg)
-            assert len(calls) == tr.times.size
+        return calls
+
+    def test_recorder_calls_lyapunov_terms_once_per_record(self, monkeypatch):
+        # the benchmark's span reader (bench/spans.py) counts a run's records as its
+        # lyapunov_terms calls, so one call per block of records must wait until
+        # that reader takes the count from FlowTrace.times
+        calls = self._counted_lyapunov_terms(monkeypatch)
+        runs = {"heat": (run_heat_flow, UltraParams(n=4.0, p=3.0)),
+                "nonlinear": (run_nonlinear_flow, self.NONLINEAR),
+                "regularized": (run_regularized_flow, TestRegularizedFlow.PARAMS)}
+        for kind, (run, params) in runs.items():
+            z = build_quadrature(params, 32).nodes
+            for every in (1, 50):
+                calls.clear()
+                cfg = FlowConfig(kind=kind, params=params, dt=1e-3, t_end=0.12, record_every=every)
+                tr = run(1.0 + 0.1 * z, cfg)
+                assert len(calls) == tr.times.size > 1, (kind, every)
+
+    def test_partial_trace_calls_lyapunov_terms_once_per_record(self, monkeypatch):
+        # the four records before a positivity failure at the fourth step's end
+        calls = self._counted_lyapunov_terms(monkeypatch)
+        cfg = FlowConfig(kind="nonlinear", params=self.NONLINEAR, dt=1e-3, t_end=0.01,
+                         record_every=1)
+        err = self._positivity_error(monkeypatch, cfg, 1 + 4 * 3 + 4)
+        assert len(calls) == err.partial.times.size == 4
+
+    @pytest.mark.parametrize("kind, run, params", [
+        ("heat", run_heat_flow, UltraParams(n=3.0, p=2.005)),
+        ("nonlinear", run_nonlinear_flow, UltraParams(n=3.0, p=2.005, beta=1.5)),
+    ])
+    def test_near_two_warns_once_per_run_at_the_caller(self, kind, run, params):
+        # lyapunov_terms warns within 1e-2 of p = 2; a run of 21 records gives
+        # that warning once, naming this line, not once per record
+        cfg = FlowConfig(kind=kind, params=params, dt=1e-3, t_end=0.02, record_every=1)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            tr = run(1.0 + 0.1 * plain_nodes(3.0, 32), cfg)
+        assert tr.times.size == 21
+        assert [(w.category, w.filename) for w in record] == [(AccuracyWarning, __file__)]
+        assert "within 1e-2 of 2" in str(record[0].message)
 
 
 class TestEtdrk4Weights:

@@ -36,6 +36,7 @@ from ultraflow import (
     lyapunov_F,
     normalization_constant,
     refined_quadrature,
+    resample,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.operators import _deformation
@@ -219,6 +220,23 @@ class TestPlainQuadrature:
         with pytest.raises(ShapeError):
             q.integrate(np.ones((5, 17)))
 
+    def test_one_dimensional_integral_is_the_weights_dot_product(self):
+        # any 1-D input of the nodes' size is taken as float64 and integrates to
+        # float(weights.dot(values)) bit for bit: a float64 array, a row view of a
+        # C-order block, a list, int and float32 arrays
+        q = build_quadrature(UltraParams(n=3.0), 16)
+        f = np.exp(q.nodes)
+        block = np.exp(np.outer(np.linspace(-2.0, 2.0, 5), q.nodes))
+        for values in (f, block[2], f.tolist(), np.arange(16) - 7, f.astype(np.float32)):
+            got = q.integrate(values)
+            assert type(got) is float
+            assert got == float(q.weights.dot(values))
+        got = q.integrate(block)
+        assert got.shape == (5,) and np.array_equal(got, block @ q.weights)
+        for bad in (np.ones(15), np.ones(17), [1.0] * 17, 1.0, np.ones((16, 1)), np.ones((5, 17))):
+            with pytest.raises(ShapeError):
+                q.integrate(bad)
+
     def test_too_few_nodes(self):
         with pytest.raises(DomainError):
             build_quadrature(UltraParams(n=3.0), 1)
@@ -324,6 +342,23 @@ class TestGaussJacobi:
             with pytest.warns(AccuracyWarning, match="256-node") as record:
                 build_quadrature(UltraParams(n=1.25e-9), 256)
             assert [w.filename for w in record] == [__file__]
+
+    def test_small_n_warns_once_at_the_caller_of_resample_and_refined_quadrature(self):
+        # a new resample key builds the 256-node sample rule, its basis and the
+        # 512-node refined rule, all below the threshold: one warning, for the
+        # refined rule, naming this file; refined_quadrature's too
+        params = UltraParams(n=1e-9)
+        resample(np.ones(8), UltraParams(n=3.0), 8)  # resample keeps one key: the next is new
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            resample(np.ones(256), params, 256)
+        assert [w.filename for w in record] == [__file__]
+        assert "512-node" in str(record[0].message)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            refined_quadrature(params, 128)
+        assert [w.filename for w in record] == [__file__]
+        assert "256-node" in str(record[0].message)
 
     def test_small_n_warns_at_512_nodes(self):
         # measured: this rule misses an even moment by 3.2e-12 and used to build
