@@ -19,10 +19,10 @@ built on the measure's refined rule; the plain measure is the eps = 0 case.
 Stepping: every kind steps on the 2N-node Gauss rule of its measure,
 good to degree 4N-1 (``measure._stepping_rule``): the refined rule itself
 for eps = 0, and for the regularized measure its own Gauss rule, built once
-per (n, eps, N) from the graded rule.  One ``_tables`` pass of the basis
-evaluates Q_k and Q_k' at its nodes once per run, for every kind; at eps = 0
-it is the pass that built the basis's V and V1, on the same nodes, so the
-tables equal them bit for bit.  So a stage costs the same 2N nodes for
+per (n, eps, N) from the graded rule.  Where eps = 0 or n = d that rule is
+the basis's own, so the stage tables are its V and V1; otherwise
+``OrthoBasis._tables_at`` evaluates Q_k and Q_k' at its nodes once per run,
+in the pass that builds a cold basis.  So a stage costs the same 2N nodes for
 every kind, not the graded rule's 572 to 746 at N = 64; the stiffness
 matrix, the stage tables, the positivity floor and the stiffness bound all
 live on it.  The projection of v0 and the recorder stay on the refined
@@ -59,7 +59,10 @@ v^(r-1), and every diagnostic, as (records, nodes) arrays, with the eps
 deformation of the rule formed once per run; bound violations are
 reported in record order.  Within 1e-2 of p = 2 a run gives
 ``lyapunov_terms``' AccuracyWarning once, at the line that called
-``run_<kind>_flow``; the recorder's one call per record stays quiet.
+``run_<kind>_flow``; the recorder's one call per record stays quiet.  So
+does a run whose 2N-node rule lies below ``gauss_jacobi``'s threshold: the
+resample of u0 and the basis build the rules quietly, and the stepping
+rule, which warns wherever they would, gives the warning.
 """
 from __future__ import annotations
 
@@ -391,11 +394,14 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
     if cfg.kind != kind:
         raise DomainError(f"run_{kind}_flow needs kind={kind!r}, got {cfg.kind!r}")
     params = cfg.params
-    basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
+    with warnings.catch_warnings():  # its rules warn only where the stepping rule below does
+        warnings.simplefilter("ignore", AccuracyWarning)
+        basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     _warn_near_two(params.p, 3)  # once a run, at the line that called run_<kind>_flow
-    rule = _stepping_rule(params, len(u0))
-    V0, V1 = basis._tables(rule.nodes, 1)
+    rule = _stepping_rule(params, len(u0))  # the run's one small-n warning, at that line too
+    # where eps = 0 or n = d the stepping rule is the basis's own rule, whose tables it has
+    V0, V1 = basis._tables_at(rule.nodes) if rule.eps else (basis.V, basis.V1)
     m = params.m
     rho2w = rule.weights * rule.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh

@@ -29,13 +29,14 @@ echoes.
 
 The flows step on ``_stepping_rule``, the 2N-node Gauss rule of the
 measure, good to degree 4N-1 as well: the refined rule itself where eps = 0
-or n = d.  Otherwise ``_stieltjes``, the Stieltjes pass of every basis, on
-the graded rule gives the recurrence of the regularized measure up to
-degree 2N, exact since that rule is exact to degree 4N-1 (Gautschi,
-Orthogonal Polynomials, OUP 2004, section 2.2), and the eigenvalue and
-Newton steps of ``_golub_welsch`` its nodes; the Christoffel weights are
-summed again at the corrected nodes, since the Jacobi equation that carries
-them across the Newton step does not hold for this weight.  Its Chebyshev
+or n = d.  Otherwise the Stieltjes procedure of ``spectral._recurrence``,
+the loop that builds every basis, run values-only on the graded rule gives
+the recurrence of the regularized measure up to degree 2N, exact since that
+rule is exact to degree 4N-1 (Gautschi, Orthogonal Polynomials, OUP 2004,
+section 2.2), and the eigenvalue and Newton steps of ``_golub_welsch`` its
+nodes; the Christoffel weights are summed again at the corrected nodes,
+since the Jacobi equation that carries them across the Newton step does
+not hold for this weight.  Its Chebyshev
 moments below degree 4N meet the graded rule's within 5.0e-15 (1.6e-13 at
 (0.300001, 1e-8), the rounding of a node next to 1 that carries 0.115 of
 the mass).  The graded rule and this rule are the only rules with eps > 0;
@@ -412,32 +413,18 @@ def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadratur
 @lru_cache(maxsize=16)
 def _regularized_gauss_rule(n: float, eps: float, N: int) -> Quadrature:
     """The 2N-node Gauss rule of the regularized measure for n < d, from its graded rule."""
-    _, b = _stieltjes(_graded_rule(n, eps, N), 2 * N)  # the a_k vanish by symmetry
+    from .spectral import _recurrence  # the Stieltjes procedure's owner, which imports this module
+
+    q, b = _graded_rule(n, eps, N), [0.0]
+    # values only, no table (order -1); the a_k vanish by symmetry
+    _recurrence(q.nodes, 2 * N, -1, 1.0 / np.sqrt(q.weights.sum()), [], b, q.weights)
+    b = np.array(b)
     x, _, _ = _symmetric_nodes(b * b)
     # the Jacobi equation that carries 1/S across the Newton step does not hold
     # for this weight: S is summed again at the corrected nodes
     p = _orthonormal_values(b, x)
     nodes, w = _mirror(x, 1.0 / np.einsum("ij,ij->j", p[:-1], p[:-1]), 2 * N)
     return Quadrature(nodes=nodes, weights=w, n=n, eps=eps, rho2=1.0 - nodes**2)
-
-
-def _stieltjes(q: Quadrature, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """a_0..a_K and b_0 = 0, b_1..b_K of the measure that q integrates, in one Stieltjes pass.
-
-    b_{k+1} p_{k+1} = (z - a_k) p_k - b_k p_{k-1}, with a_k and b_k discrete inner products over
-    all of q's nodes from p_0 = 1/sqrt(sum w): exact while q integrates z p_k^2 exactly (module
-    docstring).  The one place that forms a recurrence from a rule.
-    """
-    z, w = q.nodes, q.weights
-    a, b = np.zeros(K + 1), np.zeros(K + 1)
-    prev, p = np.zeros_like(z), np.full_like(z, 1.0 / np.sqrt(w.sum()))
-    for k in range(K):
-        a[k] = w.dot(z * p**2)
-        prev, p = p, (z - a[k]) * p - b[k] * prev
-        b[k + 1] = math.sqrt(w.dot(p * p))
-        p /= b[k + 1]
-    a[K] = w.dot(z * p**2)
-    return a, b
 
 
 def _stepping_rule(params: UltraParams, N: int) -> Quadrature:

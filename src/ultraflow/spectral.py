@@ -6,12 +6,12 @@ polynomials P_k with P_0 = 1, P_1 proportional to z, satisfying
     L P_k = -k (k + n - 1) P_k,
 
 so the operator module diagonalizes in this basis.  The recurrence
-coefficients come from ``measure._stieltjes``, the Stieltjes procedure on
-the basis's rule (discrete inner products), which reproduces the classical
+coefficients come from the Stieltjes procedure of ``_recurrence`` on the
+basis's rule (discrete inner products), which reproduces the classical
 three-term recurrence to rounding for every real n > 0 and extends verbatim
 to the regularized measures, whose orthonormal families have no classical
 closed form; the stepping rule of those measures takes its recurrence from
-the same pass.
+the same loop, run values-only.
 
 A function on [-1, 1] is carried as a ``GridFn``, its values at the nodes
 of a quadrature rule; ``OrthoBasis.analyze`` and ``synthesize`` map it to
@@ -22,16 +22,20 @@ Derivatives are computed in spectral space; second derivatives apply the
 first-derivative operator twice, so the top two modes carry no accuracy
 guarantee.
 
-Building.  ``OrthoBasis`` takes (a_k, b_k) from one values-only Stieltjes
-pass, then Q_k and Q_k' from one pass of the recurrence, as ``evaluate``
-takes all derivative orders: each degree is one contiguous (orders x nodes)
-block, and the blocks of eight degrees are written into the column tables
-at once.  The arithmetic and its order are those of a column-at-a-time
-recurrence, so the tables equal it bit for bit.  Medians on a 2-core x86-64
-host at N = 64: a basis on the 128-node plain refined rule 0.9-1.0 ms, on a
-530- to 746-node graded rule 1.8-2.4 ms (forming the tables inside the
-Stieltjes loop gives 0.73-0.79 and 1.45-2.2 ms, too little to keep a second
-copy of it); Q_k and Q_k' at those nodes 0.37-0.72 ms, at +-1 0.29-0.33 ms.
+Building.  An ``OrthoBasis`` builds on first use, in one pass of
+``_recurrence`` that forms (a_k, b_k) and Q_k with Q_k' together, as
+``evaluate`` takes all derivative orders: each degree is one contiguous
+(orders x nodes) block, a_k and b_{k+1} are inner products of its row 0
+over the rule's nodes, and the blocks of eight degrees are written into
+the column tables at once.  ``_tables_at`` adds further nodes to that
+pass, or makes one ``_tables`` pass on a built basis.  The arithmetic is
+that of a column-at-a-time Stieltjes step and recurrence, bit for bit.
+Medians on a 2-core x86-64 host at N = 64: a basis on the 128-node plain
+refined rule 0.68-0.72 ms, on a 530- to 746-node graded rule 1.47-1.83 ms
+(0.83 and 1.71-2.13 ms with a separate Stieltjes pass); a cold
+``resample`` key, the 64-node sample basis with the refined rule's
+tables, 0.69-1.09 ms (1.06-1.49 ms in three passes); Q_k and Q_k' on a
+built basis at the refined nodes 0.33-0.65 ms, at +-1 0.26-0.27 ms.
 
 Caching.  ``get_basis`` and ``get_regularized_basis`` memoize bases per
 (n, N) and (n, eps, N); eps = 0 gives the plain basis on the refined
@@ -39,7 +43,9 @@ rule at any n.  The Gauss rules beneath them are memoized in the measure
 module.  ``resample`` is the one way from samples to (u, u', u'') on the
 refined rule: it keeps, for the key (n, eps, N), the refined rule, the
 interpolation basis and the read-only tables of Q_k and Q_k' at the
-refined nodes, built in one pass of the recurrence.  Only the most
+refined nodes, from ``_tables_at``: the pass that builds a cold basis, one
+``_tables`` pass on a built one.  A basis keeps only its own rule's rows,
+so the cached bases do not grow with the refined rules.  Only the most
 recent key's tables are kept, so a caller reuses them while it stays on
 one key.  One cold pass of the benchmark's identity sweep makes 192 hits
 and 8 misses (its two checks of each function share one resample, see the
@@ -50,12 +56,12 @@ eps = 1e-8).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import measure
 from .errors import AccuracyWarning, AliasingError, DomainError, ShapeError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature, refined_quadrature
 
@@ -97,6 +103,49 @@ def _flush(tables: list[np.ndarray], ring: np.ndarray, k: int) -> None:
         T[:, k - s : k + 1] = ring[: s + 1, j].T
 
 
+def _recurrence(
+    z: np.ndarray, K: int, order: int, q0: float, a: list, b: list, w: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """[Q_k, Q_k', ...], k = 0..K, up to derivative ``order`` at the 1-D float nodes ``z``, in
+    one pass of the recurrence from Q_0 = ``q0`` with a_k = a[k] and b_k = b[k].
+
+    Given the weights ``w`` of a rule whose nodes lead ``z``, the pass is also the Stieltjes
+    procedure, the one place that forms a recurrence from a rule: ``a`` and ``b`` enter as []
+    and [0.0], and it appends a_k = <z Q_k, Q_k> and b_{k+1} = |(z - a_k) Q_k - b_k Q_{k-1}|,
+    inner products over the rule's nodes, as it reaches them; from q0 = 1/sqrt(sum w) they are
+    exact while the rule integrates z Q_k^2 exactly (Gautschi, Orthogonal Polynomials, OUP
+    2004, section 2.2).  Row 0 is elementwise the values-only recurrence, so neither the
+    nodes after the rule's nor ``order`` move a bit of the coefficients or tables; order -1
+    runs that recurrence alone and returns no table.
+    """
+    rows = max(order, 0) + 1  # order -1: row 0 alone, and no table
+    T = [np.empty((z.size, K + 1)) for _ in range(order + 1)]
+    P = np.zeros((_RING, rows, z.size))  # the block of degree k in slot k % _RING
+    S, Z = list(P), np.tile(z, (rows, 1))
+    P[0, 0] = q0
+    size = 0 if w is None else w.size
+    zw = z[:size]
+    for k in range(K):
+        s = k % _RING
+        if s == _RING - 1:
+            _flush(T, P, k)
+        if size:
+            p = S[s][0, :size]
+            a.append(w.dot(zw * p**2))
+        Pn = _recur(S[s], S[s - 1], Z - a[k], b[k], S[(s + 1) % _RING])
+        if size:
+            p = Pn[0, :size]
+            b.append(math.sqrt(w.dot(p * p)))
+        Pn /= b[k + 1]
+    if size:
+        p = S[K % _RING][0, :size]
+        a.append(w.dot(zw * p**2))
+    _flush(T, P, K)
+    if order == 2:
+        T[2] *= 2.0  # Q'' = 2! times its Taylor coefficient, exactly
+    return T
+
+
 class OrthoBasis:
     """Orthonormal polynomials of a discrete measure, with derivatives.
 
@@ -105,10 +154,13 @@ class OrthoBasis:
         b_{k+1} Q_{k+1}(z) = (z - a_k) Q_k(z) - b_k Q_{k-1}(z),
 
     where a_k (``alpha``) and b_k (``offdiag``) are discrete inner products
-    against ``quad``, from the Stieltjes pass ``measure._stieltjes``.  The
-    same recurrence, differentiated once and twice, evaluates Q_k' and
+    against ``quad``, formed by the Stieltjes procedure of ``_recurrence``.
+    The same recurrence, differentiated once and twice, evaluates Q_k' and
     Q_k'' anywhere without finite differencing; ``V`` and ``V1`` are Q_k and
-    Q_k' at the rule's nodes, from one such pass (see the module docstring).
+    Q_k' at the rule's nodes.  The basis builds on first use: the first read
+    of ``alpha``, ``offdiag``, ``V``, ``V1`` or ``D`` forms them all in one
+    pass, which ``_tables_at`` extends to further nodes (see the module
+    docstring).  ``AliasingError`` is raised at construction.
 
     Parameters
     ----------
@@ -126,15 +178,34 @@ class OrthoBasis:
             )
         self.quad = quad
         self.K = K
-        w = quad.weights
-        self.alpha, self.offdiag = measure._stieltjes(quad, K)
-        self._q0 = 1.0 / np.sqrt(w.sum())  # Q_0, where measure._stieltjes starts
-        self.V, self.V1 = self._tables(quad.nodes, 1)
+
+    def __getattr__(self, name: str):
+        # reached only while the basis is unbuilt: a read of what the build forms builds it
+        if name not in ("alpha", "offdiag", "V", "V1", "D"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build(np.empty(0))
+        return self.__dict__[name]
+
+    def _build(self, extra: np.ndarray) -> list[np.ndarray]:
+        """Form alpha, offdiag, V, V1 and D in one pass over the rule's nodes followed by
+        ``extra``; return Q_k and Q_k' at ``extra``."""
+        w, size = self.quad.weights, self.quad.order
+        a, b = [], [0.0]
+        T = _recurrence(np.concatenate((self.quad.nodes, extra)), self.K, 1, 1.0 / np.sqrt(w.sum()), a, b, w)
+        # copied where extra rows follow, so a cached basis does not keep them alive
+        V, V1 = (t[:size].copy() for t in T) if extra.size else T
         # coefficient-space first-derivative operator; second derivatives
         # apply it twice, so modes K-1 and K are outside accuracy claims
-        self.D = self.V.T @ (w[:, None] * self.V1)
-        for table in (self.V, self.V1, self.D):  # shared through the caches below
+        D = V.T @ (w[:, None] * V1)
+        for table in (V, V1, D):  # shared through the caches below
             table.setflags(write=False)
+        self.alpha, self.offdiag, self.V, self.V1, self.D = np.array(a), np.array(b), V, V1, D
+        return [t[size:] for t in T]
+
+    def _tables_at(self, nodes: np.ndarray) -> list[np.ndarray]:
+        """[Q_k, Q_k'] at the 1-D float ``nodes``: added to the build of an unbuilt basis,
+        else one ``_tables`` pass; either way they meet ``V`` bit for bit."""
+        return self._tables(nodes, 1) if "V" in self.__dict__ else self._build(nodes)
 
     def evaluate(self, nodes: np.ndarray, order: int = 0) -> np.ndarray:
         """Values (order 0), Q_k' (order 1) or Q_k'' (order 2) at ``nodes``.
@@ -159,22 +230,8 @@ class OrthoBasis:
 
     def _tables(self, z: np.ndarray, order: int) -> list[np.ndarray]:
         """[Q_k, Q_k', ...] up to derivative ``order`` at the 1-D float nodes ``z``, in one
-        recurrence pass from the constructor's Q_0, so every table meets ``V`` bit for bit."""
-        T = [np.empty((z.size, self.K + 1)) for _ in range(order + 1)]
-        P = np.zeros((_RING, order + 1, z.size))  # the block of degree k in slot k % _RING
-        S, Z = list(P), np.tile(z, (order + 1, 1))
-        P[0, 0] = self._q0
-        b = self.offdiag.tolist()
-        for k, ak in enumerate(self.alpha[:-1].tolist()):
-            s = k % _RING
-            if s == _RING - 1:
-                _flush(T, P, k)
-            Pn = _recur(S[s], S[s - 1], Z - ak, b[k], S[(s + 1) % _RING])
-            Pn /= b[k + 1]
-        _flush(T, P, self.K)
-        if order == 2:
-            T[2] *= 2.0  # Q'' = 2! times its Taylor coefficient, exactly
-        return T
+        recurrence pass from the built basis's Q_0, so every table meets ``V`` bit for bit."""
+        return _recurrence(z, self.K, order, self.V[0, 0], self.alpha.tolist(), self.offdiag.tolist())
 
     def analyze(self, values: GridFn, K: int | None = None) -> np.ndarray:
         """Project node values onto the basis, returning coefficients 0..K."""
@@ -249,7 +306,7 @@ def _discretization(n: float, eps: float, N: int) -> tuple:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         basis = interpolation_basis(build_quadrature(params, N))
-    V, V1 = basis._tables(fine.nodes, 1)
+    V, V1 = basis._tables_at(fine.nodes)
     V.setflags(write=False)
     V1.setflags(write=False)
     return fine, basis, V, V1

@@ -4,7 +4,7 @@ eps-deformation in its one owner, ``operators._deformation``, and rho^2
 formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional and its p = 2 limit, the log entropy, in
 ``functionals.lyapunov_terms``, and the Stieltjes
-pass's norm update b_{k+1} = sqrt(<q, q>) in ``measure._stieltjes``; another
+pass's norm update b_{k+1} = sqrt(<q, q>) in ``spectral._recurrence``; another
 keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
 h0 and h1, the discriminant B^2 - A and the small-n threshold of the Gauss
@@ -26,8 +26,9 @@ from pathlib import Path
 import ultraflow
 from ultraflow.admissibility import _check_bounds, _discriminant, _scaling_denominator
 from ultraflow.functionals import lyapunov_terms
-from ultraflow.measure import _critical_exponent, _stieltjes, _warn_small_n
+from ultraflow.measure import _critical_exponent, _warn_small_n
 from ultraflow.operators import _deformation, _points
+from ultraflow.spectral import _recurrence
 
 PUBLIC_NAMES = [
     "AccuracyWarning", "AdmissibleRange", "AliasingError", "DEFAULT_NODES",
@@ -87,12 +88,12 @@ def test_entropy_bracket_has_one_owner():
 
 
 def test_stieltjes_pass_has_one_owner():
-    # recurrence coefficients are formed from a rule only in measure._stieltjes,
+    # recurrence coefficients are formed from a rule only in spectral._recurrence,
     # which every basis and the stepping rule share: the discrete inner product
     # b_{k+1}^2 = <q, q> against the weights w, spelled w.dot(q * q) or
     # np.dot(w, q * q), is taken nowhere else (under a square root or not)
     norm = r"(?:\bw\.dot\(|dot\(\s*w\s*,)\s*([][\w.]+)\s*\*\s*\1\b"
-    owner = inspect.getsource(_stieltjes)
+    owner = inspect.getsource(_recurrence)
     assert re.search(norm, owner)
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
         rest = path.read_text().replace(owner, "")

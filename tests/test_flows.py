@@ -49,7 +49,7 @@ from ultraflow.flows import (
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.measure import UltraParams, _stepping_rule, build_quadrature, refined_quadrature
 from ultraflow.operators import _deformation
-from ultraflow.spectral import eigenvalue, get_regularized_basis
+from ultraflow.spectral import OrthoBasis, eigenvalue, get_regularized_basis
 
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
@@ -685,6 +685,39 @@ class TestGalerkinStepper:
         assert tr.times.size == 21
         assert [(w.category, w.filename) for w in record] == [(AccuracyWarning, __file__)]
         assert "within 1e-2 of 2" in str(record[0].message)
+
+    def test_small_n_warns_once_per_run_at_the_caller(self):
+        # the 256-node rule of n = 1e-9 lies below gauss_jacobi's threshold, the
+        # 128-node sample rule does not; the resample of u0, the basis and the
+        # stepping rule each build the 256-node rule, and each used to warn
+        params = UltraParams(n=1e-9, p=3.0, beta=2.0)
+        cfg = FlowConfig(kind="nonlinear", params=params, dt=1e-3, t_end=0.003)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            u0 = 1.0 + 0.05 * plain_nodes(1e-9, 128)
+        for _ in range(2):  # a cold run, then a warm one
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                run_nonlinear_flow(u0, cfg)
+            assert [(w.category, w.filename) for w in record] == [(AccuracyWarning, __file__)]
+            assert "256-node Gauss rule" in str(record[0].message)
+
+    def test_plain_stage_tables_are_the_basis_tables(self, monkeypatch):
+        # at eps = 0 the stepping rule is the basis's refined rule, so a run on a
+        # warm key takes V and V1 as its stage tables and makes no _tables pass
+        calls, tables = [], OrthoBasis._tables
+
+        def counting_tables(self, z, order):
+            calls.append(z.size)
+            return tables(self, z, order)
+
+        cfg = FlowConfig(kind="nonlinear", params=UltraParams(n=3.0, p=3.0, beta=2.0), dt=1e-3, t_end=0.003)
+        u0 = 1.0 + 0.1 * plain_nodes(3.0, 32)
+        warm = run_nonlinear_flow(u0, cfg)
+        monkeypatch.setattr(OrthoBasis, "_tables", counting_tables)
+        tr = run_nonlinear_flow(u0, cfg)
+        assert calls == []
+        np.testing.assert_array_equal(tr.F_values, warm.F_values)
 
 
 class TestEtdrk4Weights:

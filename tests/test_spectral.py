@@ -5,9 +5,9 @@ weight (1-z^2)^((n-2)/2): the squared off-diagonal entries must equal
 k (k + n - 2) / ((2k + n - 3)(2k + n - 1)); the Stieltjes construction
 is tested against it.  Derivative oracles are analytic.  The basis itself,
 with its first two derivatives, is checked against the orthonormal Jacobi
-polynomials evaluated at 30 digits with mpmath, and the builder, one
-Stieltjes pass and one table pass, is pinned bit for bit to a
-column-at-a-time reference recurrence.
+polynomials evaluated at 30 digits with mpmath, and the builder, one pass
+that forms the recurrence and the tables together, is pinned bit for bit to
+a column-at-a-time reference recurrence.
 """
 import warnings
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import ultraflow.measure as measure
+import ultraflow.spectral as spectral
 from ultraflow import (
     AccuracyWarning,
     AliasingError,
@@ -210,6 +211,18 @@ def reference_basis(quad, K):
     return a, b, V, V1, V.T @ (w[:, None] * V1)
 
 
+def count_passes(monkeypatch):
+    """A list that gets (nodes, K, order, forms coefficients) for every _recurrence pass."""
+    calls, recurrence = [], spectral._recurrence
+
+    def counting(z, K, order, q0, a, b, w=None):
+        calls.append((z.size, K, order, w is not None))
+        return recurrence(z, K, order, q0, a, b, w)
+
+    monkeypatch.setattr(spectral, "_recurrence", counting)
+    return calls
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.flags.c_contiguous
@@ -217,7 +230,7 @@ def assert_same_bits(got, want):
 
 
 class TestOnePassBuild:
-    """One Stieltjes pass and one table pass reproduce the column recurrence bit for bit."""
+    """One pass forms the recurrence and the tables, bit for bit those of the column recurrence."""
 
     KEYS = [(3.0, 0.0, 64), (2.5, 1e-3, 64)]  # plain; graded (eps > 0, n < d)
 
@@ -261,24 +274,53 @@ class TestOnePassBuild:
         assert_same_bits(basis.evaluate(nodes, 1), basis.V1)
 
     def test_constructor_makes_one_pass(self, monkeypatch):
-        # the recurrence comes from one measure._stieltjes call on the rule, and
-        # Q_k with Q_k' from one _tables pass over its nodes
-        calls, stieltjes, tables = [], measure._stieltjes, OrthoBasis._tables
-
-        def counting_stieltjes(q, K):
-            calls.append(("stieltjes", q, K))
-            return stieltjes(q, K)
-
-        def counting_tables(self, z, order, *rest):
-            calls.append(("tables", z, order))
-            return tables(self, z, order, *rest)
-
-        monkeypatch.setattr(measure, "_stieltjes", counting_stieltjes)
-        monkeypatch.setattr(OrthoBasis, "_tables", counting_tables)
+        # the first use builds the basis: one _recurrence pass over the rule's
+        # nodes forms the recurrence and Q_k with Q_k'; construction makes none
+        calls = count_passes(monkeypatch)
         quad = refined_quadrature(UltraParams(n=2.5, eps=1e-3), 32)
         basis = OrthoBasis(quad, 30)
-        assert calls == [("stieltjes", quad, 30), ("tables", quad.nodes, 1)]
+        assert calls == []
         assert basis.V1.shape == (quad.nodes.size, 31)
+        assert basis.alpha.size == basis.D.shape[0] == 31
+        assert calls == [(quad.nodes.size, 30, 1, True)]
+
+    @pytest.mark.parametrize("N", [15, 16, 48, 64, 128])
+    @pytest.mark.parametrize("n, eps", [(1.7, 0.0), (3.0, 1e-2), (2.5, 1e-3)])  # plain, n = d, graded
+    def test_one_pass_with_and_without_extra_nodes(self, n, eps, N):
+        # the sample rule's basis with the refined nodes added (resample's tables),
+        # and the refined rule's with the stepping rule's (the flows' stage tables)
+        params = UltraParams(n=n, eps=eps)
+        fine = refined_quadrature(params, N)
+        for quad, extra in ((build_quadrature(params, N), fine.nodes), (fine, measure._stepping_rule(params, N).nodes)):
+            want = reference_basis(quad, N - 2)
+            fused = OrthoBasis(quad, N - 2)
+            at_extra = fused._tables_at(extra)
+            for got, w in zip(at_extra, reference_tables(*want[:2], N - 2, extra, 1, want[2][0, 0]), strict=True):
+                assert_same_bits(got, w)
+            for basis in (fused, OrthoBasis(quad, N - 2)):
+                for got, w in zip((basis.alpha, basis.offdiag, basis.V, basis.V1, basis.D), want):
+                    assert_same_bits(got, w)
+            for got, w in zip(fused._tables_at(extra), at_extra, strict=True):  # built: a _tables pass
+                assert_same_bits(got, w)
+
+    def test_cold_plain_resample_makes_one_pass(self, monkeypatch):
+        # the sample basis forms its recurrence, V, V1 and the refined rule's
+        # tables in the one pass of its first build
+        calls = count_passes(monkeypatch)
+        params, N = UltraParams(n=1.2345), 20
+        resample(np.ones(N), params, N)
+        assert calls == [(3 * N, N - 2, 1, True)]
+
+    def test_warm_key_cycle_makes_one_tables_pass_per_key(self, monkeypatch):
+        # resample keeps one key's tables: a cycle over built bases makes one
+        # _tables pass per key and builds nothing
+        keys = [UltraParams(n=1.7), UltraParams(n=2.5, eps=1e-3), UltraParams(n=3.0, eps=1e-2)]
+        for params in keys:
+            resample(np.ones(24), params, 24)
+        calls = count_passes(monkeypatch)
+        for params in keys:
+            resample(np.ones(24), params, 24)
+        assert calls == [(refined_quadrature(p, 24).order, 22, 1, False) for p in keys]
 
 
 class TestTransforms:
