@@ -3,8 +3,19 @@
 Validation failures raise ``DomainError`` or ``ShapeError`` (both
 ``ValueError`` subclasses, so generic callers can catch one type).
 Runtime breakdowns of a numerical procedure raise ``NumericalError``.
+
+A result outside its accuracy guarantee is still returned, with an
+``AccuracyWarning`` from ``_warn``, the one place that issues it.  The
+warning names the innermost line outside the package, the line that called
+the entry point, however deep inside the package the check ran.  The checks
+sit in the entry points, not in the bodies they share, so one call warns
+once per cause.  A flow run warns once, not per record or per rule it
+builds, and a ``resample`` key once, when the key changes.
 """
 from __future__ import annotations
+
+import sys
+import warnings
 
 
 class DomainError(ValueError):
@@ -60,3 +71,11 @@ class PositivityError(NumericalError):
 
 class AccuracyWarning(UserWarning):
     """The requested operation is running outside its accuracy guarantees."""
+
+
+def _warn(message: str) -> None:
+    """Issue ``AccuracyWarning(message)`` at the innermost frame outside the package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, AccuracyWarning, stacklevel=level)

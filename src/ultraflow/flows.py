@@ -57,10 +57,10 @@ itself: the coefficients U y of a block of records in one product, then
 v, v' and v'' on the refined rule, u, u' and u'' from the one power
 v^(r-1), and every diagnostic, as (records, nodes) arrays, with the eps
 deformation of the rule formed once per run; bound violations are
-reported in record order.  Within 1e-2 of p = 2 a run gives
-``lyapunov_terms``' AccuracyWarning once, at the line that called
-``run_<kind>_flow``; the recorder's one call per record stays quiet.  So
-does a run whose 2N-node rule lies below ``gauss_jacobi``'s threshold: the
+reported in record order.  A run warns once per cause, at the line that
+called ``run_<kind>_flow`` (``errors._warn``): within 1e-2 of p = 2 the
+run gives the near-p = 2 AccuracyWarning itself, and ``lyapunov_terms``,
+called once per record, never warns; below ``gauss_jacobi``'s threshold the
 resample of u0 and the basis build the rules quietly, and the stepping
 rule, which warns wherever they would, gives the warning.
 """
@@ -253,10 +253,7 @@ class _Recorder:
         uu, rw = w * vv, w * r
         up = vp * rw
         upp = vpp * rw + vp * up / vv * (r - 1.0)
-        with warnings.catch_warnings():  # the run gave the near-p = 2 warning once, at its caller
-            warnings.simplefilter("ignore", AccuracyWarning)
-            F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam)
-                                       for u, g in zip(uu, up)]).T
+        F, mass, fb, _ = np.array([lyapunov_terms(u, g, fine, params, cfg.lam) for u, g in zip(uu, up)]).T
         umin, umax, gmax = uu.min(axis=1), uu.max(axis=1), np.abs(up).max(axis=1)
         dF = _dF_value(uu, up, upp, fine, params, cfg.lam, self.dz)
         self.columns.append(np.array([t, mass, fb, F, umin, umax, gmax, dF]))
@@ -283,16 +280,6 @@ class _Recorder:
             return None
         return FlowTrace(*np.concatenate(self.columns, axis=1), bound_events=tuple(self.events),
                          terminal_gap=self.gap, params_echo=self.cfg)
-
-
-def _initial_state(u0: GridFn, cfg: FlowConfig):
-    """Project v0 = u0^(beta p) into the working basis; return run plumbing."""
-    params = cfg.params
-    _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, len(u0), "the initial datum")
-    basis = get_regularized_basis(params.n, params.eps, len(u0))
-    v0_fine = u0_fine ** (params.beta * params.p)
-    c0 = basis.analyze(v0_fine)
-    return basis, c0, u0_fine, up0
 
 
 def _resolve_bounds_and_lambda(cfg: FlowConfig, u0_fine, up0_fine) -> FlowConfig:
@@ -393,15 +380,18 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
     """The run of every ``run_<kind>_flow``; DomainError unless cfg.kind is ``kind``."""
     if cfg.kind != kind:
         raise DomainError(f"run_{kind}_flow needs kind={kind!r}, got {cfg.kind!r}")
-    params = cfg.params
+    params, N = cfg.params, len(u0)
     with warnings.catch_warnings():  # its rules warn only where the stepping rule below does
         warnings.simplefilter("ignore", AccuracyWarning)
-        basis, c0, u0_fine, up0 = _initial_state(u0, cfg)
+        _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, N, "the initial datum")
+        basis = get_regularized_basis(params.n, params.eps, N)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
-    _warn_near_two(params.p, 3)  # once a run, at the line that called run_<kind>_flow
-    rule = _stepping_rule(params, len(u0))  # the run's one small-n warning, at that line too
-    # where eps = 0 or n = d the stepping rule is the basis's own rule, whose tables it has
+    _warn_near_two(params.p)  # once a run
+    rule = _stepping_rule(params, N)  # the run's one small-n warning
+    # where eps = 0 or n = d the stepping rule is the basis's own rule, whose tables it has;
+    # otherwise asked before the first analyze, so a cold basis builds with them in one pass
     V0, V1 = basis._tables_at(rule.nodes) if rule.eps else (basis.V, basis.V1)
+    c0 = basis.analyze(u0_fine ** (params.beta * params.p))  # v0 in the working basis
     m = params.m
     rho2w = rule.weights * rule.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh

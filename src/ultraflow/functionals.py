@@ -28,12 +28,11 @@ All integrals run on the internally refined rule of the relevant measure
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError
+from .errors import DomainError, _warn
 from .measure import Quadrature, UltraParams, _critical_exponent
 from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
 
@@ -96,7 +95,8 @@ def deficit(
     ``logsob_deficit``, so the report is meaningful on the whole range
     p in [1, 2*].  ``params`` must be plain (eps = 0) with beta = 1;
     anything else raises DomainError.  An f the rule does not resolve gets
-    ``spectral_derivative``'s AccuracyWarning.
+    ``spectral_derivative``'s AccuracyWarning, and 0 < |p - 2| < 1e-2, where
+    the entropy quotient loses digits, an AccuracyWarning too.
     """
     return _deficit(f, params, params.n if lam is None else lam, N, "deficit")
 
@@ -123,8 +123,8 @@ def logsob_deficit(
 
 
 def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: str) -> DeficitReport:
-    """The body of ``deficit`` and ``logsob_deficit`` (``what``).  Both call it directly,
-    so its warnings, at stacklevel 4, name the line that called them."""
+    """The body of ``deficit`` and ``logsob_deficit`` (``what``), with their unresolved-input
+    and near-p = 2 warnings."""
     n, p = params.n, params.p
     if params.eps != 0 or params.beta != 1:
         raise DomainError(f"{what} is defined on the plain measure at beta = 1, got eps={params.eps}, "
@@ -132,8 +132,9 @@ def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: st
     if p > _critical_exponent(n) * (1.0 + 1e-12):
         raise DomainError(f"p={p} exceeds the critical exponent {_critical_exponent(n)} for n={n}")
     fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
-    _warn_unresolved(c, "deficit", stacklevel=4)
-    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam, stacklevel=4)
+    _warn_unresolved(c, "deficit")
+    _warn_near_two(p)
+    F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
     return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
 
 
@@ -156,7 +157,6 @@ def lyapunov_terms(
     fine: Quadrature,
     params: UltraParams,
     lam: float,
-    stacklevel: int = 3,
 ) -> tuple[float, float, float, float]:
     """(F, mass, fisher_beta, entropy) from values of u and u' on a refined rule.
 
@@ -164,15 +164,14 @@ def lyapunov_terms(
     entropy = (||w||_p^2 - ||w||_2^2)/(p-2) and mass = int w^p dnu.  At p = 2 the entropy is
     the limit (1/2) int w^2 log(w^2 / ||w||_2^2) dnu, with 0 log 0 = 0, and w = 0 raises
     DomainError.  Within 1e-2 of p = 2 the quotient loses digits like 1e-16/|p - 2|
-    (above 1e-12 relative within 3e-3), so it warns with AccuracyWarning there,
-    ``stacklevel`` frames up (3: the line that called its caller).  The one body of F, for
-    the flow recorder, ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
+    (above 1e-12 relative within 3e-3); this body never warns, its callers give
+    ``_warn_near_two`` once each.  The one body of F, for the flow recorder,
+    ``lyapunov_F`` and ``deficit`` (beta = 1, u = |f|, or f at p = 1).
     Off beta = 1, w' = beta w u'/u needs u > 0, as the flows and ``lyapunov_F`` ensure.
     u and u' are 1-D float arrays at the nodes of ``fine``, and each integral is one
     ``weights.dot`` with Python-float scalars: the recorder calls it once per record.
     """
     beta, p = params.beta, params.p
-    _warn_near_two(p, stacklevel)
     w = fine.weights  # the integrals are weight dot products of 1-D node values
     if beta == 1:  # u and u' as they are: deficit's |f| may be 0 at a node
         ub, ubp = u, up
@@ -193,12 +192,11 @@ def lyapunov_terms(
     return float(fisher_beta + lam / (p - 2.0) * (l2 - lp2)), lpp, fisher_beta, (lp2 - l2) / (p - 2.0)
 
 
-def _warn_near_two(p: float, stacklevel: int) -> None:
-    """``lyapunov_terms``' AccuracyWarning where 0 < |p - 2| < 1e-2, ``stacklevel`` frames up
-    from the line that called this, as if that line had warned."""
+def _warn_near_two(p: float) -> None:
+    """The AccuracyWarning of ``lyapunov_terms``' entropy where 0 < |p - 2| < 1e-2, from
+    ``errors._warn``: at the line that called the entry point."""
     if 0 < abs(p - 2.0) < 1e-2:
-        warnings.warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like "
-                      f"1e-16/|p - 2|", AccuracyWarning, stacklevel=stacklevel + 1)
+        _warn(f"p = {p} is within 1e-2 of 2; the entropy term loses digits like 1e-16/|p - 2|")
 
 
 def lyapunov_F(
@@ -212,11 +210,13 @@ def lyapunov_F(
     The measure is regularized when params.eps > 0, plain otherwise; the
     sample grid is the corresponding N-node rule, N = len(u) by default
     (another N raises ShapeError).  ``lam`` defaults to n.  A u the rule
-    does not resolve warns as in ``lp_norm``.
+    does not resolve warns as in ``lp_norm``, a p within 1e-2 of 2 as in
+    ``deficit``.
     """
     if lam is None:
         lam = params.n
     fine, _, c, uu, up, _ = _resample_positive(u, params, len(u) if N is None else N, "the function")
     _warn_unresolved(c, "lyapunov_F")
+    _warn_near_two(params.p)
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

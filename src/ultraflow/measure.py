@@ -80,14 +80,12 @@ and 128: nodes within 1.1e-16 and weights within 7.3e-14 (relative) of
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, DomainError, ShapeError
+from .errors import DomainError, ShapeError, _warn
 
 #: Default Gauss rule size used throughout the package.
 DEFAULT_NODES = 64
@@ -290,19 +288,12 @@ def _gauss_jacobi(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _warn_small_n(N: int, a: float) -> None:
-    """``gauss_jacobi``'s warning (none on a closed form), at the innermost line outside the
-    package: the line that called ``gauss_jacobi``, ``build_quadrature`` or whatever built the rule."""
+    """``gauss_jacobi``'s warning (none on a closed form), from ``errors._warn``: at the line
+    that called ``gauss_jacobi``, ``build_quadrature`` or whatever built the rule."""
     if abs(a) != 0.5 and a + 1.0 < 1.8e-19 * N**4 * max(1.0, min(N, 1024) / 256) ** 3:
-        frame, level = sys._getframe(1), 2
-        while frame is not None and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure of "
-            f"n = {2.0 * a + 2.0:.3g}) is below the measured threshold of gauss_jacobi: its moments "
-            "can miss by more than 1e-12; use fewer nodes",
-            AccuracyWarning,
-            stacklevel=level,
-        )
+        _warn(f"the {N}-node Gauss rule of (1 - z^2)^a at a + 1 = {a + 1.0:.3g} (the plain measure of "
+              f"n = {2.0 * a + 2.0:.3g}) is below the measured threshold of gauss_jacobi: its moments "
+              "can miss by more than 1e-12; use fewer nodes")
 
 
 def _golub_welsch(N: int, a: float) -> tuple[np.ndarray, np.ndarray]:

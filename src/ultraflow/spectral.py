@@ -28,8 +28,9 @@ Building.  An ``OrthoBasis`` builds on first use, in one pass of
 (orders x nodes) block, a_k and b_{k+1} are inner products of its row 0
 over the rule's nodes, and the blocks of eight degrees are written into
 the column tables at once.  ``_tables_at`` adds further nodes to that
-pass, or makes one ``_tables`` pass on a built basis.  The arithmetic is
-that of a column-at-a-time Stieltjes step and recurrence, bit for bit.
+pass, whose rows go into tables of their own, or makes one ``_tables`` pass
+on a built basis.  The arithmetic is that of a column-at-a-time Stieltjes
+step and recurrence, bit for bit.
 Medians on a 2-core x86-64 host at N = 64: a basis on the 128-node plain
 refined rule 0.68-0.72 ms, on a 530- to 746-node graded rule 1.47-1.83 ms
 (0.83 and 1.71-2.13 ms with a separate Stieltjes pass); a cold
@@ -45,7 +46,8 @@ refined rule: it keeps, for the key (n, eps, N), the refined rule, the
 interpolation basis and the read-only tables of Q_k and Q_k' at the
 refined nodes, from ``_tables_at``: the pass that builds a cold basis, one
 ``_tables`` pass on a built one.  A basis keeps only its own rule's rows,
-so the cached bases do not grow with the refined rules.  Only the most
+and the key only the refined rule's, so the cached bases do not grow with
+the refined rules and no row is kept twice.  Only the most
 recent key's tables are kept, so a caller reuses them while it stays on
 one key.  One cold pass of the benchmark's identity sweep makes 192 hits
 and 8 misses (its two checks of each function share one resample, see the
@@ -62,7 +64,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import AccuracyWarning, AliasingError, DomainError, ShapeError
+from .errors import AccuracyWarning, AliasingError, DomainError, ShapeError, _warn
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature, refined_quadrature
 
 #: A function represented by its values at quadrature nodes.
@@ -96,11 +98,12 @@ def _recur(P: np.ndarray, Pm: np.ndarray, zk: np.ndarray, bk: float, out: np.nda
     return out
 
 
-def _flush(tables: list[np.ndarray], ring: np.ndarray, k: int) -> None:
-    """Write row j of the ring's blocks of degrees k - k % _RING .. k into columns of tables[j]."""
+def _flush(tables: list[tuple[np.ndarray, np.ndarray]], k: int) -> None:
+    """For each (R, T) of ``tables``, R a (nodes, slot) view of one row of the ring, write
+    its blocks of degrees k - k % _RING .. k into columns of T."""
     s = k % _RING
-    for j, T in enumerate(tables):
-        T[:, k - s : k + 1] = ring[: s + 1, j].T
+    for R, T in tables:
+        T[:, k - s : k + 1] = R[:, : s + 1]
 
 
 def _recurrence(
@@ -114,21 +117,23 @@ def _recurrence(
     and [0.0], and it appends a_k = <z Q_k, Q_k> and b_{k+1} = |(z - a_k) Q_k - b_k Q_{k-1}|,
     inner products over the rule's nodes, as it reaches them; from q0 = 1/sqrt(sum w) they are
     exact while the rule integrates z Q_k^2 exactly (Gautschi, Orthogonal Polynomials, OUP
-    2004, section 2.2).  Row 0 is elementwise the values-only recurrence, so neither the
-    nodes after the rule's nor ``order`` move a bit of the coefficients or tables; order -1
-    runs that recurrence alone and returns no table.
+    2004, section 2.2).  The tables at the nodes after the rule's are then tables of their
+    own, returned after the rule's.  Row 0 is elementwise the values-only recurrence, so
+    neither the nodes after the rule's nor ``order`` move a bit of the coefficients or tables;
+    order -1 runs that recurrence alone and returns no table.
     """
     rows = max(order, 0) + 1  # order -1: row 0 alone, and no table
-    T = [np.empty((z.size, K + 1)) for _ in range(order + 1)]
     P = np.zeros((_RING, rows, z.size))  # the block of degree k in slot k % _RING
     S, Z = list(P), np.tile(z, (rows, 1))
     P[0, 0] = q0
     size = 0 if w is None else w.size
     zw = z[:size]
+    rings = (P[..., :size], P[..., size:]) if 0 < size < z.size else (P,)  # the rule's nodes, the rest
+    tables = [(ring[:, j].T, np.empty((ring.shape[2], K + 1))) for ring in rings for j in range(order + 1)]
     for k in range(K):
         s = k % _RING
         if s == _RING - 1:
-            _flush(T, P, k)
+            _flush(tables, k)
         if size:
             p = S[s][0, :size]
             a.append(w.dot(zw * p**2))
@@ -140,7 +145,8 @@ def _recurrence(
     if size:
         p = S[K % _RING][0, :size]
         a.append(w.dot(zw * p**2))
-    _flush(T, P, K)
+    _flush(tables, K)
+    T = [t for _, t in tables]
     if order == 2:
         T[2] *= 2.0  # Q'' = 2! times its Taylor coefficient, exactly
     return T
@@ -189,18 +195,17 @@ class OrthoBasis:
     def _build(self, extra: np.ndarray) -> list[np.ndarray]:
         """Form alpha, offdiag, V, V1 and D in one pass over the rule's nodes followed by
         ``extra``; return Q_k and Q_k' at ``extra``."""
-        w, size = self.quad.weights, self.quad.order
+        w = self.quad.weights
         a, b = [], [0.0]
-        T = _recurrence(np.concatenate((self.quad.nodes, extra)), self.K, 1, 1.0 / np.sqrt(w.sum()), a, b, w)
-        # copied where extra rows follow, so a cached basis does not keep them alive
-        V, V1 = (t[:size].copy() for t in T) if extra.size else T
+        V, V1, *at_extra = _recurrence(np.concatenate((self.quad.nodes, extra)), self.K, 1,
+                                       1.0 / np.sqrt(w.sum()), a, b, w)
         # coefficient-space first-derivative operator; second derivatives
         # apply it twice, so modes K-1 and K are outside accuracy claims
         D = V.T @ (w[:, None] * V1)
         for table in (V, V1, D):  # shared through the caches below
             table.setflags(write=False)
         self.alpha, self.offdiag, self.V, self.V1, self.D = np.array(a), np.array(b), V, V1, D
-        return [t[size:] for t in T]
+        return at_extra
 
     def _tables_at(self, nodes: np.ndarray) -> list[np.ndarray]:
         """[Q_k, Q_k'] at the 1-D float ``nodes``: added to the build of an unbuilt basis,
@@ -233,18 +238,14 @@ class OrthoBasis:
         recurrence pass from the built basis's Q_0, so every table meets ``V`` bit for bit."""
         return _recurrence(z, self.K, order, self.V[0, 0], self.alpha.tolist(), self.offdiag.tolist())
 
-    def analyze(self, values: GridFn, K: int | None = None) -> np.ndarray:
+    def analyze(self, values: GridFn) -> np.ndarray:
         """Project node values onto the basis, returning coefficients 0..K."""
         values = np.asarray(values, dtype=float)
         if values.shape != self.quad.nodes.shape:
             raise ShapeError(
                 f"expected {self.quad.nodes.size} node values, got shape {values.shape}"
             )
-        if K is None:
-            K = self.K
-        if K > self.K:
-            raise AliasingError(f"requested K={K} exceeds basis truncation {self.K}")
-        return self.V[:, : K + 1].T @ (self.quad.weights * values)
+        return self.V.T @ (self.quad.weights * values)
 
     def synthesize(self, coeffs: np.ndarray, nodes: np.ndarray | None = None) -> GridFn:
         """Evaluate a coefficient vector at ``nodes`` (defaults to the rule's)."""
@@ -391,16 +392,12 @@ def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
     return fp if order == 1 else fpp
 
 
-def _warn_unresolved(c: np.ndarray, what: str, stacklevel: int = 3) -> None:
-    """``AccuracyWarning`` at the caller's caller (``stacklevel`` 3) when the top two modes
-    of ``c`` carry more than ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
+def _warn_unresolved(c: np.ndarray, what: str) -> None:
+    """``errors._warn``'s AccuracyWarning, at the line that called the entry point ``what``, when
+    the top two modes of ``c`` carry more than ``TAIL_WARN_FRACTION`` of its energy: the function
+    is not resolved."""
     total = float(c.dot(c))
     if total > 0:
         tail = float(c[-2:].dot(c[-2:])) / total
         if tail > TAIL_WARN_FRACTION:
-            warnings.warn(
-                f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; "
-                f"{what} accuracy is degraded",
-                AccuracyWarning,
-                stacklevel=stacklevel,
-            )
+            _warn(f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; {what} accuracy is degraded")

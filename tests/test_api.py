@@ -8,7 +8,8 @@ pass's norm update b_{k+1} = sqrt(<q, q>) in ``spectral._recurrence``; another
 keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
 h0 and h1, the discriminant B^2 - A and the small-n threshold of the Gauss
-rules; another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
+rules; another keeps ``warnings.warn`` and ``stacklevel=`` in their one owner, ``errors._warn``;
+another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module free of ``np.dot`` calls (``ndarray.dot`` is the same
 routine without the dispatcher), another every module's imports to the standard library and numpy
 without numpy.polynomial, another every ``functools`` cache to an
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import ultraflow
 from ultraflow.admissibility import _check_bounds, _discriminant, _scaling_denominator
+from ultraflow.errors import _warn
 from ultraflow.functionals import lyapunov_terms
 from ultraflow.measure import _critical_exponent, _warn_small_n
 from ultraflow.operators import _deformation, _points
@@ -117,6 +119,25 @@ def test_parameter_domain_facts_have_one_owner():
             rest = path.read_text().replace(source, "")
             code = re.sub(r'"""[\s\S]*?"""', "", rest)  # the docstrings may cite the fact
             assert not re.search(pattern, code), (pattern, path.name)
+
+
+def test_accuracy_warnings_have_one_owner():
+    # errors._warn aims every AccuracyWarning at the innermost line outside the
+    # package; no other code calls warnings.warn or counts a stacklevel
+    owner = inspect.getsource(_warn)
+    calls = 0
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text().replace(owner, ""))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert name != "warn", (path.name, node.lineno)
+                assert "stacklevel" not in {k.arg for k in node.keywords}, (path.name, node.lineno)
+                calls += name == "_warn"
+            if isinstance(node, ast.arg):
+                assert node.arg != "stacklevel", (path.name, node.lineno)
+    assert calls == 3  # _warn_small_n, _warn_unresolved and _warn_near_two
+    assert re.search(r"warnings\.warn\(.*stacklevel=", owner)
 
 
 def test_every_rule_integrates_the_measure_it_echoes():

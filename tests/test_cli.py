@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 import ultraflow
-from ultraflow import NumericalError, cli
+from ultraflow import AccuracyWarning, NumericalError, cli
 from ultraflow.cli import main
 
 
@@ -292,6 +292,13 @@ class TestVerify:
         assert proc.returncode == 0
         assert "deficit = " in proc.stdout
         assert "AccuracyWarning: spectral tail fraction 3.23e-02" in proc.stderr
+
+    def test_unresolved_function_warns_at_the_line_that_called_main(self, capsys):
+        # in-process the CLI is package code too: the warning names this line
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction") as record:
+            assert main(["verify", "--n", "3", "--p", "4", "--fn", "1/z"]) == 0
+        assert [w.filename for w in record] == [__file__]
+        assert "deficit = " in capsys.readouterr().out
 
     def test_deep_nesting_is_a_parse_error(self, capsys):
         code = main(["verify", "--n", "3", "--p", "4", "--fn", "(" * 2000 + "z" + ")" * 2000])

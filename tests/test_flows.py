@@ -39,7 +39,6 @@ from ultraflow.flows import (
     FlowConfig,
     FlowTrace,
     _dF_value,
-    _initial_state,
     _Recorder,
     dF_dt_closed_form,
     run_heat_flow,
@@ -49,11 +48,19 @@ from ultraflow.flows import (
 from ultraflow.identities import _gamma2_correction, _lgamma_correction
 from ultraflow.measure import UltraParams, _stepping_rule, build_quadrature, refined_quadrature
 from ultraflow.operators import _deformation
-from ultraflow.spectral import OrthoBasis, eigenvalue, get_regularized_basis
+from ultraflow.spectral import OrthoBasis, _resample_positive, eigenvalue, get_regularized_basis
 
 
 def plain_nodes(n: float, N: int) -> np.ndarray:
     return build_quadrature(UltraParams(n=n), N).nodes
+
+
+def initial_state(u0: np.ndarray, cfg: FlowConfig):
+    """The working basis of a run of ``cfg`` from ``u0`` and the coefficients of v0 = u0^(beta p) in it."""
+    params = cfg.params
+    u0_fine = _resample_positive(u0, params, len(u0), "the initial datum")[3]
+    basis = get_regularized_basis(params.n, params.eps, len(u0))
+    return basis, basis.analyze(u0_fine ** (params.beta * params.p))
 
 
 def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
@@ -64,7 +71,7 @@ def rk4_reference(u0: np.ndarray, tr: FlowTrace) -> FlowTrace:
     explicit method's stability bound.
     """
     cfg = tr.params_echo
-    basis, c0, _, _ = _initial_state(u0, cfg)
+    basis, c0 = initial_state(u0, cfg)
     fine, V0, V1 = basis.quad, basis.V, basis.V1
     m = cfg.params.m
     rho2w = fine.weights * (1.0 - fine.nodes**2)
@@ -320,7 +327,7 @@ class TestHeatFlow:
         z = plain_nodes(n, 48)
         u0 = 1.0 + 0.3 * z + 0.1 * z**2
         tr = run_heat_flow(u0, cfg)
-        basis, c0, _, _ = _initial_state(u0, tr.params_echo)
+        basis, c0 = initial_state(u0, tr.params_echo)
         lams = np.array([eigenvalue(n, k) for k in range(c0.size)])
         rec = _Recorder(tr.params_echo, basis, np.eye(c0.size))
         for t in [j * cfg.dt for j in range(0, 200, cfg.record_every)] + [cfg.t_end]:
@@ -445,14 +452,23 @@ class TestGalerkinStepper:
         ("nonlinear", UltraParams(n=2.5, p=5.0, beta=4.0)),
         ("regularized", UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3)),
     ])
-    def test_every_kind_steps_in_the_basis_on_the_refined_rule(self, kind, params):
+    def test_every_kind_steps_in_the_basis_on_the_refined_rule(self, monkeypatch, kind, params):
         # the plain kinds use the eps = 0 member of the same family
-        cfg = FlowConfig(kind=kind, params=params)
+        cfg = FlowConfig(kind=kind, params=params, t_end=1e-3)
         u0 = 1.0 + 0.1 * build_quadrature(params, 32).nodes
-        basis, c0, _, _ = _initial_state(u0, cfg)
+        recorders = []
+
+        class Recorder(_Recorder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                recorders.append(self)
+
+        monkeypatch.setattr(flows, "_Recorder", Recorder)
+        flows._run_galerkin(u0, cfg, kind)
+        basis = recorders[0].basis
         assert basis is get_regularized_basis(params.n, params.eps, 32)
         assert basis.quad is refined_quadrature(params, 32)
-        assert c0.shape == (31,)
+        assert recorders[0].U.shape == (31, 31)
 
     @pytest.mark.parametrize("kind, params", [
         ("heat", UltraParams(n=3.0, p=3.0, beta=1.0)),

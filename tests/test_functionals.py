@@ -520,6 +520,15 @@ class TestLyapunovTerms:
                         float((lp2 - l2) / (p - 2.0)))
             assert lyapunov_terms(u, up, fine, params, 3.0) == want
 
+    def test_silent_near_two(self):
+        # the shared body never warns: its callers give the near-p = 2 warning,
+        # each once, at the line that called them
+        fine = refined_quadrature(UltraParams(n=3.0), 32)
+        u = 1.0 + 0.3 * fine.nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lyapunov_terms(u, np.full_like(u, 0.3), fine, UltraParams(n=3.0, p=2.005), 3.0)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_deficit_of_a_function_with_zero_nodes_is_finite(self, p):
         # f = 0 resamples to exact zeros on every refined node; |f| and f' pass

@@ -311,6 +311,41 @@ class TestOnePassBuild:
         resample(np.ones(N), params, N)
         assert calls == [(3 * N, N - 2, 1, True)]
 
+    def test_cold_regularized_flow_builds_its_basis_with_the_stage_tables(self, monkeypatch):
+        # the run asks for the stepping rule's tables before it projects v0, so the
+        # regularized basis builds with them in one pass: the sample basis with the
+        # graded nodes, the values-only Gauss rule of the measure, then the basis
+        # over the graded and the 2N stepping nodes; a warm run repeats the trace
+        params, N = UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3), 24
+        for cache in (get_basis, get_regularized_basis, _discretization, measure._regularized_gauss_rule):
+            cache.cache_clear()
+        fine = refined_quadrature(params, N)
+        cfg = FlowConfig(kind="regularized", params=params, dt=1e-3, t_end=0.01)
+        u0 = 1.0 + 0.05 * build_quadrature(params, N).nodes
+        calls = count_passes(monkeypatch)
+        cold = run_regularized_flow(u0, cfg)
+        assert calls == [(N + fine.order, N - 2, 1, True), (fine.order, 2 * N, -1, True),
+                         (fine.order + 2 * N, N - 2, 1, True)]
+        warm = run_regularized_flow(u0, cfg)
+        assert calls[3:] == [(2 * N, N - 2, 1, False)]  # the stage tables of a built basis
+        for name in ("times", "mass", "fisher_beta", "F_values", "u_min", "u_max", "grad_max", "dF_closed"):
+            assert_same_bits(getattr(cold, name), getattr(warm, name))
+
+    @pytest.mark.parametrize("n, eps", [(1.37, 0.0), (2.5, 1e-3)])
+    def test_cold_resample_tables_own_their_rows(self, n, eps):
+        # the extra rows of the fused build are tables of their own: the cached
+        # tables keep no second copy of the sample basis's rows
+        params, N = UltraParams(n=n, eps=eps), 128
+        get_basis.cache_clear()
+        _discretization.cache_clear()
+        resample(np.ones(N), params, N)
+        fine, basis, V, V1 = _discretization(n, eps, N)
+        for table in (V, V1, basis.V, basis.V1):
+            assert table.base is None
+        want = basis._tables(fine.nodes, 1)
+        assert_same_bits(V, want[0])
+        assert_same_bits(V1, want[1])
+
     def test_warm_key_cycle_makes_one_tables_pass_per_key(self, monkeypatch):
         # resample keeps one key's tables: a cycle over built bases makes one
         # _tables pass per key and builds nothing
@@ -550,12 +585,6 @@ class TestAliasing:
         q = build_quadrature(UltraParams(n=3.0), 16)
         with pytest.raises(AliasingError):
             OrthoBasis(q, K=15)
-
-    def test_analyze_truncation_limit(self):
-        basis = get_basis(3.0, 16)
-        f = np.ones(16)
-        with pytest.raises(AliasingError):
-            basis.analyze(f, K=basis.K + 1)
 
     def test_synthesize_oversized_coefficients(self):
         basis = get_basis(3.0, 16)
