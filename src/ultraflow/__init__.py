@@ -35,7 +35,7 @@ from .spectral import (
     resample,
     spectral_derivative,
 )
-from .operators import apply_L, apply_L_eps, drift, drift_prime
+from .operators import apply_L, drift, drift_prime
 from .functionals import (
     DeficitReport,
     LyapunovValue,
@@ -106,7 +106,6 @@ __all__ = [
     "UltraParams",
     "abc",
     "apply_L",
-    "apply_L_eps",
     "beta_excluded",
     "beta_for_m",
     "beta_range",

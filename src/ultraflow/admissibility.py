@@ -237,12 +237,15 @@ def _scaling_denominator(params: UltraParams) -> float:
     return den
 
 
-def _check_bounds(h0: float | None, h1: float | None) -> None:
-    """DomainError unless h0 < u < 1/h0 and |u'| <= h1 are bounds: 0 < h0 < 1, h1 > 0; None skips one."""
+def _check_bounds(h0: float | None = None, h1: float | None = None, lam: float | None = None) -> None:
+    """DomainError unless h0 < u < 1/h0 and |u'| <= h1 are bounds, 0 < h0 < 1 and 0 < h1 < inf,
+    and the constant lam of F is finite; None skips one."""
     if h0 is not None and not 0 < h0 < 1:
         raise DomainError(f"h0 must lie in (0, 1), got {h0}")
-    if h1 is not None and h1 <= 0:
-        raise DomainError(f"h1 must be positive, got {h1}")
+    if h1 is not None and not 0 < h1 < math.inf:
+        raise DomainError(f"h1 must be finite and positive, got {h1}")
+    if lam is not None and not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
 
 
 def beta_range(n: float, p: float) -> tuple[tuple[float, float], ...]:

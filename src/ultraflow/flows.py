@@ -97,9 +97,9 @@ class FlowConfig:
     """Parameters of one flow run.
 
     ``dt`` is the largest time step (see the module docstring).  The heat
-    and nonlinear kinds run on the plain measure and need eps = 0.  ``lam``
-    is the constant in F; None selects n for the heat and nonlinear kinds
-    and the adjusted eps-constant for the regularized kind.  ``h0``/``h1``
+    and nonlinear kinds run on the plain measure and need eps = 0.  ``lam``,
+    the constant in F, must be finite; None selects n for the heat and nonlinear
+    kinds and the adjusted eps-constant for the regularized kind.  ``h0``/``h1``
     enter the bound monitor (h0 < u < 1/h0, |u'| <= h1); for the
     regularized kind they are required implicitly and are derived from the
     initial datum when not given.
@@ -136,7 +136,7 @@ class FlowConfig:
                 raise DomainError("the regularized flow needs eps > 0")
             if p.n >= p.d:
                 raise DomainError("the regularized flow needs non-integer n (n < ceil(n))")
-        _check_bounds(self.h0, self.h1)
+        _check_bounds(self.h0, self.h1, self.lam)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def dF_dt_closed_form(u: GridFn, cfg: FlowConfig) -> float:
     with h0/h1 from the config or derived from u for the regularized kind.
     """
     params = cfg.params
-    fine, _, _, uu, up, upp = _resample_positive(u, params, len(u), "the state")
+    fine, _, _, uu, up, upp = _resample_positive(u, params, "the state")
     lam = _resolve_bounds_and_lambda(cfg, uu, up).lam
     return float(_dF_value(uu, up, upp, fine, params, lam, _deformation(fine.nodes, fine.rho2, params)))
 
@@ -383,7 +383,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
     params, N = cfg.params, len(u0)
     with warnings.catch_warnings():  # its rules warn only where the stepping rule below does
         warnings.simplefilter("ignore", AccuracyWarning)
-        _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, N, "the initial datum")
+        _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, "the initial datum")
         basis = get_regularized_basis(params.n, params.eps, N)
     cfg = _resolve_bounds_and_lambda(cfg, u0_fine, up0)
     _warn_near_two(params.p)  # once a run

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, _warn
+from .admissibility import _check_bounds
+from .errors import DomainError, ShapeError, _warn
 from .measure import Quadrature, UltraParams, _critical_exponent
 from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
 
@@ -64,7 +65,7 @@ def lp_norm(f: GridFn, params: UltraParams) -> float:
     ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
     not resolve gets ``spectral_derivative``'s AccuracyWarning.
     """
-    fine, _, c, ff, _, _ = resample(f, params, len(f))
+    fine, _, c, ff, _, _ = resample(f, params)
     _warn_unresolved(c, "lp_norm")
     return float(fine.integrate(np.abs(ff) ** params.p) ** (1.0 / params.p))
 
@@ -75,7 +76,7 @@ def fisher(f: GridFn, params: UltraParams) -> float:
     ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
     not resolve warns as in ``lp_norm``.
     """
-    fine, _, c, _, fp, _ = resample(f, params, len(f))
+    fine, _, c, _, fp, _ = resample(f, params)
     _warn_unresolved(c, "fisher")
     return float(fine.integrate(fine.rho2 * fp**2))
 
@@ -88,15 +89,16 @@ def deficit(
 ) -> DeficitReport:
     """Deficit of the sharp interpolation inequality on the plain measure.
 
-    ``lam`` defaults to the sharp constant n.  ``f`` is sampled on the
-    plain N-node rule; N defaults to len(f), and another N raises
-    ShapeError.  Both factors of the entropy term change sign across p = 2,
-    and at p = 2 the term is its limit, half the log entropy of
-    ``logsob_deficit``, so the report is meaningful on the whole range
-    p in [1, 2*].  ``params`` must be plain (eps = 0) with beta = 1;
-    anything else raises DomainError.  An f the rule does not resolve gets
-    ``spectral_derivative``'s AccuracyWarning, and 0 < |p - 2| < 1e-2, where
-    the entropy quotient loses digits, an AccuracyWarning too.
+    ``lam`` defaults to the sharp constant n and must be finite.  ``f`` is
+    sampled on the plain len(f)-node rule; ``N``, a checked echo kept for the
+    benchmark harness, is None or len(f), else ShapeError before any rule is
+    built.  Both factors of the entropy term change sign across p = 2, and at
+    p = 2 the term is its limit, half the log entropy of ``logsob_deficit``,
+    so the report is meaningful on the whole range p in [1, 2*].  ``params``
+    must be plain (eps = 0) with beta = 1; anything else raises DomainError.
+    An f the rule does not resolve gets ``spectral_derivative``'s
+    AccuracyWarning, and 0 < |p - 2| < 1e-2, where the entropy quotient loses
+    digits, an AccuracyWarning too.
     """
     return _deficit(f, params, params.n if lam is None else lam, N, "deficit")
 
@@ -112,8 +114,8 @@ def logsob_deficit(
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0: twice
     ``deficit``'s entropy term at p = 2, so this is ``deficit`` at 2 lam,
     reported with lam and the full entropy.  ``params`` must have p = 2,
-    eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  N
-    and an f the rule does not resolve behave as in ``deficit``.
+    eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  lam,
+    N and an f the rule does not resolve behave as in ``deficit``.
     """
     if params.p != 2:
         raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
@@ -131,7 +133,10 @@ def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: st
                           f"beta={params.beta}")
     if p > _critical_exponent(n) * (1.0 + 1e-12):
         raise DomainError(f"p={p} exceeds the critical exponent {_critical_exponent(n)} for n={n}")
-    fine, _, c, ff, fp, _ = resample(f, params, len(f) if N is None else N)
+    _check_bounds(lam=lam)
+    if N not in (None, len(f)):
+        raise ShapeError(f"N={N} contradicts the {len(f)} samples, which set the rule")
+    fine, _, c, ff, fp, _ = resample(f, params)
     _warn_unresolved(c, "deficit")
     _warn_near_two(p)
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
@@ -203,19 +208,18 @@ def lyapunov_F(
     u: GridFn,
     params: UltraParams,
     lam: float | None = None,
-    N: int | None = None,
 ) -> LyapunovValue:
     """Lyapunov functional of a positive GridFn on the measure of ``params``.
 
     The measure is regularized when params.eps > 0, plain otherwise; the
-    sample grid is the corresponding N-node rule, N = len(u) by default
-    (another N raises ShapeError).  ``lam`` defaults to n.  A u the rule
-    does not resolve warns as in ``lp_norm``, a p within 1e-2 of 2 as in
-    ``deficit``.
+    sample grid is the corresponding len(u)-node rule.  ``lam`` defaults to
+    n; a non-finite one raises DomainError.  A u the rule does not resolve
+    warns as in ``lp_norm``, a p within 1e-2 of 2 as in ``deficit``.
     """
     if lam is None:
         lam = params.n
-    fine, _, c, uu, up, _ = _resample_positive(u, params, len(u) if N is None else N, "the function")
+    _check_bounds(lam=lam)
+    fine, _, c, uu, up, _ = _resample_positive(u, params, "the function")
     _warn_unresolved(c, "lyapunov_F")
     _warn_near_two(params.p)
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)

@@ -143,7 +143,7 @@ def _prepared(samples: bytes, shape: tuple, n: float, eps: float) -> tuple:
     """(fine, basis, c, u, u', u'', L_eps u, deformation) of the samples, read-only."""
     params = UltraParams(n=n, eps=eps)
     u = np.frombuffer(samples).reshape(shape)
-    fine, basis, c, uu, up, upp = _resample_positive(u, params, len(u), "the tested function")
+    fine, basis, c, uu, up, upp = _resample_positive(u, params, "the tested function")
     dz = _deformation(fine.nodes, fine.rho2, params)
     state = (c, uu, up, upp, _apply(up, upp, fine, params))
     for a in state + (dz or ()):

@@ -393,10 +393,15 @@ def _graded_rule(n: float, eps: float, N: int) -> Quadrature:
     return Quadrature(nodes=nodes, weights=w / w.sum(), n=n, eps=eps, rho2=s2)
 
 
+def _is_plain(params: UltraParams) -> bool:
+    """eps = 0 or n = d: the measure of ``params`` is the plain dnu_n, and L_eps is L."""
+    return params.eps == 0 or params.n == params.d
+
+
 def refined_quadrature(params: UltraParams, N: int = DEFAULT_NODES) -> Quadrature:
     """The companion of ``build_quadrature(params, N)`` good to degree 4N-1: its
-    2N-node rule where eps = 0 or n = d, else the graded rule (module docstring)."""
-    if params.eps == 0 or params.n == params.d:
+    2N-node rule where the measure is plain (``_is_plain``), else the graded rule (module docstring)."""
+    if _is_plain(params):
         return build_quadrature(params, 2 * N)
     return _graded_rule(float(params.n), float(params.eps), N)
 

@@ -13,13 +13,14 @@ identities and the gradient bound only through the deformation of n z,
 
     ell - n z = eps (d - n) z / zeta,    ell' - n = eps (d - n)(2 (1 + eps) - zeta) / zeta^2,
 
-0 at eps = 0 or n = d (ell' >= n for n < d).  Its one owner, ``_deformation``,
+0 in the plain case eps = 0 or n = d (``measure._is_plain``), where L_eps is L and
+``apply_L`` applies both (ell' >= n for n < d).  Its one owner, ``_deformation``,
 forms zeta = rho^2 + eps from a rule's own rho^2 (exact from theta on the graded
 rule) or, at points z, from (1 - z)(1 + z) (``_points``); it returns None in the
-plain case, where callers add nothing.  Rules come from the Lu of ``apply_L``,
-``apply_L_eps`` and the identities (through ``drift``) and from the eps corrections
-(``identities._prepared``, the flow recorder, ``flows.dF_dt_closed_form``); points from ``drift``,
-``drift_prime``, ``regularity_coeffs``.
+plain case, where callers add nothing.  Rules come from the Lu of ``apply_L`` and
+the identities (through ``drift``) and from the eps corrections (``identities._prepared``,
+the flow recorder, ``flows.dF_dt_closed_form``); points from ``drift``, ``drift_prime``,
+``regularity_coeffs``.
 Derivatives of the argument are spectral (see the spectral module); the
 pointwise combination makes no use of the eigendecomposition, so eigenvalue
 checks against k (k + n - 1) are a genuine cross-validation.
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .measure import Quadrature, UltraParams, build_quadrature
+from .measure import Quadrature, UltraParams, _is_plain, build_quadrature
 from .spectral import GridFn, _finite, _nodal_derivatives
 
 
@@ -42,10 +42,10 @@ def _points(z: np.ndarray | Quadrature):
 
 
 def _deformation(z: np.ndarray, rho2: np.ndarray, params: UltraParams):
-    """(ell - n z, ell' - n) at z, with zeta = rho^2 + eps; None if plain (eps = 0 or n = d)."""
-    n, d, eps = params.n, params.d, params.eps
-    if eps == 0 or n == d:
+    """(ell - n z, ell' - n) at z, with zeta = rho^2 + eps; None if plain (``_is_plain``)."""
+    if _is_plain(params):
         return None
+    n, d, eps = params.n, params.d, params.eps
     zeta = rho2 + eps
     r = eps * (d - n) / zeta  # exact on rationals too
     return r * z, r * (2 * (1 + eps) - zeta) / zeta
@@ -69,26 +69,13 @@ def _apply(fp: np.ndarray, fpp: np.ndarray, q: Quadrature, params: UltraParams) 
     return q.rho2 * fpp - drift(q, params) * fp
 
 
-def apply_L(f: GridFn, q: Quadrature) -> GridFn:
-    """Plain operator (1 - z^2) f'' - n z f' at the nodes of ``q``.
+def apply_L(f: GridFn, params: UltraParams) -> GridFn:
+    """L_eps f = (1 - z^2) f'' - ell(z) f' at the nodes of f's rule, ``build_quadrature(params, len(f))``.
 
-    n is taken from the rule, so on the sample rule of a key with eps > 0
-    it is d, the rule's own measure; f must be sampled on ``q``.  Exact for
-    polynomials of degree <= K up to differentiation rounding.
+    ell is the drift of ``params``: n z in the plain case (eps = 0 or n = d), where L_eps
+    is L.  Exact for polynomials of degree <= len(f) - 2 up to differentiation rounding.
+    A non-finite sample raises ``DomainError``.
     """
-    return _apply(*_nodal_derivatives(_finite(f), q)[1:], q, UltraParams(n=q.n))
-
-
-def apply_L_eps(f: GridFn, params: UltraParams, q: Quadrature | None = None) -> GridFn:
-    """Regularized operator (1 - z^2) f'' - ell(z) f' at the nodes of ``q``.
-
-    Requires eps > 0 unless n = d (where it coincides with apply_L).  The
-    default rule is ``build_quadrature(params)``, the 64-node sample rule of
-    d = ceil(n).  A non-finite sample or a graded refined rule raises
-    ``DomainError``.
-    """
-    if params.eps == 0 and params.n < params.d:
-        raise DomainError("apply_L_eps with eps=0 is only defined at integer n=d")
-    if q is None:
-        q = build_quadrature(params)
-    return _apply(*_nodal_derivatives(_finite(f), q)[1:], q, params)
+    f = _finite(f)
+    q = build_quadrature(params, len(f))
+    return _apply(*_nodal_derivatives(f, q)[1:], q, params)

@@ -313,8 +313,8 @@ def _discretization(n: float, eps: float, N: int) -> tuple:
     return fine, basis, V, V1
 
 
-def resample(u: GridFn, params: UltraParams, N: int):
-    """Spectral interpolant of samples on the N-node rule of ``params``, on its refined rule.
+def resample(u: GridFn, params: UltraParams):
+    """Spectral interpolant of samples on the len(u)-node rule of ``params``, on its refined rule.
 
     The measure is regularized when params.eps > 0, plain otherwise; only
     n and eps matter, but ``params`` must be ``UltraParams`` (else
@@ -327,14 +327,14 @@ def resample(u: GridFn, params: UltraParams, N: int):
     below ``gauss_jacobi``'s threshold warns once, at the caller's line, when the key
     changes (one is kept), not per call.
     """
-    return _resample(_finite(u), params, N)
+    return _resample(_finite(u), params)
 
 
-def _resample(u: np.ndarray, params: UltraParams, N: int):
+def _resample(u: np.ndarray, params: UltraParams):
     """``resample`` of checked samples."""
     if not isinstance(params, UltraParams):  # a Quadrature echoes n and eps too, but not its sample rule
         raise DomainError(f"resample needs UltraParams, got {params!r}")
-    fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), N)
+    fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), len(u))
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
 
@@ -355,11 +355,11 @@ def _require_positive(u: np.ndarray, message: str) -> None:
         raise DomainError(message)
 
 
-def _resample_positive(u: GridFn, params: UltraParams, N: int, what: str):
+def _resample_positive(u: GridFn, params: UltraParams, what: str):
     """``resample`` of samples that are, and stay, finite and strictly positive; ``what`` names them."""
     u = np.asarray(u, dtype=float)
     _require_positive(u, f"{what} must be finite and strictly positive")
-    out = _resample(u, params, N)
+    out = _resample(u, params)
     _require_positive(out[3], f"{what} loses positivity under resampling; refine the grid")
     return out
 

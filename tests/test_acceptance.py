@@ -203,7 +203,7 @@ def test_03_operator_eigenrelation_and_integration_by_parts():
             c[k] = 1.0
             Pk = basis.synthesize(c, q.nodes)
             lam_k = k * (k + n - 1.0)
-            res = np.max(np.abs(apply_L(Pk, q) + lam_k * Pk))
+            res = np.max(np.abs(apply_L(Pk, UltraParams(n=n)) + lam_k * Pk))
             worst_eig = max(worst_eig, res / max(1.0, lam_k * np.max(np.abs(Pk))))
         rho2 = 1.0 - q.nodes**2
         for _ in range(20):
@@ -213,7 +213,7 @@ def test_03_operator_eigenrelation_and_integration_by_parts():
             gv = P.polyval(q.nodes, g)
             fp = P.polyval(q.nodes, P.polyder(f))
             gp = P.polyval(q.nodes, P.polyder(g))
-            lhs = float(q.integrate(fv * apply_L(gv, q)))
+            lhs = float(q.integrate(fv * apply_L(gv, UltraParams(n=n))))
             rhs = -float(q.integrate(fp * gp * rho2))
             worst_ibp = max(worst_ibp,
                             abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))

@@ -474,6 +474,12 @@ class TestLambdaEps:
         with pytest.raises(DomainError):
             lambda_eps(params, 0.5, 0.0)
 
+    @pytest.mark.parametrize("h1", [math.nan, math.inf])
+    def test_non_finite_h1_rejected(self, h1):
+        # h1 = nan passed the old h1 <= 0 test and gave lambda = nan (inf gave -inf)
+        with pytest.raises(DomainError, match="h1 must be finite"):
+            lambda_eps(UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3), 0.8, h1)
+
 
 class TestSympyAlgebra:
     """The closed forms, evaluated on sympy symbols, against each other and the paper."""

@@ -1,13 +1,13 @@
 """The public API: ``ultraflow.__all__`` is pinned, so a name leaves it only
 through a deliberate edit of this list.  A source check keeps the drift's
-eps-deformation in its one owner, ``operators._deformation``, and rho^2
-formed from points in ``operators._points``, and the Lp bracket of the
+eps-deformation in its one owner, ``operators._deformation``, its plain case
+eps = 0 or n = d in ``measure._is_plain``, and rho^2 formed from points in ``operators._points``, and the Lp bracket of the
 Lyapunov functional and its p = 2 limit, the log entropy, in
 ``functionals.lyapunov_terms``, and the Stieltjes
 pass's norm update b_{k+1} = sqrt(<q, q>) in ``spectral._recurrence``; another
 keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
-h0 and h1, the discriminant B^2 - A and the small-n threshold of the Gauss
+h0 and h1, the finiteness of lam, the discriminant B^2 - A and the small-n threshold of the Gauss
 rules; another keeps ``warnings.warn`` and ``stacklevel=`` in their one owner, ``errors._warn``;
 another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module free of ``np.dot`` calls (``ndarray.dot`` is the same
@@ -28,7 +28,7 @@ import ultraflow
 from ultraflow.admissibility import _check_bounds, _discriminant, _scaling_denominator
 from ultraflow.errors import _warn
 from ultraflow.functionals import lyapunov_terms
-from ultraflow.measure import _critical_exponent, _warn_small_n
+from ultraflow.measure import _critical_exponent, _is_plain, _warn_small_n
 from ultraflow.operators import _deformation, _points
 from ultraflow.spectral import _recurrence
 
@@ -37,8 +37,7 @@ PUBLIC_NAMES = [
     "DeficitReport", "DomainError", "EPS_MIN", "FlowConfig", "FlowTrace",
     "FunctionExpr", "FunctionSpecError", "IdentityReport", "LyapunovValue",
     "NumericalError", "OrthoBasis", "PositivityError", "Quadrature",
-    "ShapeError", "UltraParams", "abc", "apply_L", "apply_L_eps",
-    "beta_excluded", "beta_for_m", "beta_range", "beta_window",
+    "ShapeError", "UltraParams", "abc", "apply_L", "beta_excluded", "beta_for_m", "beta_range", "beta_window",
     "build_quadrature", "check_gamma2", "check_gamma2_eps", "check_lgamma",
     "check_lgamma_eps", "dF_dt_closed_form", "deficit", "delta_of_beta",
     "dissipation_witness", "drift", "drift_prime", "eigenvalue",
@@ -60,12 +59,14 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_eps_deformation_has_one_owner():
-    # the plain-case branch lives in the owner and rho^2 formed from points in
-    # _points; zeta = 1 + eps - z^2 is formed from z nowhere (code spellings)
-    branch = r"\beps == 0 or n == d\b"
+    # the plain-case branch eps = 0 or n = d, bare or on an object (params.eps),
+    # lives in measure._is_plain, which _deformation and refined_quadrature
+    # share, and rho^2 formed from points in _points; zeta = 1 + eps - z^2 is
+    # formed from z nowhere (code spellings)
+    branch = r"\b(\w+\.)?eps == 0 or (\w+\.)?n == (\w+\.)?d\b"
     rho2_from_z = r"\b1(\.0)? - z\s*\*\*\s*2|\(1(\.0)? - z\) \* \(1(\.0)? \+ z\)"
     zeta_from_z = r"\beps - z\s*\*\*"
-    owners = {branch: inspect.getsource(_deformation), rho2_from_z: inspect.getsource(_points)}
+    owners = {branch: inspect.getsource(_is_plain), rho2_from_z: inspect.getsource(_points)}
     for pattern, owner in owners.items():
         assert re.search(pattern, owner)
     for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
@@ -108,7 +109,8 @@ def test_parameter_domain_facts_have_one_owner():
     owners = {
         r"2(\.0)? \* n / \(n - 2": _critical_exponent,
         r"\(\s*(\w+\.)?n \+ 2(\.0)?\s*\)\s*\*\s*(\w+\.)?m\b": _scaling_denominator,
-        r"0 < (\w+\.)?h0 < 1|(\w+\.)?h1 <= 0": _check_bounds,
+        r"0 < (\w+\.)?h0 < 1|0 < (\w+\.)?h1 < (math\.)?inf|(\w+\.)?h1 <= 0": _check_bounds,
+        r"isfinite\((\w+\.)?lam\)": _check_bounds,
         r"\bB \* B - A\b": _discriminant,
         r"1\.8e-19": _warn_small_n,
     }

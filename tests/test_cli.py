@@ -12,6 +12,7 @@ which ``json.loads`` hands back unchanged.
 """
 from __future__ import annotations
 
+import argparse
 import importlib.metadata
 import json
 import math
@@ -272,6 +273,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "deficit = " in out
         assert "fisher = " in out
+
+    @pytest.mark.parametrize("command", [["verify", "--fn", "1+0.1*z"], ["flow", "--kind", "heat", "--t-end", "0.01"]])
+    def test_non_finite_lambda_is_a_parameter_error(self, capsys, tmp_path, monkeypatch, command):
+        # --lambda nan used to print "deficit = nan", or run a flow with F = nan, and exit 0
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--n", "3", "--p", "4", "--lambda", "nan"]) == 2
+        assert "lambda must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no trace written
 
     def test_parse_error_exit_code(self, capsys):
         code = main(["verify", "--n", "3", "--p", "4", "--fn", "1+$"])
@@ -570,6 +579,25 @@ class TestEntryPoints:
         assert len(lines) == 11 and {argv[0] for argv in lines} == {"range", "figure1", "verify", "flow", "identities"}
         loaded = _run_in_child(tmp_path, lines, "allow")
         assert loaded == {"codes": [0] * 11, "scipy": []}
+
+    def test_readme_commands_parse_without_abbreviations(self):
+        # every option of a README line is spelled in full: "--f" for "--fn" only
+        # worked through argparse's prefix matching
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for sp in (parser, *subparsers.choices.values()):
+            sp.allow_abbrev = False
+        for argv in _readme_command_lines():
+            assert parser.parse_args(argv).command == argv[0]
+
+    def test_verify_f_still_abbreviates_fn(self):
+        # the benchmark harness passes "verify --f"; it resolves to --fn only while
+        # no other verify option starts with --f
+        parser = cli._build_parser()
+        assert parser.parse_args(["verify", "--n", "3", "--p", "4", "--f", "1+0.1*z"]).fn == "1+0.1*z"
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = [o for a in subparsers.choices["verify"]._actions for o in a.option_strings]
+        assert [o for o in options if o.startswith("--f")] == ["--fn"]
 
     def test_verify_and_flow_run_where_scipy_cannot_import(self, tmp_path):
         lines = [argv for argv in _readme_command_lines() if argv[0] in ("verify", "flow")]

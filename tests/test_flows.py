@@ -58,7 +58,7 @@ def plain_nodes(n: float, N: int) -> np.ndarray:
 def initial_state(u0: np.ndarray, cfg: FlowConfig):
     """The working basis of a run of ``cfg`` from ``u0`` and the coefficients of v0 = u0^(beta p) in it."""
     params = cfg.params
-    u0_fine = _resample_positive(u0, params, len(u0), "the initial datum")[3]
+    u0_fine = _resample_positive(u0, params, "the initial datum")[3]
     basis = get_regularized_basis(params.n, params.eps, len(u0))
     return basis, basis.analyze(u0_fine ** (params.beta * params.p))
 
@@ -162,6 +162,14 @@ class TestFlowConfig:
             FlowConfig(kind="nonlinear", params=self.params(), h0=1.5)
         with pytest.raises(DomainError, match="h1"):
             FlowConfig(kind="nonlinear", params=self.params(), h1=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_and_h1_rejected(self, bad):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            FlowConfig(kind="nonlinear", params=self.params(), lam=bad)
+        if bad > 0 or math.isnan(bad):  # -inf already fails h1 > 0
+            with pytest.raises(DomainError, match="h1 must be finite"):
+                FlowConfig(kind="nonlinear", params=self.params(), h1=bad)
 
 
 class TestHeatFlow:
@@ -791,6 +799,11 @@ class TestRegularizedFlow:
         assert echo.lam == pytest.approx(
             lambda_eps(self.PARAMS, echo.h0, echo.h1), rel=1e-15
         )
+
+    def test_non_finite_h1_is_refused_before_the_run(self):
+        # h1 = nan used to pass, give lam = nan, and record F = nan with no bound event
+        with pytest.raises(DomainError, match="h1 must be finite"):
+            run_regularized_flow(self.datum(), FlowConfig(kind="regularized", params=self.PARAMS, h1=math.nan))
 
     def test_explicit_lambda_is_honoured(self):
         cfg = FlowConfig(kind="regularized", params=self.PARAMS, dt=1e-3,

@@ -30,6 +30,7 @@ from ultraflow import (
     thresholds,
 )
 from ultraflow.functionals import lyapunov_terms
+from ultraflow.spectral import _discretization
 
 
 def rule(n, N=64):
@@ -148,14 +149,34 @@ class TestDeficit:
 
     @pytest.mark.parametrize("name", ["deficit", "logsob_deficit", "lyapunov_F"])
     def test_sample_count_sets_N(self, name):
-        # 32 samples used to raise "expected 64 node values" unless N=32 was passed
+        # 32 samples used to raise "expected 64 node values" unless N=32 was passed;
+        # a linear f is resolved on 32 and 64 nodes alike
         call = {"deficit": lambda f, **kw: deficit(f, UltraParams(n=3.0, p=3.0), **kw).deficit,
                 "logsob_deficit": lambda f, **kw: logsob_deficit(f, UltraParams(n=3.0), **kw).deficit,
                 "lyapunov_F": lambda f, **kw: lyapunov_F(f, UltraParams(n=3.0, p=3.0), **kw).value}[name]
         f = 1.0 + 0.3 * rule(3.0, 32).nodes
+        assert call(f) == pytest.approx(call(1.0 + 0.3 * rule(3.0, 64).nodes), rel=1e-13)
+        if name == "lyapunov_F":  # the samples alone set N
+            with pytest.raises(TypeError, match="N"):
+                call(f, N=32)
+            return
+        # deficit and logsob_deficit keep N as a checked echo: a wrong one is
+        # refused before a rule is built, so the live resample key stays cached
         assert call(f) == call(f, N=32)
-        with pytest.raises(ShapeError, match="expected 64 node values"):
+        before = _discretization.cache_info()
+        with pytest.raises(ShapeError, match="N=64 contradicts the 32 samples"):
             call(f, N=64)
+        assert _discretization.cache_info() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["deficit", "logsob_deficit", "lyapunov_F"])
+    def test_non_finite_lambda_rejected(self, name, bad):
+        # lam = nan used to give deficit = nan, and +-inf an infinite F
+        call = {"deficit": lambda f: deficit(f, UltraParams(n=3.0, p=3.0), lam=bad),
+                "logsob_deficit": lambda f: logsob_deficit(f, UltraParams(n=3.0), lam=bad),
+                "lyapunov_F": lambda f: lyapunov_F(f, UltraParams(n=3.0, p=3.0), lam=bad)}[name]
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            call(1.0 + 0.3 * rule(3.0, 32).nodes)
 
     def test_supercritical_rejected(self):
         # p > 2n/(n-2) for n > 2 is outside the inequality's range

@@ -348,10 +348,10 @@ class TestGaussJacobi:
         # 512-node refined rule, all below the threshold: one warning, for the
         # refined rule, naming this file; refined_quadrature's too
         params = UltraParams(n=1e-9)
-        resample(np.ones(8), UltraParams(n=3.0), 8)  # resample keeps one key: the next is new
+        resample(np.ones(8), UltraParams(n=3.0))  # resample keeps one key: the next is new
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            resample(np.ones(256), params, 256)
+            resample(np.ones(256), params)
         assert [w.filename for w in record] == [__file__]
         assert "512-node" in str(record[0].message)
         with warnings.catch_warnings(record=True) as record:
@@ -646,7 +646,7 @@ class TestGradedRuleOracle:
         for k, expect in zip(ks, oracle):
             assert abs(q.integrate(np.polynomial.Chebyshev.basis(k)(q.nodes)) - expect) < 1e-13, k
         p = UltraParams(n=n, eps=eps, p=3.0, beta=1.0 / 3.0)
-        mass = lyapunov_F(1.0 + build_quadrature(p, N).nodes ** 2, p, N=N).mass
+        mass = lyapunov_F(1.0 + build_quadrature(p, N).nodes ** 2, p).mass
         assert abs(mass - 1.0 - (1.0 + oracle[1]) / 2.0) < 1e-13
 
 

@@ -15,10 +15,8 @@ import pytest
 import sympy as sp
 
 from ultraflow import (
-    DomainError,
     UltraParams,
     apply_L,
-    apply_L_eps,
     build_quadrature,
     drift,
     drift_prime,
@@ -26,6 +24,7 @@ from ultraflow import (
     get_basis,
     refined_quadrature,
     regularity_coeffs,
+    spectral_derivative,
 )
 from ultraflow.operators import _deformation
 
@@ -38,21 +37,21 @@ class TestEigenRelation:
         q = basis.quad
         for k in range(21):
             Pk = basis.V[:, k]
-            got = apply_L(Pk, q)
+            got = apply_L(Pk, UltraParams(n=n))
             want = -eigenvalue(n, k) * Pk
             scale = max(1.0, eigenvalue(n, k))
             assert np.max(np.abs(got - want)) < 1e-10 * scale
 
     def test_constants_are_annihilated(self):
         q = build_quadrature(UltraParams(n=3.0), 32)
-        out = apply_L(np.full(32, 2.5), q)
+        out = apply_L(np.full(32, 2.5), UltraParams(n=3.0))
         assert np.max(np.abs(out)) < 1e-10
 
     def test_linear_mode(self):
         # L z = -n z
         n = 2.5
         q = build_quadrature(UltraParams(n=n), 32)
-        np.testing.assert_allclose(apply_L(q.nodes, q), -n * q.nodes, atol=1e-12)
+        np.testing.assert_allclose(apply_L(q.nodes, UltraParams(n=n)), -n * q.nodes, atol=1e-12)
 
 
 class TestFundamentalProperty:
@@ -69,7 +68,7 @@ class TestFundamentalProperty:
             g = np.polynomial.polynomial.polyval(z, cg)
             fp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(cf))
             gp = np.polynomial.polynomial.polyval(z, np.polynomial.polynomial.polyder(cg))
-            lhs = q.integrate(f * apply_L(g, q))
+            lhs = q.integrate(f * apply_L(g, UltraParams(n=n)))
             rhs = -q.integrate(fp * gp * (1.0 - z**2))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -78,8 +77,8 @@ class TestFundamentalProperty:
         z = q.nodes
         f = np.exp(0.4 * z)
         g = 1.0 + z**3
-        assert q.integrate(f * apply_L(g, q)) == pytest.approx(
-            q.integrate(g * apply_L(f, q)), abs=1e-10
+        assert q.integrate(f * apply_L(g, UltraParams(n=2.2))) == pytest.approx(
+            q.integrate(g * apply_L(f, UltraParams(n=2.2))), abs=1e-10
         )
 
 
@@ -119,7 +118,7 @@ class TestRegularizedOperator:
 
     @pytest.mark.parametrize("n, eps", [(2.5, 0.05), (1.5, 0.02), (0.3, 1e-6), (3.3, 1e-2)])
     def test_pointwise_at_the_sample_nodes(self, n, eps):
-        # apply_L_eps against (1 - z^2) g'' - ell(z) g' with exact polynomial
+        # apply_L against (1 - z^2) g'' - ell(z) g' with exact polynomial
         # derivatives; measured up to 8.4e-12 of max |L_eps g| (the nodal
         # derivatives' rounding near +-1)
         params = UltraParams(n=n, eps=eps)
@@ -131,37 +130,31 @@ class TestRegularizedOperator:
             cg = rng.uniform(-1.0, 1.0, size=8)
             gp, gpp = P.polyval(z, P.polyder(cg)), P.polyval(z, P.polyder(cg, 2))
             want = (1.0 - z**2) * gpp - drift(z, params) * gp
-            got = apply_L_eps(P.polyval(z, cg), params, q)
+            got = apply_L(P.polyval(z, cg), params)
             assert np.max(np.abs(got - want)) < 5e-11 * np.max(np.abs(want))
 
-    def test_default_rule_is_the_64_node_regularized_rule(self):
-        # L_eps z = -ell(z): the drift on the default rule's nodes, up to the
-        # rounding that the nodal derivative of z picks up near z = +-1
+    @pytest.mark.parametrize("N", [64, 32])
+    def test_rule_is_read_from_the_sample_count(self, N):
+        # L_eps z = -ell(z): the drift on the nodes of the samples' rule, up to the
+        # rounding that the nodal derivative of z picks up near z = +-1; 32
+        # samples used to meet a 64-node default rule and raise ShapeError
         params = UltraParams(n=2.5, eps=0.05)
-        q = build_quadrature(params, 64)
-        got = apply_L_eps(q.nodes, params)
-        np.testing.assert_array_equal(got, apply_L_eps(q.nodes, params, q))
-        np.testing.assert_allclose(got, -drift(q.nodes, params), rtol=1e-10, atol=0)
+        q = build_quadrature(params, N)
+        np.testing.assert_allclose(apply_L(q.nodes, params), -drift(q.nodes, params), rtol=1e-10, atol=0)
 
-    def test_eps_zero_noninteger_rejected(self):
-        params = UltraParams(n=2.5)
-        with pytest.raises(DomainError):
-            apply_L_eps(np.ones(64), params)
+    def test_eps_zero_noninteger_is_the_plain_operator(self):
+        # eps = 0 is the plain case at every n: (1 - z^2) f'' - n z f' from the
+        # spectral derivatives on the plain rule, bit for bit
+        params, q = UltraParams(n=2.5), build_quadrature(UltraParams(n=2.5), 64)
+        f = np.exp(q.nodes)
+        want = q.rho2 * spectral_derivative(f, q, 2) - 2.5 * q.nodes * spectral_derivative(f, q, 1)
+        np.testing.assert_array_equal(apply_L(f, params), want)
 
     def test_integer_n_coincides_with_plain(self):
-        params = UltraParams(n=3.0, eps=0.05)
-        q = build_quadrature(params, 32)
-        f = np.exp(q.nodes)
-        # at n = d the drift reduces to n z, so only the measure differs;
-        # pointwise the two applications agree on shared nodes
-        got = apply_L_eps(f, params, q)
-        z = q.nodes
-        basis_vals = apply_L(f, q)
-        np.testing.assert_allclose(got, basis_vals, atol=1e-10)
-        # on the plain rule apply_L is the eps = 0 case, bit for bit
-        q = build_quadrature(UltraParams(n=3.0), 32)
-        f = np.exp(q.nodes)
-        np.testing.assert_array_equal(apply_L_eps(f, UltraParams(n=3.0), q), apply_L(f, q))
+        # at n = d the drift reduces to n z and the samples live on the rule of
+        # n: the eps key applies the plain operator, bit for bit
+        f = np.exp(build_quadrature(UltraParams(n=3.0), 32).nodes)
+        np.testing.assert_array_equal(apply_L(f, UltraParams(n=3.0, eps=0.05)), apply_L(f, UltraParams(n=3.0)))
 
 
 class TestDrift:

@@ -25,7 +25,6 @@ from ultraflow import (
     ShapeError,
     UltraParams,
     apply_L,
-    apply_L_eps,
     build_quadrature,
     check_gamma2,
     check_gamma2_eps,
@@ -303,12 +302,21 @@ class TestOnePassBuild:
             for got, w in zip(fused._tables_at(extra), at_extra, strict=True):  # built: a _tables pass
                 assert_same_bits(got, w)
 
+    def test_unknown_attribute_leaves_the_basis_unbuilt(self):
+        # only a read of what the build forms builds the basis; any other name
+        # is an AttributeError, so hasattr is False and nothing is built
+        basis = OrthoBasis(build_quadrature(UltraParams(n=2.5), 16), K=14)
+        with pytest.raises(AttributeError, match="'OrthoBasis' object has no attribute 'W'"):
+            basis.W
+        assert not hasattr(basis, "alpha_k")
+        assert "V" not in basis.__dict__
+
     def test_cold_plain_resample_makes_one_pass(self, monkeypatch):
         # the sample basis forms its recurrence, V, V1 and the refined rule's
         # tables in the one pass of its first build
         calls = count_passes(monkeypatch)
         params, N = UltraParams(n=1.2345), 20
-        resample(np.ones(N), params, N)
+        resample(np.ones(N), params)
         assert calls == [(3 * N, N - 2, 1, True)]
 
     def test_cold_regularized_flow_builds_its_basis_with_the_stage_tables(self, monkeypatch):
@@ -338,7 +346,7 @@ class TestOnePassBuild:
         params, N = UltraParams(n=n, eps=eps), 128
         get_basis.cache_clear()
         _discretization.cache_clear()
-        resample(np.ones(N), params, N)
+        resample(np.ones(N), params)
         fine, basis, V, V1 = _discretization(n, eps, N)
         for table in (V, V1, basis.V, basis.V1):
             assert table.base is None
@@ -351,10 +359,10 @@ class TestOnePassBuild:
         # _tables pass per key and builds nothing
         keys = [UltraParams(n=1.7), UltraParams(n=2.5, eps=1e-3), UltraParams(n=3.0, eps=1e-2)]
         for params in keys:
-            resample(np.ones(24), params, 24)
+            resample(np.ones(24), params)
         calls = count_passes(monkeypatch)
         for params in keys:
-            resample(np.ones(24), params, 24)
+            resample(np.ones(24), params)
         assert calls == [(refined_quadrature(p, 24).order, 22, 1, False) for p in keys]
 
 
@@ -401,8 +409,7 @@ class TestTransforms:
         params = UltraParams(n=2.5, eps=1e-3)
         fine = refined_quadrature(params, 16)
         f = fine.nodes**2
-        calls = [lambda: interpolation_basis(fine), lambda: spectral_derivative(f, fine),
-                 lambda: apply_L(f, fine), lambda: apply_L_eps(f, params, fine)]
+        calls = [lambda: interpolation_basis(fine), lambda: spectral_derivative(f, fine)]
         for call in calls:
             with pytest.raises(DomainError, match="not a sample rule"):
                 call()
@@ -482,7 +489,7 @@ class TestResample:
         params = UltraParams(n=n, eps=eps)
         q = build_quadrature(params, 48)
         for f in (np.exp(np.sin(2.0 * q.nodes)), 1.0 + q.nodes**3):  # a miss, then a hit
-            fine, basis, c, uu, up, upp = resample(f, params, 48)
+            fine, basis, c, uu, up, upp = resample(f, params)
             assert fine is refined_quadrature(params, 48)
             assert basis is interpolation_basis(q)
             np.testing.assert_array_equal(c, basis.analyze(f))
@@ -500,10 +507,10 @@ class TestResample:
             with pytest.raises(DomainError, match="UltraParams"):
                 fisher(rule.nodes, rule)
             with pytest.raises(DomainError, match="UltraParams"):
-                resample(rule.nodes, rule, rule.order)
+                resample(rule.nodes, rule)
 
     def test_cached_tables_are_read_only(self):
-        resample(np.ones(32), UltraParams(n=2.5, eps=1e-2), 32)
+        resample(np.ones(32), UltraParams(n=2.5, eps=1e-2))
         fine, basis, V, V1 = _discretization(2.5, 1e-2, 32)
         for table in (V, V1, basis.V, basis.V1, basis.D, basis.end_slopes, fine.nodes, fine.weights):
             with pytest.raises(ValueError):
@@ -521,7 +528,7 @@ class TestPositivityGuard:
         "regularized flow": (EPS, lambda u, prm: run_regularized_flow(u, FlowConfig("regularized", prm))),
         "check_gamma2": (PLAIN, lambda u, prm: check_gamma2(u, prm, enforce_neumann=False)),
         "check_gamma2_eps": (EPS, check_gamma2_eps),
-        "lyapunov_F": (PLAIN, lambda u, prm: lyapunov_F(u, prm, N=16)),
+        "lyapunov_F": (PLAIN, lyapunov_F),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -529,7 +536,7 @@ class TestPositivityGuard:
         params, call = self.ENTRY_POINTS[entry]
         z = build_quadrature(params, 16).nodes
         u = 1e-3 + np.exp(-400.0 * (z - 0.5) ** 2)
-        assert np.min(resample(u, params, 16)[3]) < -0.1
+        assert np.min(resample(u, params)[3]) < -0.1
         with pytest.raises(DomainError, match="positivity"):
             call(u, params)
 
@@ -538,7 +545,7 @@ class TestPositivityGuard:
     NON_FINITE_ENTRY_POINTS = {
         "check_gamma2": (PLAIN, check_gamma2),
         "check_lgamma_eps": (EPS, check_lgamma_eps),
-        "lyapunov_F": (PLAIN, lambda u, prm: lyapunov_F(u, prm, N=16)),
+        "lyapunov_F": (PLAIN, lyapunov_F),
         "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
         "nonlinear flow": (NONLINEAR, lambda u, prm: run_nonlinear_flow(u, FlowConfig("nonlinear", prm))),
         "qform_value": (PLAIN, qform_value),
@@ -548,8 +555,8 @@ class TestPositivityGuard:
         "lp_norm": (PLAIN, lp_norm),
         "fisher": (PLAIN, fisher),
         "spectral_derivative": (PLAIN, lambda u, prm: spectral_derivative(u, build_quadrature(prm, 16))),
-        "apply_L": (PLAIN, lambda u, prm: apply_L(u, build_quadrature(prm, 16))),
-        "apply_L_eps": (EPS, lambda u, prm: apply_L_eps(u, prm, build_quadrature(prm, 16))),
+        "apply_L": (PLAIN, apply_L),
+        "apply_L_eps": (EPS, apply_L),  # L_eps: apply_L on an eps key
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
