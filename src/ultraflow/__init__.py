@@ -31,7 +31,6 @@ from .spectral import (
     eigenvalue,
     get_basis,
     get_regularized_basis,
-    interpolation_basis,
     resample,
     spectral_derivative,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "fisher",
     "get_basis",
     "get_regularized_basis",
-    "interpolation_basis",
     "is_admissible",
     "lambda_eps",
     "logsob_deficit",

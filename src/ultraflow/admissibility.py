@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import DEFAULT_NODES, UltraParams, _critical_exponent, build_quadrature, refined_quadrature
 from .operators import _deformation, _points
-from .spectral import _nodal_derivatives, _require_positive
+from .spectral import GridFn, _nodal_derivatives
 
 
 def thresholds(n: float) -> tuple[float, float]:
@@ -260,18 +260,17 @@ def is_admissible(beta: float, n: float, p: float, tol: float = 1e-12) -> bool:
     return bool(delta_of_beta(beta, n, p) <= tol)
 
 
-def qform_value(u, params: UltraParams) -> np.ndarray:
+def qform_value(u: GridFn, params: UltraParams) -> np.ndarray:
     """Pointwise q[u] = |u''|^2 - 2b u''|u'|^2/u + c|u'|^4/u^2 at the nodes, at beta = params.beta.
 
-    ``u`` is a GridFn on the rule matching ``params`` (plain when eps = 0)
-    with as many nodes as len(u); derivatives are spectral.  Nonnegative
-    everywhere, for every positive u, exactly when delta(beta) <= 0.  A
-    sample that is not finite and positive raises ``DomainError``.
+    ``u`` holds samples on ``build_quadrature(params, len(u))``, the sample
+    rule of ``params``; derivatives are spectral.  Nonnegative everywhere, for
+    every positive u, exactly when delta(beta) <= 0.  Parameters that are not
+    ``UltraParams``, or a sample that is not finite and positive, raise
+    ``DomainError`` (``spectral._sample_contract``).
     """
-    u = np.asarray(u, dtype=float)
-    _require_positive(u, "qform_value requires a finite, strictly positive function")
-    _, up, upp = _nodal_derivatives(u, build_quadrature(params, len(u)))
-    return _qform(u, up, upp, params)
+    _, _, uu, up, upp = _nodal_derivatives(u, params, "qform_value requires a finite, strictly positive function")
+    return _qform(uu, up, upp, params)
 
 
 def _qform(u, up, upp, params: UltraParams) -> np.ndarray:
@@ -352,8 +351,10 @@ def lambda_eps(params: UltraParams, h0: float, h1: float) -> float:
 
     where h0 < u < 1/h0 and |u'| <= h1 bound the evolving solution.  For
     n < d, lambda < n: a slightly weaker constant, vanishing as eps -> 0.
-    Integer n with eps > 0 passes UltraParams but raises DomainError here.
+    Bounds outside 0 < h0 < 1 and 0 < h1 < inf raise DomainError at every
+    eps, n at eps = 0 included, and so does integer n with eps > 0.
     """
+    _check_bounds(h0, h1)
     n, eps = params.n, params.eps
     if eps == 0:
         return float(n)
@@ -363,6 +364,5 @@ def lambda_eps(params: UltraParams, h0: float, h1: float) -> float:
             "lambda_eps needs non-integer n (n < ceil(n)); the integer case "
             "does not take a regularization correction"
         )
-    _check_bounds(h0, h1)
     factor = params.beta * (params.p - 1.0) * h1 / ((n + 2.0) * h0)
     return float(n + eps * (n - d) * factor**2)

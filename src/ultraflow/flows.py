@@ -79,7 +79,7 @@ from .functionals import _warn_near_two, lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams, _stepping_rule
 from .operators import _deformation
-from .spectral import GridFn, OrthoBasis, _resample_positive, get_regularized_basis
+from .spectral import GridFn, OrthoBasis, _resample_positive, _sample_contract, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
@@ -123,6 +123,7 @@ class FlowConfig:
             raise DomainError(f"t_end must be positive, got {self.t_end}")
         if not (self.record_every >= 1 and float(self.record_every).is_integer()):
             raise DomainError(f"record_every must be an integer >= 1, got {self.record_every}")
+        _sample_contract(self.params)  # the parameters of the run's samples, checked before any is read
         p = self.params
         if self.kind == "heat" and p.beta != 1.0:
             raise DomainError("the heat flow runs at beta = 1; use the nonlinear kind otherwise")

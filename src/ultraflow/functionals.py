@@ -35,7 +35,7 @@ import numpy as np
 from .admissibility import _check_bounds
 from .errors import DomainError, ShapeError, _warn
 from .measure import Quadrature, UltraParams, _critical_exponent
-from .spectral import GridFn, _resample_positive, _warn_unresolved, resample
+from .spectral import GridFn, _resample, _resample_positive, _sample_contract, _warn_unresolved, resample
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ def deficit(
     AccuracyWarning, and 0 < |p - 2| < 1e-2, where the entropy quotient loses
     digits, an AccuracyWarning too.
     """
+    f = _sample_contract(params, f)
     return _deficit(f, params, params.n if lam is None else lam, N, "deficit")
 
 
@@ -117,6 +118,7 @@ def logsob_deficit(
     eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  lam,
     N and an f the rule does not resolve behave as in ``deficit``.
     """
+    f = _sample_contract(params, f)
     if params.p != 2:
         raise DomainError(f"logsob_deficit is the p = 2 endpoint, got p={params.p}; use deficit")
     lam = params.n / 2.0 if lam is None else lam
@@ -124,9 +126,9 @@ def logsob_deficit(
     return replace(rep, lambda_used=float(lam), entropy_term=2 * rep.entropy_term)
 
 
-def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: str) -> DeficitReport:
-    """The body of ``deficit`` and ``logsob_deficit`` (``what``), with their unresolved-input
-    and near-p = 2 warnings."""
+def _deficit(f: np.ndarray, params: UltraParams, lam: float, N: int | None, what: str) -> DeficitReport:
+    """The body of ``deficit`` and ``logsob_deficit`` (``what``) on samples that passed
+    ``_sample_contract``, with their unresolved-input and near-p = 2 warnings."""
     n, p = params.n, params.p
     if params.eps != 0 or params.beta != 1:
         raise DomainError(f"{what} is defined on the plain measure at beta = 1, got eps={params.eps}, "
@@ -136,7 +138,7 @@ def _deficit(f: GridFn, params: UltraParams, lam: float, N: int | None, what: st
     _check_bounds(lam=lam)
     if N not in (None, len(f)):
         raise ShapeError(f"N={N} contradicts the {len(f)} samples, which set the rule")
-    fine, _, c, ff, fp, _ = resample(f, params)
+    fine, _, c, ff, fp, _ = _resample(f, params)
     _warn_unresolved(c, "deficit")
     _warn_near_two(p)
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
@@ -213,13 +215,13 @@ def lyapunov_F(
 
     The measure is regularized when params.eps > 0, plain otherwise; the
     sample grid is the corresponding len(u)-node rule.  ``lam`` defaults to
-    n; a non-finite one raises DomainError.  A u the rule does not resolve
-    warns as in ``lp_norm``, a p within 1e-2 of 2 as in ``deficit``.
+    n; a non-finite one raises DomainError, after the samples are checked.  A u
+    the rule does not resolve warns as in ``lp_norm``, a p within 1e-2 of 2 as
+    in ``deficit``.
     """
-    if lam is None:
-        lam = params.n
-    _check_bounds(lam=lam)
     fine, _, c, uu, up, _ = _resample_positive(u, params, "the function")
+    lam = params.n if lam is None else lam
+    _check_bounds(lam=lam)
     _warn_unresolved(c, "lyapunov_F")
     _warn_near_two(params.p)
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DomainError
 from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature
 from .operators import _apply, _deformation
-from .spectral import GridFn, _resample_positive
+from .spectral import GridFn, _resample_positive, _sample_contract
 
 # Degree of the random exponent polynomial; amplitude is at most 1 about
 # the constant term, so test functions satisfy e^-2 <= u <= e^2.
@@ -185,6 +185,7 @@ def check_gamma2(
     seed: int = -1,
 ) -> IdentityReport:
     """Second-order identity for the plain operator."""
+    _sample_contract(params)
     if params.eps != 0:
         raise DomainError("check_gamma2 is the plain-measure check; use check_gamma2_eps")
     return _gamma2(u, params, "Gamma2", seed, enforce_neumann)
@@ -197,12 +198,14 @@ def check_lgamma(
     seed: int = -1,
 ) -> IdentityReport:
     """Mixed gradient identity for the plain operator."""
+    _sample_contract(params)
     if params.eps != 0:
         raise DomainError("check_lgamma is the plain-measure check; use check_lgamma_eps")
     return _lgamma(u, params, "L-Gamma", seed, enforce_neumann)
 
 
 def _check_eps_params(params: UltraParams) -> None:
+    _sample_contract(params)
     if params.eps == 0 and params.n != params.d:
         raise DomainError("the regularized checks need eps > 0 when n is not an integer")
 

@@ -21,16 +21,17 @@ plain case, where callers add nothing.  Rules come from the Lu of ``apply_L`` an
 the identities (through ``drift``) and from the eps corrections (``identities._prepared``,
 the flow recorder, ``flows.dF_dt_closed_form``); points from ``drift``, ``drift_prime``,
 ``regularity_coeffs``.
-Derivatives of the argument are spectral (see the spectral module); the
-pointwise combination makes no use of the eigendecomposition, so eigenvalue
-checks against k (k + n - 1) are a genuine cross-validation.
+Derivatives of the argument are spectral, on the basis that its parameters
+give its samples (``spectral._nodal_derivatives``); the pointwise combination
+makes no use of the eigendecomposition, so eigenvalue checks against
+k (k + n - 1) are a genuine cross-validation.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .measure import Quadrature, UltraParams, _is_plain, build_quadrature
-from .spectral import GridFn, _finite, _nodal_derivatives
+from .measure import Quadrature, UltraParams, _is_plain
+from .spectral import GridFn, _nodal_derivatives
 
 
 def _points(z: np.ndarray | Quadrature):
@@ -74,8 +75,7 @@ def apply_L(f: GridFn, params: UltraParams) -> GridFn:
 
     ell is the drift of ``params``: n z in the plain case (eps = 0 or n = d), where L_eps
     is L.  Exact for polynomials of degree <= len(f) - 2 up to differentiation rounding.
-    A non-finite sample raises ``DomainError``.
+    Samples that break ``spectral._sample_contract`` raise ``DomainError``.
     """
-    f = _finite(f)
-    q = build_quadrature(params, len(f))
-    return _apply(*_nodal_derivatives(f, q)[1:], q, params)
+    basis, _, _, fp, fpp = _nodal_derivatives(f, params)
+    return _apply(fp, fpp, basis.quad, params)

@@ -32,18 +32,21 @@ pass, whose rows go into tables of their own, or makes one ``_tables`` pass
 on a built basis.  The arithmetic is that of a column-at-a-time Stieltjes
 step and recurrence, bit for bit.
 Medians on a 2-core x86-64 host at N = 64: a basis on the 128-node plain
-refined rule 0.68-0.72 ms, on a 530- to 746-node graded rule 1.47-1.83 ms
-(0.83 and 1.71-2.13 ms with a separate Stieltjes pass); a cold
-``resample`` key, the 64-node sample basis with the refined rule's
-tables, 0.69-1.09 ms (1.06-1.49 ms in three passes); Q_k and Q_k' on a
-built basis at the refined nodes 0.33-0.65 ms, at +-1 0.26-0.27 ms.
+refined rule 0.68-0.72 ms, on a 530- to 746-node graded rule 1.47-1.83 ms;
+a cold ``resample`` key, the 64-node sample basis with the refined rule's
+tables, 0.69-1.09 ms; Q_k and Q_k' on a built basis at the refined nodes
+0.33-0.65 ms, at +-1 0.26-0.27 ms.
+
+Samples.  Every entry point takes samples f with the ``UltraParams`` that
+set their rule, ``build_quadrature(params, len(f))``, and its basis; one
+check, ``_sample_contract``, asks for ``UltraParams`` and finite samples.
 
 Caching.  ``get_basis`` and ``get_regularized_basis`` memoize bases per
 (n, N) and (n, eps, N); eps = 0 gives the plain basis on the refined
 rule at any n.  The Gauss rules beneath them are memoized in the measure
 module.  ``resample`` is the one way from samples to (u, u', u'') on the
 refined rule: it keeps, for the key (n, eps, N), the refined rule, the
-interpolation basis and the read-only tables of Q_k and Q_k' at the
+sample basis and the read-only tables of Q_k and Q_k' at the
 refined nodes, from ``_tables_at``: the pass that builds a cold basis, one
 ``_tables`` pass on a built one.  A basis keeps only its own rule's rows,
 and the key only the refined rule's, so the cached bases do not grow with
@@ -285,19 +288,6 @@ def get_regularized_basis(n: float, eps: float, N: int = DEFAULT_NODES) -> Ortho
     return OrthoBasis(refined_quadrature(params, N), K=N - 2)
 
 
-def interpolation_basis(q: Quadrature) -> OrthoBasis:
-    """The Gegenbauer basis interpolating GridFn samples on the sample rule ``q``.
-
-    Sample rules are the Gauss rules of ``build_quadrature``, plain rules of
-    their own n (d = ceil(n) for a key with eps > 0).  The rules with
-    q.eps > 0, the graded refined rule and the regularized stepping rule,
-    carry no samples: ``DomainError``.
-    """
-    if q.eps:
-        raise DomainError(f"{q!r} integrates the regularized measure, not a sample rule; sample on build_quadrature")
-    return get_basis(q.n, q.order)
-
-
 @lru_cache(maxsize=1)  # most recent key only; see the module docstring
 def _discretization(n: float, eps: float, N: int) -> tuple:
     params = UltraParams(n=n, eps=eps)
@@ -306,7 +296,7 @@ def _discretization(n: float, eps: float, N: int) -> tuple:
     fine = refined_quadrature(params, N)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
-        basis = interpolation_basis(build_quadrature(params, N))
+        basis = get_basis(build_quadrature(params, N).n, N)
     V, V1 = basis._tables_at(fine.nodes)
     V.setflags(write=False)
     V1.setflags(write=False)
@@ -316,78 +306,76 @@ def _discretization(n: float, eps: float, N: int) -> tuple:
 def resample(u: GridFn, params: UltraParams):
     """Spectral interpolant of samples on the len(u)-node rule of ``params``, on its refined rule.
 
-    The measure is regularized when params.eps > 0, plain otherwise; only
-    n and eps matter, but ``params`` must be ``UltraParams`` (else
-    ``DomainError``).  Returns ``(fine, basis, c, u, u', u'')``: the refined
-    rule, the interpolation basis, the coefficients of ``u`` in it, and the
-    interpolant with its first two derivatives at ``fine.nodes``.  The
-    values equal ``basis.synthesize``, ``basis.derivative_values`` and
-    ``basis.second_derivative_values`` at those nodes, bit for bit.  A
-    sample that is not finite raises ``DomainError``.  A key whose rules lie
+    The measure is regularized when params.eps > 0, plain otherwise.
+    Returns ``(fine, basis, c, u, u', u'')``: the refined rule, the sample
+    basis, the coefficients of ``u`` in it, and the interpolant with its
+    first two derivatives at ``fine.nodes``.  The values equal
+    ``basis.synthesize``, ``basis.derivative_values`` and
+    ``basis.second_derivative_values`` at those nodes, bit for bit.  Samples
+    that break ``_sample_contract`` raise ``DomainError``.  A key whose rules lie
     below ``gauss_jacobi``'s threshold warns once, at the caller's line, when the key
     changes (one is kept), not per call.
     """
-    return _resample(_finite(u), params)
+    return _resample(_sample_contract(params, u), params)
 
 
 def _resample(u: np.ndarray, params: UltraParams):
-    """``resample`` of checked samples."""
-    if not isinstance(params, UltraParams):  # a Quadrature echoes n and eps too, but not its sample rule
-        raise DomainError(f"resample needs UltraParams, got {params!r}")
+    """``resample`` of samples that passed ``_sample_contract``."""
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), len(u))
     c = basis.analyze(u)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
 
 
-def _finite(u: GridFn) -> np.ndarray:
-    """``u`` as a float array; ``DomainError`` unless every sample is finite (signed
-    samples; the positive paths check ``_require_positive``, which implies it)."""
+def _sample_contract(params: UltraParams, u: GridFn = (), positive: str | None = None) -> np.ndarray:
+    """``u`` as a float array, if it keeps the contract of samples; else ``DomainError``.
+
+    ``params`` is ``UltraParams``: a rule or a dict echoes n and eps, not the
+    measure of the samples.  Every sample is finite, or, where the caller gives
+    ``positive``, the message of its refusal, lies in (0, inf); NaN fails both.
+    With no samples (a flow's configuration) only ``params`` is checked; an
+    empty ``u`` passes, for the rule builder to reject.
+    """
+    if not isinstance(params, UltraParams):
+        raise DomainError(f"samples come with the UltraParams of their measure, got {params!r}")
     u = np.asarray(u, dtype=float)
-    if u.size and not -np.inf < u.min() <= u.max() < np.inf:
-        raise DomainError("the samples must be finite")
+    if u.size and not (-np.inf if positive is None else 0.0) < u.min() <= u.max() < np.inf:
+        raise DomainError(positive or "the samples must be finite")
     return u
-
-
-def _require_positive(u: np.ndarray, message: str) -> None:
-    """Raise ``DomainError(message)`` unless every sample lies in (0, inf), so NaN and
-    +-inf fail too; an empty ``u`` passes, for the rule builder to reject."""
-    if u.size and not 0.0 < u.min() <= u.max() < np.inf:
-        raise DomainError(message)
 
 
 def _resample_positive(u: GridFn, params: UltraParams, what: str):
     """``resample`` of samples that are, and stay, finite and strictly positive; ``what`` names them."""
-    u = np.asarray(u, dtype=float)
-    _require_positive(u, f"{what} must be finite and strictly positive")
+    u = _sample_contract(params, u, f"{what} must be finite and strictly positive")
     out = _resample(u, params)
-    _require_positive(out[3], f"{what} loses positivity under resampling; refine the grid")
+    _sample_contract(params, out[3], f"{what} loses positivity under resampling; refine the grid")
     return out
 
 
-def _nodal_derivatives(f: np.ndarray, q: Quadrature):
-    """The N-node counterpart of ``resample``: ``(c, f', f'')`` at the nodes of ``q``.
+def _nodal_derivatives(f: GridFn, params: UltraParams, positive: str | None = None):
+    """The N-node counterpart of ``resample``: ``(basis, c, f, f', f'')`` at the nodes of f's rule.
 
-    ``f`` is a checked float array.  ``c`` holds the coefficients of the
-    interpolant of f in ``interpolation_basis(q)``; f' and f'' equal
-    ``derivative_values`` and ``second_derivative_values`` of c, bit for bit.
+    ``f`` comes back as the float array that ``_sample_contract`` (with
+    ``positive``) checked, ``c`` holds its coefficients in the sample basis,
+    and f' and f'' equal ``derivative_values`` and ``second_derivative_values``
+    of c, bit for bit.
     """
-    basis = interpolation_basis(q)
+    f = _sample_contract(params, f, positive)
+    basis = get_basis(build_quadrature(params, len(f)).n, len(f))
     c = basis.analyze(f)
-    return c, basis.V1 @ c, basis.V1 @ (basis.D @ c)
+    return basis, c, f, basis.V1 @ c, basis.V1 @ (basis.D @ c)
 
 
-def spectral_derivative(f: GridFn, q: Quadrature, order: int = 1) -> GridFn:
-    """Derivative of the spectral interpolant of f, at the nodes of ``q``.
+def spectral_derivative(f: GridFn, params: UltraParams, order: int = 1) -> GridFn:
+    """Derivative of the spectral interpolant of f, at the nodes of ``build_quadrature(params, len(f))``.
 
     Emits :class:`AccuracyWarning` when the top two modes carry more than
     ``TAIL_WARN_FRACTION`` of the coefficient energy, which signals that f
-    is not resolved on this rule and the derivative is untrustworthy.  A
-    sample that is not finite, or a rule that is not a sample rule
-    (``interpolation_basis``), raises ``DomainError``.
+    is not resolved on this rule and the derivative is untrustworthy.
+    Samples that break ``_sample_contract`` raise ``DomainError``.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    c, fp, fpp = _nodal_derivatives(_finite(f), q)
+    _, c, _, fp, fpp = _nodal_derivatives(f, params)
     _warn_unresolved(c, "derivative")
     return fp if order == 1 else fpp
 

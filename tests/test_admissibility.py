@@ -480,6 +480,14 @@ class TestLambdaEps:
         with pytest.raises(DomainError, match="h1 must be finite"):
             lambda_eps(UltraParams(n=2.5, p=5.0, beta=4.0, eps=1e-3), 0.8, h1)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("h0, h1, match", [(0.8, math.nan, "h1"), (1.5, 1.0, "h0")])
+    def test_bounds_are_checked_at_every_eps(self, eps, h0, h1, match):
+        # the eps = 0 shortcut used to return n before the bounds were read:
+        # lambda_eps(UltraParams(n=2.5), 5.0, nan) gave 2.5
+        with pytest.raises(DomainError, match=match):
+            lambda_eps(UltraParams(n=2.5, eps=eps), h0, h1)
+
 
 class TestSympyAlgebra:
     """The closed forms, evaluated on sympy symbols, against each other and the paper."""

@@ -9,6 +9,8 @@ keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
 h0 and h1, the finiteness of lam, the discriminant B^2 - A and the small-n threshold of the Gauss
 rules; another keeps ``warnings.warn`` and ``stacklevel=`` in their one owner, ``errors._warn``;
+another keeps the ``UltraParams`` type check of samples in ``spectral._sample_contract``
+and every public function that takes samples free of a ``Quadrature`` parameter;
 another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
 subclasses, another every module free of ``np.dot`` calls (``ndarray.dot`` is the same
 routine without the dispatcher), another every module's imports to the standard library and numpy
@@ -30,7 +32,7 @@ from ultraflow.errors import _warn
 from ultraflow.functionals import lyapunov_terms
 from ultraflow.measure import _critical_exponent, _is_plain, _warn_small_n
 from ultraflow.operators import _deformation, _points
-from ultraflow.spectral import _recurrence
+from ultraflow.spectral import _recurrence, _sample_contract
 
 PUBLIC_NAMES = [
     "AccuracyWarning", "AdmissibleRange", "AliasingError", "DEFAULT_NODES",
@@ -42,7 +44,7 @@ PUBLIC_NAMES = [
     "check_lgamma_eps", "dF_dt_closed_form", "deficit", "delta_of_beta",
     "dissipation_witness", "drift", "drift_prime", "eigenvalue",
     "extremal_profile", "fisher", "get_basis",
-    "get_regularized_basis", "interpolation_basis", "is_admissible",
+    "get_regularized_basis", "is_admissible",
     "lambda_eps", "logsob_deficit", "lp_norm", "lyapunov_F", "m_of_beta",
     "m_range", "make_test_function", "normalization_constant",
     "parse_function", "qform_coeffs", "qform_value",
@@ -140,6 +142,30 @@ def test_accuracy_warnings_have_one_owner():
                 assert node.arg != "stacklevel", (path.name, node.lineno)
     assert calls == 3  # _warn_small_n, _warn_unresolved and _warn_near_two
     assert re.search(r"warnings\.warn\(.*stacklevel=", owner)
+
+
+def test_samples_come_with_their_params():
+    # samples mean nothing without the measure of their parameters: the UltraParams
+    # type check is made only in spectral._sample_contract, which replaced _finite,
+    # _require_positive and resample's own check; interpolation_basis, the last way
+    # to pair samples with a rule, is gone, and no public function takes samples
+    # (a GridFn) together with a Quadrature
+    type_check = r"isinstance\(\s*[\w.]+\s*,\s*(\w+\.)?UltraParams\b"
+    owner = inspect.getsource(_sample_contract)
+    assert re.search(type_check, owner)
+    takes_samples = set()
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert not re.search(type_check, text.replace(owner, "")), path.name
+        assert not re.search(r"\b(_finite|_require_positive|interpolation_basis)\b", text), path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                kinds = [ast.unparse(a.annotation) for a in node.args.args if a.annotation]
+                if any("GridFn" in k for k in kinds):
+                    takes_samples.add(node.name)
+                    assert not any("Quadrature" in k for k in kinds), (path.name, node.name)
+    assert {"resample", "spectral_derivative", "apply_L", "qform_value", "deficit", "lyapunov_F",
+            "check_gamma2", "run_regularized_flow"} <= takes_samples
 
 
 def test_every_rule_integrates_the_measure_it_echoes():

@@ -258,7 +258,7 @@ class TestUnresolvedInput:
                 "lyapunov_F": lambda: lyapunov_F(f, UltraParams(n=3.0, p=4.0)),
                 "fisher": lambda: fisher(f, UltraParams(n=3.0)),
                 "lp_norm": lambda: lp_norm(f, UltraParams(n=3.0, p=4.0)),
-                "spectral_derivative": lambda: spectral_derivative(f, q),
+                "spectral_derivative": lambda: spectral_derivative(f, UltraParams(n=3.0)),
                 "deficit near 2": lambda: deficit(u, UltraParams(n=3.0, p=near)),
                 "lyapunov_F near 2": lambda: lyapunov_F(u, UltraParams(n=3.0, p=near, beta=2.0))}[name]
         with pytest.warns(AccuracyWarning) as record:

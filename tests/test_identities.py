@@ -19,6 +19,7 @@ from ultraflow import (
     check_gamma2_eps,
     check_lgamma,
     check_lgamma_eps,
+    get_basis,
     make_test_function,
 )
 from ultraflow.identities import _gamma2_correction, _lgamma_correction, _prepare, _prepared
@@ -44,11 +45,8 @@ class TestTestFunctions:
             assert np.all(u <= np.exp(2.0) + 1e-12)
 
     def test_neumann_endpoint_derivative(self):
-        from ultraflow import interpolation_basis, build_quadrature
-
         p = UltraParams(n=2.5)
-        q = build_quadrature(p, 64)
-        basis = interpolation_basis(q)
+        basis = get_basis(2.5, 64)  # the sample basis of the plain key
         for seed in range(10):
             u = make_test_function(seed, p, neumann=True)
             c = basis.analyze(u)
@@ -56,11 +54,8 @@ class TestTestFunctions:
             assert np.max(np.abs(ends)) < 1e-8
 
     def test_non_neumann_generic_slope(self):
-        from ultraflow import interpolation_basis, build_quadrature
-
         p = UltraParams(n=2.5)
-        q = build_quadrature(p, 64)
-        basis = interpolation_basis(q)
+        basis = get_basis(2.5, 64)
         slopes = []
         for seed in range(10):
             u = make_test_function(seed, p, neumann=False)
@@ -224,11 +219,10 @@ class TestRegularizedIdentities:
         assert rep.residual < 1e-10
         # removing a genuine correction of relative size >> residual would
         # break the identity; verify the correction is nonzero
-        from ultraflow import build_quadrature, refined_quadrature, interpolation_basis
+        from ultraflow import refined_quadrature
 
-        q = build_quadrature(p, 64)
         fine = refined_quadrature(p, 64)
-        basis = interpolation_basis(q)
+        basis = get_basis(3.0, 64)  # the samples of the eps key live on the rule of d = 3
         c = basis.analyze(u)
         uu = basis.synthesize(c, fine.nodes)
         up = basis.derivative_values(c, fine.nodes)

@@ -9,6 +9,7 @@ polynomials evaluated at 30 digits with mpmath, and the builder, one pass
 that forms the recurrence and the tables together, is pinned bit for bit to
 a column-at-a-time reference recurrence.
 """
+import dataclasses
 import warnings
 
 import mpmath
@@ -28,6 +29,7 @@ from ultraflow import (
     build_quadrature,
     check_gamma2,
     check_gamma2_eps,
+    check_lgamma,
     check_lgamma_eps,
     dF_dt_closed_form,
     deficit,
@@ -35,7 +37,6 @@ from ultraflow import (
     fisher,
     get_basis,
     get_regularized_basis,
-    interpolation_basis,
     logsob_deficit,
     lp_norm,
     lyapunov_F,
@@ -243,7 +244,7 @@ class TestOnePassBuild:
 
     @pytest.mark.parametrize("n, eps, N", KEYS)
     def test_tables_match_the_column_recurrence(self, n, eps, N):
-        basis = interpolation_basis(build_quadrature(UltraParams(n=n, eps=eps), N))
+        basis = resample(np.ones(N), UltraParams(n=n, eps=eps))[1]  # the sample basis of the key
         ends = np.array([-1.0, 1.0])
         for nodes in (refined_quadrature(UltraParams(n=n, eps=eps), N).nodes, ends):
             for order in range(3):
@@ -393,26 +394,27 @@ class TestTransforms:
         pts = np.linspace(-0.9, 0.9, 11)
         np.testing.assert_allclose(basis.synthesize(c, pts), pts**4, atol=1e-12)
 
-    def test_interpolation_basis_on_regularized_rule(self):
+    def test_sample_basis_of_an_eps_key(self):
         # the sample rule of an eps key is the plain rule of the ceiling
         # dimension, so interpolation there must reproduce sampled values
-        q = build_quadrature(UltraParams(n=2.5, eps=0.1), 24)
-        basis = interpolation_basis(q)
+        params = UltraParams(n=2.5, eps=0.1)
+        q = build_quadrature(params, 24)
         f = np.exp(q.nodes)
+        basis = resample(f, params)[1]
         c = basis.analyze(f)
         np.testing.assert_allclose(basis.synthesize(c, q.nodes), f, atol=1e-12)
         assert basis.quad is q and q.n == 3.0  # ceiling dimension
 
     def test_graded_rule_is_not_a_sample_rule(self):
         # read as samples on the 270-node rule of d = 3, z^2 on the graded rule
-        # gave a derivative off by 3.27, with no warning
+        # gave a derivative off by 3.27, with no warning; samples now come with
+        # their parameters, so no entry point takes a rule
         params = UltraParams(n=2.5, eps=1e-3)
         fine = refined_quadrature(params, 16)
         f = fine.nodes**2
-        calls = [lambda: interpolation_basis(fine), lambda: spectral_derivative(f, fine)]
-        for call in calls:
-            with pytest.raises(DomainError, match="not a sample rule"):
-                call()
+        for call in (spectral_derivative, apply_L, resample):
+            with pytest.raises(DomainError, match="UltraParams"):
+                call(f, fine)
 
     def test_caching_returns_same_object(self):
         assert get_basis(3.0, 32) is get_basis(3.0, 32)
@@ -459,8 +461,8 @@ class TestDerivatives:
         f = np.exp(np.sin(2.0 * q.nodes))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d1 = spectral_derivative(f, q, order=1)
-            d2 = spectral_derivative(f, q, order=2)
+            d1 = spectral_derivative(f, p, order=1)
+            d2 = spectral_derivative(f, p, order=2)
         z = q.nodes
         true1 = 2.0 * np.cos(2.0 * z) * f
         true2 = (4.0 * np.cos(2.0 * z) ** 2 - 4.0 * np.sin(2.0 * z)) * f
@@ -472,12 +474,11 @@ class TestDerivatives:
         q = build_quadrature(p, 8)
         f = np.exp(5.0 * q.nodes)  # nowhere near resolved with 6 modes
         with pytest.warns(AccuracyWarning):
-            spectral_derivative(f, q)
+            spectral_derivative(f, p)
 
     def test_order_validation(self):
-        q = build_quadrature(UltraParams(n=3.0), 16)
         with pytest.raises(DomainError):
-            spectral_derivative(np.ones(16), q, order=3)
+            spectral_derivative(np.ones(16), UltraParams(n=3.0), order=3)
 
 
 class TestResample:
@@ -491,7 +492,7 @@ class TestResample:
         for f in (np.exp(np.sin(2.0 * q.nodes)), 1.0 + q.nodes**3):  # a miss, then a hit
             fine, basis, c, uu, up, upp = resample(f, params)
             assert fine is refined_quadrature(params, 48)
-            assert basis is interpolation_basis(q)
+            assert basis is get_basis(q.n, 48)
             np.testing.assert_array_equal(c, basis.analyze(f))
             np.testing.assert_array_equal(uu, basis.synthesize(c, fine.nodes))
             np.testing.assert_array_equal(up, basis.derivative_values(c, fine.nodes))
@@ -542,33 +543,59 @@ class TestPositivityGuard:
 
     NONLINEAR = UltraParams(n=3.0, p=4.0, beta=2.0)
     LOGSOB = UltraParams(n=3.0)
-    NON_FINITE_ENTRY_POINTS = {
+    # every public entry point that takes samples, each with its parameters: the
+    # sample contract (spectral._sample_contract) holds on each of them
+    SAMPLE_ENTRY_POINTS = {
+        "resample": (EPS, resample),
         "check_gamma2": (PLAIN, check_gamma2),
+        "check_lgamma": (PLAIN, check_lgamma),
+        "check_gamma2_eps": (EPS, check_gamma2_eps),
         "check_lgamma_eps": (EPS, check_lgamma_eps),
         "lyapunov_F": (PLAIN, lyapunov_F),
         "dF_dt_closed_form": (PLAIN, lambda u, prm: dF_dt_closed_form(u, FlowConfig("heat", prm))),
+        "heat flow": (PLAIN, lambda u, prm: run_heat_flow(u, FlowConfig("heat", prm))),
         "nonlinear flow": (NONLINEAR, lambda u, prm: run_nonlinear_flow(u, FlowConfig("nonlinear", prm))),
+        "regularized flow": (EPS, lambda u, prm: run_regularized_flow(u, FlowConfig("regularized", prm))),
         "qform_value": (PLAIN, qform_value),
         # signed samples: one finiteness check, on resample and the nodal derivatives
         "deficit": (PLAIN, lambda u, prm: deficit(u, prm, N=16)),
         "logsob_deficit": (LOGSOB, lambda u, prm: logsob_deficit(u, prm, N=16)),
         "lp_norm": (PLAIN, lp_norm),
         "fisher": (PLAIN, fisher),
-        "spectral_derivative": (PLAIN, lambda u, prm: spectral_derivative(u, build_quadrature(prm, 16))),
+        "spectral_derivative": (PLAIN, spectral_derivative),
         "apply_L": (PLAIN, apply_L),
         "apply_L_eps": (EPS, apply_L),  # L_eps: apply_L on an eps key
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("entry", NON_FINITE_ENTRY_POINTS)
+    @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
     def test_non_finite_sample_is_rejected(self, entry, bad):
         # NaN and +inf pass a sign test such as np.any(u <= 0), and a NaN
         # sample turns a residual or a flow's terminal gap into nan
-        params, call = self.NON_FINITE_ENTRY_POINTS[entry]
+        params, call = self.SAMPLE_ENTRY_POINTS[entry]
         u = 1.0 + 0.1 * build_quadrature(params, 16).nodes
         u[3] = bad
         with pytest.raises(DomainError, match="finite"):
             call(u, params)
+
+    # what a caller may pass in place of the parameters: the samples' own rule,
+    # the refined rule of their measure, and the fields of the parameters
+    NOT_PARAMS = {
+        "sample rule": lambda prm: build_quadrature(prm, 16),
+        "refined rule": lambda prm: refined_quadrature(prm, 16),
+        "dict": dataclasses.asdict,
+    }
+
+    @pytest.mark.parametrize("stand_in", NOT_PARAMS)
+    @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+    def test_params_that_are_not_ultra_params_are_rejected(self, entry, stand_in):
+        # the other half of the contract: a rule or a dict echoes n and eps, not
+        # the measure of the samples, so every entry point refuses it alike,
+        # before it reads a field (no AttributeError) and before it computes
+        params, call = self.SAMPLE_ENTRY_POINTS[entry]
+        u = 1.0 + 0.1 * build_quadrature(params, 16).nodes
+        with pytest.raises(DomainError, match="UltraParams"):
+            call(u, self.NOT_PARAMS[stand_in](params))
 
 
 class TestEigenvalue:
