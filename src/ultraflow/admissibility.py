@@ -269,7 +269,7 @@ def qform_value(u: GridFn, params: UltraParams) -> np.ndarray:
     ``UltraParams``, or a sample that is not finite and positive, raise
     ``DomainError`` (``spectral._sample_contract``).
     """
-    _, _, uu, up, upp = _nodal_derivatives(u, params, "qform_value requires a finite, strictly positive function")
+    _, uu, up, upp = _nodal_derivatives(u, params, "qform_value requires a finite, strictly positive function")
     return _qform(uu, up, upp, params)
 
 

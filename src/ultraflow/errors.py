@@ -7,10 +7,11 @@ Runtime breakdowns of a numerical procedure raise ``NumericalError``.
 A result outside its accuracy guarantee is still returned, with an
 ``AccuracyWarning`` from ``_warn``, the one place that issues it.  The
 warning names the innermost line outside the package, the line that called
-the entry point, however deep inside the package the check ran.  The checks
-sit in the entry points, not in the bodies they share, so one call warns
-once per cause.  A flow run warns once, not per record or per rule it
-builds, and a ``resample`` key once, when the key changes.
+the entry point, however deep inside the package the check ran.  A check
+sits at a step that each call runs once, the entry point or its one sample
+path (``spectral._resample`` or ``_nodal_derivatives``), and bodies that run
+once per record never warn: a call warns once per cause, a flow run once,
+and a ``resample`` key once, when the key changes.
 """
 from __future__ import annotations
 

@@ -62,7 +62,8 @@ called ``run_<kind>_flow`` (``errors._warn``): within 1e-2 of p = 2 the
 run gives the near-p = 2 AccuracyWarning itself, and ``lyapunov_terms``,
 called once per record, never warns; below ``gauss_jacobi``'s threshold the
 resample of u0 and the basis build the rules quietly, and the stepping
-rule, which warns wherever they would, gives the warning.
+rule, which warns wherever they would, gives the warning; the run judges
+the resolution of the v0 that it steps, not the resample of u0.
 """
 from __future__ import annotations
 
@@ -79,7 +80,7 @@ from .functionals import _warn_near_two, lyapunov_terms
 from .identities import _gamma2_correction, _lgamma_correction
 from .measure import Quadrature, UltraParams, _stepping_rule
 from .operators import _deformation
-from .spectral import GridFn, OrthoBasis, _resample_positive, _sample_contract, get_regularized_basis
+from .spectral import GridFn, OrthoBasis, _resample_positive, _sample_contract, _warn_unresolved, get_regularized_basis
 
 _KINDS = ("heat", "nonlinear", "regularized")
 _POSITIVITY_FLOOR = 1e-12
@@ -382,7 +383,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
     if cfg.kind != kind:
         raise DomainError(f"run_{kind}_flow needs kind={kind!r}, got {cfg.kind!r}")
     params, N = cfg.params, len(u0)
-    with warnings.catch_warnings():  # its rules warn only where the stepping rule below does
+    with warnings.catch_warnings():  # its rules warn only where the stepping rule does; v0 is judged below
         warnings.simplefilter("ignore", AccuracyWarning)
         _, _, _, u0_fine, up0, _ = _resample_positive(u0, params, "the initial datum")
         basis = get_regularized_basis(params.n, params.eps, N)
@@ -393,6 +394,7 @@ def _run_galerkin(u0: GridFn, cfg: FlowConfig, kind: str) -> FlowTrace:
     # otherwise asked before the first analyze, so a cold basis builds with them in one pass
     V0, V1 = basis._tables_at(rule.nodes) if rule.eps else (basis.V, basis.V1)
     c0 = basis.analyze(u0_fine ** (params.beta * params.p))  # v0 in the working basis
+    _warn_unresolved(c0)  # the run's one resolution verdict, on what it steps
     m = params.m
     rho2w = rule.weights * rule.rho2
     # Q_0' = 0 zeroes row and column 0 of S; keeping mode 0 out of eigh

@@ -35,7 +35,7 @@ import numpy as np
 from .admissibility import _check_bounds
 from .errors import DomainError, ShapeError, _warn
 from .measure import Quadrature, UltraParams, _critical_exponent
-from .spectral import GridFn, _resample, _resample_positive, _sample_contract, _warn_unresolved, resample
+from .spectral import GridFn, _resample, _resample_positive, _sample_contract, resample
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,18 @@ class LyapunovValue:
 def lp_norm(f: GridFn, params: UltraParams) -> float:
     """(int |f|^p dnu)^(1/p), p = params.p, on the refined rule of the measure of ``params``.
 
-    ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
-    not resolve gets ``spectral_derivative``'s AccuracyWarning.
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.
     """
-    fine, _, c, ff, _, _ = resample(f, params)
-    _warn_unresolved(c, "lp_norm")
+    fine, _, _, ff, _, _ = resample(f, params)
     return float(fine.integrate(np.abs(ff) ** params.p) ** (1.0 / params.p))
 
 
 def fisher(f: GridFn, params: UltraParams) -> float:
     """Weighted Dirichlet energy int (1 - z^2) |f'|^2 dnu on the measure of ``params``.
 
-    ``f`` is sampled on ``build_quadrature(params, len(f))``.  An f the rule does
-    not resolve warns as in ``lp_norm``.
+    ``f`` is sampled on ``build_quadrature(params, len(f))``.
     """
-    fine, _, c, _, fp, _ = resample(f, params)
-    _warn_unresolved(c, "fisher")
+    fine, _, _, _, fp, _ = resample(f, params)
     return float(fine.integrate(fine.rho2 * fp**2))
 
 
@@ -96,9 +92,8 @@ def deficit(
     p = 2 the term is its limit, half the log entropy of ``logsob_deficit``,
     so the report is meaningful on the whole range p in [1, 2*].  ``params``
     must be plain (eps = 0) with beta = 1; anything else raises DomainError.
-    An f the rule does not resolve gets ``spectral_derivative``'s
-    AccuracyWarning, and 0 < |p - 2| < 1e-2, where the entropy quotient loses
-    digits, an AccuracyWarning too.
+    0 < |p - 2| < 1e-2, where the entropy quotient loses digits, gets an
+    AccuracyWarning.
     """
     f = _sample_contract(params, f)
     return _deficit(f, params, params.n if lam is None else lam, N, "deficit")
@@ -115,8 +110,8 @@ def logsob_deficit(
     The entropy is int f^2 log(f^2 / ||f||_2^2) dnu with 0 log 0 = 0: twice
     ``deficit``'s entropy term at p = 2, so this is ``deficit`` at 2 lam,
     reported with lam and the full entropy.  ``params`` must have p = 2,
-    eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  lam,
-    N and an f the rule does not resolve behave as in ``deficit``.
+    eps = 0 and beta = 1; anything else, or f = 0, raises DomainError.  lam
+    and N behave as in ``deficit``.
     """
     f = _sample_contract(params, f)
     if params.p != 2:
@@ -128,7 +123,7 @@ def logsob_deficit(
 
 def _deficit(f: np.ndarray, params: UltraParams, lam: float, N: int | None, what: str) -> DeficitReport:
     """The body of ``deficit`` and ``logsob_deficit`` (``what``) on samples that passed
-    ``_sample_contract``, with their unresolved-input and near-p = 2 warnings."""
+    ``_sample_contract``, with their near-p = 2 warning."""
     n, p = params.n, params.p
     if params.eps != 0 or params.beta != 1:
         raise DomainError(f"{what} is defined on the plain measure at beta = 1, got eps={params.eps}, "
@@ -138,8 +133,7 @@ def _deficit(f: np.ndarray, params: UltraParams, lam: float, N: int | None, what
     _check_bounds(lam=lam)
     if N not in (None, len(f)):
         raise ShapeError(f"N={N} contradicts the {len(f)} samples, which set the rule")
-    fine, _, c, ff, fp, _ = _resample(f, params)
-    _warn_unresolved(c, "deficit")
+    fine, _, _, ff, fp, _ = _resample(f, params)
     _warn_near_two(p)
     F, _, fb, entropy = lyapunov_terms(ff if p == 1 else np.abs(ff), fp, fine, params, lam)
     return DeficitReport(n, p, float(lam), fisher=fb, entropy_term=entropy, deficit=F)
@@ -215,14 +209,12 @@ def lyapunov_F(
 
     The measure is regularized when params.eps > 0, plain otherwise; the
     sample grid is the corresponding len(u)-node rule.  ``lam`` defaults to
-    n; a non-finite one raises DomainError, after the samples are checked.  A u
-    the rule does not resolve warns as in ``lp_norm``, a p within 1e-2 of 2 as
-    in ``deficit``.
+    n; a non-finite one raises DomainError, after the samples are checked.  A p
+    within 1e-2 of 2 warns as in ``deficit``.
     """
-    fine, _, c, uu, up, _ = _resample_positive(u, params, "the function")
+    fine, _, _, uu, up, _ = _resample_positive(u, params, "the function")
     lam = params.n if lam is None else lam
     _check_bounds(lam=lam)
-    _warn_unresolved(c, "lyapunov_F")
     _warn_near_two(params.p)
     F, mass, _, _ = lyapunov_terms(uu, up, fine, params, lam)
     return LyapunovValue(value=F, mass=mass, lambda_used=float(lam))

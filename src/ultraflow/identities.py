@@ -28,7 +28,9 @@ by zero.
 A function is prepared once per key (its samples' bytes, n, eps), and the
 state is kept read-only for the most recent key only: callers check both
 identities of a family on one u back to back, so the second check reuses
-the first one's resample.  The Neumann check runs on every enforced call.
+the first one's resample and its resolution verdict, so it does not warn
+again; an unresolved u that loses positivity warns, then raises.  The
+Neumann check runs on every enforced call.
 
 A note on the Neumann hypothesis: the default validation rejects
 functions with u'(+-1) != 0 because the plain identities are stated under

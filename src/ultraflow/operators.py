@@ -77,5 +77,5 @@ def apply_L(f: GridFn, params: UltraParams) -> GridFn:
     is L.  Exact for polynomials of degree <= len(f) - 2 up to differentiation rounding.
     Samples that break ``spectral._sample_contract`` raise ``DomainError``.
     """
-    basis, _, _, fp, fpp = _nodal_derivatives(f, params)
+    basis, _, fp, fpp = _nodal_derivatives(f, params)
     return _apply(fp, fpp, basis.quad, params)

@@ -40,6 +40,11 @@ tables, 0.69-1.09 ms; Q_k and Q_k' on a built basis at the refined nodes
 Samples.  Every entry point takes samples f with the ``UltraParams`` that
 set their rule, ``build_quadrature(params, len(f))``, and its basis; one
 check, ``_sample_contract``, asks for ``UltraParams`` and finite samples.
+Each entry point turns them into coefficients once, in ``_resample`` or
+``_nodal_derivatives``, and both judge them: where the top two modes carry
+more than ``TAIL_WARN_FRACTION`` of the energy, f is not resolved and the
+result comes with an ``AccuracyWarning`` (``_warn_unresolved``), before a
+resample that loses positivity is refused.
 
 Caching.  ``get_basis`` and ``get_regularized_basis`` memoize bases per
 (n, N) and (n, eps, N); eps = 0 gives the plain basis on the refined
@@ -73,7 +78,7 @@ from .measure import DEFAULT_NODES, Quadrature, UltraParams, build_quadrature, r
 #: A function represented by its values at quadrature nodes.
 GridFn = np.ndarray
 
-#: Relative spectral tail energy beyond which differentiation warns.
+#: Relative spectral tail energy beyond which a function counts as unresolved.
 TAIL_WARN_FRACTION = 1e-8
 
 _RING = 8  # degree k's block sits in slot k % _RING; a flush writes 8 doubles, a cache line, per row
@@ -312,9 +317,9 @@ def resample(u: GridFn, params: UltraParams):
     first two derivatives at ``fine.nodes``.  The values equal
     ``basis.synthesize``, ``basis.derivative_values`` and
     ``basis.second_derivative_values`` at those nodes, bit for bit.  Samples
-    that break ``_sample_contract`` raise ``DomainError``.  A key whose rules lie
-    below ``gauss_jacobi``'s threshold warns once, at the caller's line, when the key
-    changes (one is kept), not per call.
+    that break ``_sample_contract`` raise ``DomainError``; unresolved ones warn.  A
+    key whose rules lie below ``gauss_jacobi``'s threshold warns once, at the caller's
+    line, when the key changes (one is kept), not per call.
     """
     return _resample(_sample_contract(params, u), params)
 
@@ -323,6 +328,7 @@ def _resample(u: np.ndarray, params: UltraParams):
     """``resample`` of samples that passed ``_sample_contract``."""
     fine, basis, V, V1 = _discretization(float(params.n), float(params.eps), len(u))
     c = basis.analyze(u)
+    _warn_unresolved(c)
     return fine, basis, c, V @ c, V1 @ c, V1 @ (basis.D @ c)
 
 
@@ -352,40 +358,36 @@ def _resample_positive(u: GridFn, params: UltraParams, what: str):
 
 
 def _nodal_derivatives(f: GridFn, params: UltraParams, positive: str | None = None):
-    """The N-node counterpart of ``resample``: ``(basis, c, f, f', f'')`` at the nodes of f's rule.
+    """The N-node counterpart of ``resample``: ``(basis, f, f', f'')`` at the nodes of f's rule.
 
     ``f`` comes back as the float array that ``_sample_contract`` (with
-    ``positive``) checked, ``c`` holds its coefficients in the sample basis,
-    and f' and f'' equal ``derivative_values`` and ``second_derivative_values``
-    of c, bit for bit.
+    ``positive``) checked, and f' and f'' equal ``derivative_values`` and
+    ``second_derivative_values`` of its coefficients in the sample basis, bit
+    for bit; those coefficients get the resolution verdict.
     """
     f = _sample_contract(params, f, positive)
     basis = get_basis(build_quadrature(params, len(f)).n, len(f))
     c = basis.analyze(f)
-    return basis, c, f, basis.V1 @ c, basis.V1 @ (basis.D @ c)
+    _warn_unresolved(c)
+    return basis, f, basis.V1 @ c, basis.V1 @ (basis.D @ c)
 
 
 def spectral_derivative(f: GridFn, params: UltraParams, order: int = 1) -> GridFn:
     """Derivative of the spectral interpolant of f, at the nodes of ``build_quadrature(params, len(f))``.
 
-    Emits :class:`AccuracyWarning` when the top two modes carry more than
-    ``TAIL_WARN_FRACTION`` of the coefficient energy, which signals that f
-    is not resolved on this rule and the derivative is untrustworthy.
     Samples that break ``_sample_contract`` raise ``DomainError``.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    _, c, _, fp, fpp = _nodal_derivatives(f, params)
-    _warn_unresolved(c, "derivative")
+    _, _, fp, fpp = _nodal_derivatives(f, params)
     return fp if order == 1 else fpp
 
 
-def _warn_unresolved(c: np.ndarray, what: str) -> None:
-    """``errors._warn``'s AccuracyWarning, at the line that called the entry point ``what``, when
-    the top two modes of ``c`` carry more than ``TAIL_WARN_FRACTION`` of its energy: the function
-    is not resolved."""
+def _warn_unresolved(c: np.ndarray) -> None:
+    """``errors._warn``'s AccuracyWarning when the top two modes of ``c`` carry more than
+    ``TAIL_WARN_FRACTION`` of its energy: the function is not resolved."""
     total = float(c.dot(c))
     if total > 0:
         tail = float(c[-2:].dot(c[-2:])) / total
         if tail > TAIL_WARN_FRACTION:
-            _warn(f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; {what} accuracy is degraded")
+            _warn(f"spectral tail fraction {tail:.2e} exceeds {TAIL_WARN_FRACTION:.0e}; the function is not resolved")

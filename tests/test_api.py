@@ -9,6 +9,7 @@ keeps each domain fact of the parameters in one private owner: the
 critical exponent 2n/(n-2), the excluded exponent (n+2)m = n, the bounds
 h0 and h1, the finiteness of lam, the discriminant B^2 - A and the small-n threshold of the Gauss
 rules; another keeps ``warnings.warn`` and ``stacklevel=`` in their one owner, ``errors._warn``;
+another keeps the resolution verdict ``spectral._warn_unresolved`` where samples become coefficients;
 another keeps the ``UltraParams`` type check of samples in ``spectral._sample_contract``
 and every public function that takes samples free of a ``Quadrature`` parameter;
 another keeps ``build_quadrature`` calls free of ``kind=`` and ``Quadrature`` without
@@ -32,7 +33,7 @@ from ultraflow.errors import _warn
 from ultraflow.functionals import lyapunov_terms
 from ultraflow.measure import _critical_exponent, _is_plain, _warn_small_n
 from ultraflow.operators import _deformation, _points
-from ultraflow.spectral import _recurrence, _sample_contract
+from ultraflow.spectral import _recurrence, _sample_contract, _warn_unresolved
 
 PUBLIC_NAMES = [
     "AccuracyWarning", "AdmissibleRange", "AliasingError", "DEFAULT_NODES",
@@ -142,6 +143,26 @@ def test_accuracy_warnings_have_one_owner():
                 assert node.arg != "stacklevel", (path.name, node.lineno)
     assert calls == 3  # _warn_small_n, _warn_unresolved and _warn_near_two
     assert re.search(r"warnings\.warn\(.*stacklevel=", owner)
+
+
+def test_resolution_is_judged_where_samples_become_coefficients():
+    # the verdict takes the coefficients alone (errors._warn names the caller's line)
+    # and runs where samples become coefficients, the refined and the sample rule's
+    # path, and in the flow run, on the v0 that it steps; no functional places it
+    assert list(inspect.signature(_warn_unresolved).parameters) == ["c"]
+    sites, calls = [], 0
+    for path in sorted(Path(ultraflow.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        verdicts = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_warn_unresolved"]
+        calls += len(verdicts)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [f"{path.stem}.{fn.name}" for node in ast.walk(fn) if node in verdicts]
+        if path.stem == "functionals":
+            assert "_warn_unresolved" not in path.read_text()
+    assert calls == 3  # none at module level, none counted twice
+    assert sorted(sites) == ["flows._run_galerkin", "spectral._nodal_derivatives", "spectral._resample"]
 
 
 def test_samples_come_with_their_params():

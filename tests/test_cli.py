@@ -302,6 +302,20 @@ class TestVerify:
         assert "deficit = " in proc.stdout
         assert "AccuracyWarning: spectral tail fraction 3.23e-02" in proc.stderr
 
+    @pytest.mark.parametrize("argv, code", [
+        # v0 = u0^7.24 leaves 1.4e-5 of its energy in its top two modes on 6 nodes
+        (["flow", "--kind", "nonlinear", "--n", "4", "--p", "3.8", "--beta", "1.9048", "--nodes", "6"], 0),
+        # each tested function is judged once, and the residual gate still fails the run
+        (["identities", "--n", "2.5", "--nodes", "6", "--no-neumann"], 4),
+    ])
+    def test_under_resolved_runs_warn_on_stderr(self, tmp_path, argv, code):
+        root = os.path.dirname(os.path.dirname(ultraflow.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "ultraflow.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == code
+        assert "AccuracyWarning: spectral tail fraction" in proc.stderr
+
     def test_unresolved_function_warns_at_the_line_that_called_main(self, capsys):
         # in-process the CLI is package code too: the warning names this line
         with pytest.warns(AccuracyWarning, match="spectral tail fraction") as record:
@@ -388,11 +402,12 @@ class TestFlow:
 
     def test_positivity_failure_flushes_the_partial_trace(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
-        code = main(
-            ["flow", "--kind", "nonlinear", "--n", "3", "--p", "4", "--beta", "0.5",
-             "--nodes", "8", "--u0", "0.05+0.9*((1+z)/2)^5", "--t-end", "0.5",
-             "--record-every", "1", "--out", str(out)]
-        )
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction"):  # v0 on 8 nodes
+            code = main(
+                ["flow", "--kind", "nonlinear", "--n", "3", "--p", "4", "--beta", "0.5",
+                 "--nodes", "8", "--u0", "0.05+0.9*((1+z)/2)^5", "--t-end", "0.5",
+                 "--record-every", "1", "--out", str(out)]
+            )
         assert code == 3
         err = capsys.readouterr().err
         assert "positivity lost at t=0.019" in err
@@ -474,9 +489,10 @@ class TestIdentities:
     def test_no_neumann_applies_the_residual_gate(self, capsys):
         # six nodes under-resolve u = exp(P): the L-Gamma residual is
         # about 3e-4, far above the 1e-6 gate, and --no-neumann must not hide it
-        code, data = run_json(
-            capsys, ["identities", "--n", "2.5", "--nodes", "6", "--trials", "3", "--no-neumann"]
-        )
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction"):
+            code, data = run_json(
+                capsys, ["identities", "--n", "2.5", "--nodes", "6", "--trials", "3", "--no-neumann"]
+            )
         assert code == 4
         assert data["status"] == "residual gate exceeded"
         assert data["worst_residuals"]["L-Gamma"] > 1e-6

@@ -9,6 +9,7 @@ polynomials evaluated at 30 digits with mpmath, and the builder, one pass
 that forms the recurrence and the tables together, is pinned bit for bit to
 a column-at-a-time reference recurrence.
 """
+import contextlib
 import dataclasses
 import warnings
 
@@ -16,6 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import ultraflow.identities as identities
 import ultraflow.measure as measure
 import ultraflow.spectral as spectral
 from ultraflow import (
@@ -534,12 +536,17 @@ class TestPositivityGuard:
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_loss_of_positivity_under_resampling_is_rejected(self, entry):
+        # u is not resolved on 16 nodes either: the resolution verdict comes first,
+        # then the refusal; a flow refuses u0 before it forms the v0 that it judges
         params, call = self.ENTRY_POINTS[entry]
         z = build_quadrature(params, 16).nodes
         u = 1e-3 + np.exp(-400.0 * (z - 0.5) ** 2)
-        assert np.min(resample(u, params)[3]) < -0.1
-        with pytest.raises(DomainError, match="positivity"):
-            call(u, params)
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction"):
+            assert np.min(resample(u, params)[3]) < -0.1
+        verdict = pytest.warns(AccuracyWarning, match="spectral tail fraction")
+        with verdict if "flow" not in entry else contextlib.nullcontext():
+            with pytest.raises(DomainError, match="positivity"):
+                call(u, params)
 
     NONLINEAR = UltraParams(n=3.0, p=4.0, beta=2.0)
     LOGSOB = UltraParams(n=3.0)
@@ -596,6 +603,53 @@ class TestPositivityGuard:
         u = 1.0 + 0.1 * build_quadrature(params, 16).nodes
         with pytest.raises(DomainError, match="UltraParams"):
             call(u, self.NOT_PARAMS[stand_in](params))
+
+    # the plain checks without their Neumann contract, which 1 + 0.2|z| breaks
+    NO_NEUMANN = {
+        "check_gamma2": lambda u, prm: check_gamma2(u, prm, enforce_neumann=False),
+        "check_lgamma": lambda u, prm: check_lgamma(u, prm, enforce_neumann=False),
+    }
+
+    @pytest.mark.parametrize("entry", SAMPLE_ENTRY_POINTS)
+    def test_unresolved_samples_warn_once_at_the_callers_line(self, entry):
+        # the kink of 1 + 0.2|z| leaves 1.5e-7 of its energy in the top two modes on
+        # 16 nodes, and its resample stays >= 1.01: each entry point turns the samples
+        # into coefficients once and judges them there (a flow its v0), and returns
+        # what it returns unwarned; the identity checks judge a function when they
+        # prepare it, so the prepared state is cleared before each call
+        params, call = self.SAMPLE_ENTRY_POINTS[entry]
+        call = self.NO_NEUMANN.get(entry, call)
+        z = build_quadrature(params, 16).nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            identities._prepared.cache_clear()
+            quiet = call(1.0 + 0.2 * np.abs(z), params)
+        identities._prepared.cache_clear()
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction") as record:
+            got = call(1.0 + 0.2 * np.abs(z), params)
+        assert [w.filename for w in record] == [__file__]
+        assert _leaves(got) == _leaves(quiet)
+        call(1.0 + 0.1 * z, params)  # resolved: silent, or filterwarnings = error fails it
+
+    def test_the_second_identity_check_of_a_function_stays_silent(self):
+        u = 1.0 + 0.2 * np.abs(build_quadrature(self.EPS, 16).nodes)
+        identities._prepared.cache_clear()
+        with pytest.warns(AccuracyWarning, match="spectral tail fraction") as record:
+            check_gamma2_eps(u, self.EPS)
+        assert len(record) == 1
+        check_lgamma_eps(u, self.EPS)  # the prepared state of the same samples: no verdict
+
+
+def _leaves(x) -> list:
+    """The leaves of a result: arrays as (shape, dtype, bytes), dataclasses and sequences
+    flattened, other objects by identity, so == compares two results bit for bit."""
+    if dataclasses.is_dataclass(x):
+        x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    if isinstance(x, (tuple, list)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    if isinstance(x, np.ndarray):
+        return [(x.shape, x.dtype, x.tobytes())]
+    return [x if isinstance(x, (int, float, str)) else id(x)]
 
 
 class TestEigenvalue:
